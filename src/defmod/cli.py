@@ -360,7 +360,7 @@ def cmd_train_embeddings(args: argparse.Namespace) -> int:
         kind = f"{len(table.words())} word vectors"
     elif cfg["mode"] == "adagram":
         table = train_adagram(tokens, AdagramConfig(
-            dim=cfg["dim"], window=cfg["window"], negatives=cfg["negatives"],
+            dim=cfg["dim"], window=cfg["window"],
             epochs=cfg["epochs"], initial_lr=cfg["lr"],
             min_count=cfg["min_count"], seed=cfg["seed"],
             max_prototypes=cfg["max_prototypes"],
@@ -621,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="vector table file")
     p.add_argument("--dim", type=int)
     p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
+    p.add_argument("--negatives", type=int, help="negative samples per pair (sgns)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--min-count", type=int)

@@ -6,10 +6,12 @@ stick-breaking log prior (digamma expectations of the Beta posteriors)
 with the context log-likelihood; gradient updates and prototype counts
 are weighted by those responsibilities.
 
-The context likelihood is an exact softmax over the output vocabulary.
-That is quadratic-free but O(V) per unique center, which is the right
-trade-off at desk scale: unique centers per chunk are capped by V, so
-the normalizer costs about one (V x dim) matmul per chunk.
+The context likelihood is an exact softmax over the output vocabulary,
+O(V) per unique center, which is the right trade-off at desk scale.
+A chunk's U unique centers (at most min(V, CHUNK)) share one normalizer
+pass: a (U*K x dim) by (dim x V) BLAS matmul gives every score, and two
+more of the same size give the expected output vectors and the output
+matrix gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.special import digamma
 
 from ..errors import ConfigError
 from ..textprep import Vocabulary, build_vocab, count_tokens
-from .corpus import chunk_ranges, corpus_to_ids, linear_lr, shard_ranges
+from .corpus import chunk_ranges, corpus_to_ids, linear_lr, scatter_add, shard_ranges
 from .tables import SenseTable
 
 log = logging.getLogger(__name__)
@@ -36,7 +38,6 @@ DEFAULT_PRUNE_THRESHOLD = 1e-3
 class AdagramConfig:
     dim: int = 300
     window: int = 5
-    negatives: int = 5
     epochs: int = 5
     initial_lr: float = 0.025
     min_count: int = 5
@@ -47,7 +48,7 @@ class AdagramConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("dim", "window", "negatives", "min_count", "max_prototypes", "threads"):
+        for name in ("dim", "window", "min_count", "max_prototypes", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.epochs < 0:
@@ -135,14 +136,22 @@ def _train_span(
 
         uniq, inv = np.unique(centers, return_inverse=True)
         in_u = In[uniq]
-        scores_full = np.einsum("ukd,vd->ukv", in_u, Out)
-        lse = np.logaddexp.reduce(scores_full, axis=2)
-        probs = np.exp(scores_full - lse[:, :, None])
+        in_flat = in_u.reshape(-1, dim)
+        # Exact softmax over the output vocabulary in one (U*K, V) buffer:
+        # the scores, shifted in place to their exponentials. The products
+        # below divide by the normalizer on their (U*K, dim) side, which is
+        # cheaper than normalizing the buffer.
+        expo = in_flat @ Out.T
+        top = expo.max(axis=1, keepdims=True)
+        expo -= top
+        np.exp(expo, out=expo)
+        norm = expo.sum(axis=1, keepdims=True)
+        lse = (top + np.log(norm)).reshape(len(uniq), K)
         prior = expected_log_pi(counts[uniq], cfg.concentration_alpha)
 
         in_n = in_u[inv]
         ctx_vecs = Out[ctx]
-        dots = np.einsum("nkd,ncd->nkc", in_n, ctx_vecs)
+        dots = in_n @ ctx_vecs.transpose(0, 2, 1)
         loglik = ((dots - lse[inv][:, :, None]) * mask[:, None, :]).sum(axis=2)
         scores = prior[inv] + loglik
         scores -= scores.max(axis=1, keepdims=True)
@@ -153,28 +162,26 @@ def _train_span(
         # per-row movement bounded regardless of chunk size and vocabulary.
         step = lr / n
         n_ctx = mask.sum(axis=1)
-        sum_ctx = np.einsum("ncd,nc->nd", ctx_vecs, mask)
-        expected_out = np.einsum("ukv,vd->ukd", probs, Out)
+        sum_ctx = (mask[:, None, :] @ ctx_vecs)[:, 0]
+        expected_out = (expo @ Out / norm).reshape(len(uniq), K, dim)
         grad_in = step * resp[:, :, None] * (sum_ctx[:, None, :] - n_ctx[:, None, None] * expected_out[inv])
-        np.add.at(In, centers, grad_in)
+        scatter_add(In, centers, grad_in)
 
-        resp_in = np.einsum("nk,nkd->nd", resp, in_n)
+        resp_in = (resp[:, None, :] @ in_n)[:, 0]
         pos_coef = step * mask
-        np.add.at(Out, ctx.reshape(-1), (pos_coef[:, :, None] * resp_in[:, None, :]).reshape(-1, dim))
+        scatter_add(Out, ctx, pos_coef[:, :, None] * resp_in[:, None, :])
         weight = np.zeros((len(uniq), K))
-        np.add.at(weight, inv, resp * n_ctx[:, None])
-        Out -= step * np.einsum("ukv,ukd->vd", probs * weight[:, :, None], in_u)
+        scatter_add(weight, inv, resp * n_ctx[:, None])
+        Out -= step * (expo.T @ (in_flat * (weight.reshape(-1, 1) / norm)))
 
-        np.add.at(counts, centers, resp)
+        scatter_add(counts, centers, resp)
 
 
 def train_adagram(corpus, cfg: AdagramConfig, vocab: Vocabulary | None = None) -> SenseTable:
     """Train multi-sense embeddings; single-threaded runs are seed-stable.
 
     With threads > 1 the corpus is sharded across lock-free workers
-    (races tolerated). The `negatives` field is accepted for interface
-    parity with the single-sense trainer but unused here: the exact
-    softmax normalizer plays the role negative samples approximate.
+    (races tolerated).
     """
     tokens = list(corpus) if not isinstance(corpus, list) else corpus
     if vocab is None:
@@ -207,7 +214,8 @@ def train_adagram(corpus, cfg: AdagramConfig, vocab: Vocabulary | None = None) -
                     fut.result()
         log.info("adagram epoch %d/%d done", epoch + 1, cfg.epochs)
     table = SenseTable(cfg.dim, cfg.max_prototypes, cfg.prune_threshold)
-    for word in words:
-        wid = vocab.id(word)
-        table.add(word, In[wid], expected_pi(counts[wid], cfg.concentration_alpha))
+    word_ids = [vocab.id(word) for word in words]
+    priors = expected_pi(counts[word_ids], cfg.concentration_alpha)
+    for word, wid, pi in zip(words, word_ids, priors):
+        table.add(word, In[wid], pi)
     return table

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import ConfigError
 from ..textprep import Vocabulary
@@ -58,6 +59,27 @@ def dynamic_window_pairs(
     center_pos = np.concatenate(centers_list)
     context_pos = np.concatenate(contexts_list)
     return ids[center_pos], ids[context_pos]
+
+
+def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """In place, table[rows[i]] += values[i] for every i; repeated rows sum.
+
+    rows index the first axis of a table of any rank that reshapes to 2-D
+    without a copy (a C-contiguous one does; otherwise this raises), and
+    values holds one table row per entry of rows. Only the distinct rows are
+    read and written: the sums are one product with a sparse one-hot matrix
+    of shape (distinct rows, n), built in CSC form (column i holds a single 1
+    at the position of rows[i] among the distinct rows), so the cost is
+    O(n log n + n * row size) whatever the table's length.
+    """
+    rows = np.asarray(rows).reshape(-1)
+    n = rows.size
+    flat = table.reshape(table.shape[0], -1)
+    if flat.size and not np.may_share_memory(flat, table):
+        raise ValueError("scatter_add needs a table that reshapes to 2-D without a copy")
+    touched, inverse = np.unique(rows, return_inverse=True)
+    onehot = sparse.csc_array((np.ones(n), inverse.reshape(-1), np.arange(n + 1)), shape=(touched.size, n))
+    flat[touched] += onehot @ np.reshape(values, (n, flat.shape[1]))
 
 
 def linear_lr(initial_lr: float, processed: int, total: int) -> float:

@@ -10,7 +10,9 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..textprep import Vocabulary, build_vocab, count_tokens
-from .corpus import NoiseSampler, chunk_ranges, corpus_to_ids, dynamic_window_pairs, linear_lr, shard_ranges
+from .corpus import (
+    NoiseSampler, chunk_ranges, corpus_to_ids, dynamic_window_pairs, linear_lr, scatter_add, shard_ranges,
+)
 from .tables import EmbeddingTable
 
 log = logging.getLogger(__name__)
@@ -74,19 +76,19 @@ def _train_span(
         labels[:, 0] = 1.0
         center_vecs = W_in[centers]
         out_vecs = W_out[out_ids]
-        scores = np.einsum("pd,pkd->pk", center_vecs, out_vecs)
+        scores = (out_vecs @ center_vecs[:, :, None])[:, :, 0]
         coef = (labels - _sigmoid(scores)) * lr
-        grad_in = np.einsum("pk,pkd->pd", coef, out_vecs)
+        grad_in = (coef[:, None, :] @ out_vecs)[:, 0]
         grad_out = coef[:, :, None] * center_vecs[:, None, :]
         # Updates inside a chunk share stale vectors; averaging each row's
         # gradient over its in-chunk occurrences keeps the step bounded.
         V = W_in.shape[0]
         center_counts = np.bincount(centers, minlength=V)
-        np.add.at(W_in, centers, grad_in / center_counts[centers][:, None])
+        scatter_add(W_in, centers, grad_in / center_counts[centers][:, None])
         flat_out = out_ids.reshape(-1)
         out_counts = np.bincount(flat_out, minlength=V)
         grad_out = grad_out.reshape(-1, W_out.shape[1]) / out_counts[flat_out][:, None]
-        np.add.at(W_out, flat_out, grad_out)
+        scatter_add(W_out, flat_out, grad_out)
 
 
 def train_sgns(corpus, cfg: SgnsConfig, vocab: Vocabulary | None = None) -> EmbeddingTable:

@@ -17,7 +17,8 @@ from defmod.embeddings import (
     train_sgns,
     word_vector,
 )
-from defmod.embeddings.adagram import expected_log_pi, expected_pi
+from defmod.embeddings.adagram import _grouped_contexts, _train_span, expected_log_pi, expected_pi
+from defmod.embeddings.corpus import linear_lr, scatter_add
 from defmod.errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
 from defmod.textprep import build_vocab
 
@@ -272,6 +273,91 @@ def test_sgns_threads_run():
     assert np.all(np.isfinite(table.matrix))
 
 
+@pytest.mark.parametrize("shape, rows", [
+    ((6, 4), [2, 0, 2, 5, 2, 0]),
+    ((5, 3, 4), [4, 1, 1, 0, 4]),
+    ((5, 3, 4), []),
+], ids=["repeated-rows-2d", "table-3d", "no-rows"])
+def test_scatter_add_matches_add_at(shape, rows):
+    rng = np.random.default_rng(14)
+    rows = np.asarray(rows, dtype=np.int64)
+    values = rng.normal(size=(rows.size, *shape[1:]))
+    table = rng.normal(size=shape)
+    expected = table.copy()
+    np.add.at(expected, rows, values)
+    scatter_add(table, rows, values)
+    np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+
+def test_scatter_add_leaves_other_rows_unwritten():
+    # Adding even 0.0 to a -0.0 entry would clear its sign bit.
+    table = np.full((50, 3), -0.0)
+    scatter_add(table, np.array([7, 7, 30]), np.ones((3, 3)))
+    untouched = np.delete(np.arange(50), [7, 30])
+    assert np.signbit(table[untouched]).all()
+    np.testing.assert_array_equal(table[[7, 30]], [[2.0] * 3, [1.0] * 3])
+
+
+def test_scatter_add_rejects_a_table_it_would_copy():
+    table = np.zeros((5, 4, 3))[:, ::2]
+    with pytest.raises(ValueError, match="without a copy"):
+        scatter_add(table, np.array([1]), np.ones((1, 2, 3)))
+
+
+def _reference_adagram_chunk(ids, In, Out, counts, cfg, rng, lr_total):
+    """One AdaGram chunk update in its first form (einsum, logaddexp.reduce
+    and np.add.at): the reference _train_span must match on one chunk."""
+    n = ids.size
+    centers = ids
+    ctx, mask = _grouped_contexts(n, 0, ids, cfg.window, rng)
+    lr = linear_lr(cfg.initial_lr, 0, lr_total)
+    uniq, inv = np.unique(centers, return_inverse=True)
+    in_u = In[uniq]
+    scores_full = np.einsum("ukd,vd->ukv", in_u, Out)
+    lse = np.logaddexp.reduce(scores_full, axis=2)
+    probs = np.exp(scores_full - lse[:, :, None])
+    prior = expected_log_pi(counts[uniq], cfg.concentration_alpha)
+    in_n = in_u[inv]
+    ctx_vecs = Out[ctx]
+    dots = np.einsum("nkd,ncd->nkc", in_n, ctx_vecs)
+    loglik = ((dots - lse[inv][:, :, None]) * mask[:, None, :]).sum(axis=2)
+    scores = prior[inv] + loglik
+    scores -= scores.max(axis=1, keepdims=True)
+    resp = np.exp(scores)
+    resp /= resp.sum(axis=1, keepdims=True)
+    step = lr / n
+    n_ctx = mask.sum(axis=1)
+    sum_ctx = np.einsum("ncd,nc->nd", ctx_vecs, mask)
+    expected_out = np.einsum("ukv,vd->ukd", probs, Out)
+    grad_in = step * resp[:, :, None] * (sum_ctx[:, None, :] - n_ctx[:, None, None] * expected_out[inv])
+    np.add.at(In, centers, grad_in)
+    resp_in = np.einsum("nk,nkd->nd", resp, in_n)
+    pos_coef = step * mask
+    np.add.at(Out, ctx.reshape(-1), (pos_coef[:, :, None] * resp_in[:, None, :]).reshape(-1, cfg.dim))
+    weight = np.zeros((len(uniq), cfg.max_prototypes))
+    np.add.at(weight, inv, resp * n_ctx[:, None])
+    Out -= step * np.einsum("ukv,ukd->vd", probs * weight[:, :, None], in_u)
+    np.add.at(counts, centers, resp)
+
+
+def test_adagram_chunk_update_matches_reference():
+    cfg = AdagramConfig(dim=6, window=2, epochs=1, initial_lr=0.5, min_count=1,
+                        max_prototypes=3, concentration_alpha=0.5)
+    rng = np.random.default_rng(15)
+    V = 12
+    ids = rng.integers(0, V, size=300)
+    In = rng.normal(scale=0.5, size=(V, cfg.max_prototypes, cfg.dim))
+    Out = rng.normal(scale=0.5, size=(V, cfg.dim))
+    counts = rng.uniform(0, 5, size=(V, cfg.max_prototypes))
+    start = [In.copy(), Out.copy(), counts.copy()]
+    ref = [a.copy() for a in start]
+    _reference_adagram_chunk(ids, *ref, cfg, np.random.default_rng(16), ids.size)
+    _train_span(ids, (0, ids.size), In, Out, counts, cfg, np.random.default_rng(16), 0, ids.size)
+    for got, want, before in zip((In, Out, counts), ref, start):
+        assert np.abs(want - before).max() > 1e-3
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
 def test_adagram_empty_corpus_rejected():
     with pytest.raises(ConfigError):
         train_adagram([], AdagramConfig(dim=4, min_count=1))
@@ -302,6 +388,18 @@ def test_adagram_seed_determinism():
         vb, pb = b.prototypes(word)
         np.testing.assert_array_equal(va, vb)
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_adagram_threads_run():
+    rng = np.random.default_rng(17)
+    corpus, _, _ = topic_corpus(rng, n_blocks=60)
+    cfg = AdagramConfig(dim=10, window=2, epochs=2, initial_lr=0.3, min_count=5,
+                        seed=3, max_prototypes=3, threads=2)
+    table = train_adagram(corpus, cfg)
+    for word in table.words():
+        vectors, priors = table.prototypes(word)
+        assert np.all(np.isfinite(vectors))
+        assert abs(priors.sum() - 1.0) < 1e-12
 
 
 def test_adagram_splits_pseudoword_senses():
