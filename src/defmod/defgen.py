@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -22,7 +23,9 @@ from .embeddings import EmbeddingTable, SenseTable
 from .errors import CheckpointError, ConfigError, MissingWordError, ShapeError
 from .matcher import SenseDefPair
 from .neural import (
+    CHAR_EMBEDDING_DIM,
     CHAR_FEATURE_DIM,
+    CNN_KERNELS,
     Tensor,
     adam_step,
     char_cnn_forward,
@@ -32,6 +35,7 @@ from .neural import (
     init_adam,
     init_char_cnn,
     init_lstm,
+    lstm_cell,
     lstm_step,
     softmax,
     softmax_cross_entropy,
@@ -87,12 +91,18 @@ class DefModel:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Per-epoch mean NLL per token, on train and dev, plus stopping info."""
+    """Per-epoch mean NLL per token, on train and dev, plus stopping info.
+
+    `grad_norms` holds each epoch's mean global gradient norm before
+    clipping, and `clip_rates` the share of its steps that were clipped.
+    """
 
     train_losses: tuple[float, ...]
     dev_losses: tuple[float, ...]
     best_epoch: int
     stopped_early: bool
+    grad_norms: tuple[float, ...] = ()
+    clip_rates: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -136,15 +146,36 @@ def init_model(cfg: DefModelConfig) -> DefModel:
     return DefModel(cfg, params)
 
 
+def parameter_shapes(cfg: DefModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter `init_model` creates, drawing nothing."""
+    vocab, emb, hidden = len(cfg.vocab), cfg.token_embedding_dim, cfg.hidden
+    shapes = {"token_emb": (vocab, emb), "char_emb": (len(cfg.char_vocab), CHAR_EMBEDDING_DIM)}
+    for length, size in CNN_KERNELS:
+        shapes[f"K{length}"] = (length * CHAR_EMBEDDING_DIM, size)
+        shapes[f"Kb{length}"] = (size,)
+    shapes["Wc"] = (cfg.condition_dim + CHAR_FEATURE_DIM, emb)
+    shapes["bc"] = (emb,)
+    for layer in range(cfg.layers):
+        shapes[f"Wx{layer}"] = (2 * emb if layer == 0 else hidden, 4 * hidden)
+        shapes[f"Wh{layer}"] = (hidden, 4 * hidden)
+        shapes[f"b{layer}"] = (4 * hidden,)
+    shapes["Wo"] = (hidden, vocab)
+    shapes["bo"] = (vocab,)
+    return shapes
+
+
 def word_char_ids(word: str, char_vocab: Vocabulary) -> list[int]:
     return [char_vocab.id(ch) for ch in word]
 
 
 def _condition_block(model: DefModel, conditions: np.ndarray, words: list[str]) -> Tensor:
     """Project [condition ; char features] rows to the token embedding width."""
+    distinct = {w: row for row, w in enumerate(dict.fromkeys(words))}
     feats = concat(
         [char_cnn_forward(model.params, word_char_ids(w, model.config.char_vocab), PAD_ID)
-         for w in words], axis=0)
+         for w in distinct], axis=0)
+    # One char-CNN run per distinct headword; pairs that share it share the row.
+    feats = gather(feats, [distinct[w] for w in words])
     block = concat([Tensor(conditions), feats], axis=1)
     return block @ model.params["Wc"] + model.params["bc"]
 
@@ -246,7 +277,8 @@ def train_defmodel(
     Shuffling is fixed by cfg.seed. Dev NLL is evaluated every epoch (on the
     training pairs when no dev list is given); the parameters of the best dev
     epoch are restored before returning. Stops once `patience` epochs pass
-    without a new best, or at max_epochs.
+    without a new best, or at max_epochs. Each epoch logs one INFO line with
+    train and dev NLL, the mean gradient norm, the clip rate and tokens/s.
     """
     cfg = cfg or model.config
     if not pairs:
@@ -257,6 +289,8 @@ def train_defmodel(
     order = np.arange(len(pairs))
     train_losses: list[float] = []
     dev_losses: list[float] = []
+    grad_norms: list[float] = []
+    clip_rates: list[float] = []
     best_dev = np.inf
     best_params = _snapshot(model.params)
     best_epoch = 0
@@ -264,6 +298,8 @@ def train_defmodel(
     for epoch in range(cfg.max_epochs):
         rng.shuffle(order)
         total, tokens = 0.0, 0
+        norms: list[float] = []
+        started = time.perf_counter()
         for start in range(0, len(order), cfg.batch_size):
             batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
             for p in model.params.values():
@@ -272,13 +308,21 @@ def train_defmodel(
             loss.backward()
             grads = {name: p.grad for name, p in model.params.items()
                      if p.grad is not None}
-            grads, _norm = clip_global_norm(grads, CLIP_NORM)
+            grads, norm = clip_global_norm(grads, CLIP_NORM)
             adam_step(model.params, grads, state)
+            norms.append(norm)
             total += loss.item() * n
             tokens += n
+        seconds = time.perf_counter() - started
         train_losses.append(total / tokens)
+        grad_norms.append(float(np.mean(norms)))
+        clip_rates.append(sum(norm > CLIP_NORM for norm in norms) / len(norms))
         dev_loss = dataset_nll(model, dev)
         dev_losses.append(dev_loss)
+        log.info("epoch %d/%d: train nll %.4f, dev nll %.4f, grad norm %.3f, "
+                 "clip rate %.2f, %.0f tokens/s", epoch + 1, cfg.max_epochs,
+                 train_losses[-1], dev_loss, grad_norms[-1], clip_rates[-1],
+                 tokens / max(seconds, 1e-9))
         if dev_loss < best_dev:
             best_dev = dev_loss
             best_params = _snapshot(model.params)
@@ -287,17 +331,8 @@ def train_defmodel(
             stopped_early = True
             break
     _restore(model.params, best_params)
-    return model, TrainReport(tuple(train_losses), tuple(dev_losses),
-                              best_epoch, stopped_early)
-
-
-def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return model, TrainReport(tuple(train_losses), tuple(dev_losses), best_epoch,
+                              stopped_early, tuple(grad_norms), tuple(clip_rates))
 
 
 def sample_definition(
@@ -321,22 +356,16 @@ def sample_definition(
     condition = np.asarray(condition, dtype=np.float64).reshape(1, cfg.condition_dim)
     cond = _condition_block(model, condition, [target_word]).data
     P = {name: t.data for name, t in model.params.items()}
-    hidden = cfg.hidden
-    hs = [np.zeros((1, hidden)) for _ in range(cfg.layers)]
-    cs = [np.zeros((1, hidden)) for _ in range(cfg.layers)]
+    hs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]
+    cs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]
     prev = BOS_ID
     out: list[str] = []
     n_vocab = len(cfg.vocab)
     for _ in range(max_len):
         x = np.concatenate([P["token_emb"][prev][None, :], cond], axis=1)
         for layer in range(cfg.layers):
-            gates = x @ P[f"Wx{layer}"] + hs[layer] @ P[f"Wh{layer}"] + P[f"b{layer}"]
-            i = _np_sigmoid(gates[:, 0 * hidden:1 * hidden])
-            f = _np_sigmoid(gates[:, 1 * hidden:2 * hidden])
-            g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-            o = _np_sigmoid(gates[:, 3 * hidden:4 * hidden])
-            cs[layer] = f * cs[layer] + i * g
-            hs[layer] = o * np.tanh(cs[layer])
+            hs[layer], cs[layer], _acts, _tanh_c = lstm_cell(
+                x, hs[layer], cs[layer], P[f"Wx{layer}"], P[f"Wh{layer}"], P[f"b{layer}"])
             x = hs[layer]
         logits = (x @ P["Wo"] + P["bo"])[0]
         probs = softmax(logits, temperature)
@@ -472,7 +501,11 @@ def load_checkpoint(path: str | Path, vocab: Vocabulary,
         raise
     except (struct.error, ValueError, KeyError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
-    expected = set(init_model(cfg).params)
-    if set(params) != expected:
+    expected = parameter_shapes(cfg)
+    if set(params) != set(expected):
         raise CheckpointError(f"{path}: tensor names do not match the architecture")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {params[name].shape}, the config needs {shape}")
     return DefModel(cfg, params)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from ..neural import stable_sigmoid
 from ..textprep import Vocabulary, build_vocab, count_tokens
 from .corpus import (
     NoiseSampler, chunk_ranges, corpus_to_ids, dynamic_window_pairs, linear_lr, scatter_add, shard_ranges,
@@ -42,15 +43,6 @@ class SgnsConfig:
             raise ConfigError("initial_lr must be positive")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _train_span(
     ids: np.ndarray,
     span: tuple[int, int],
@@ -77,7 +69,7 @@ def _train_span(
         center_vecs = W_in[centers]
         out_vecs = W_out[out_ids]
         scores = (out_vecs @ center_vecs[:, :, None])[:, :, 0]
-        coef = (labels - _sigmoid(scores)) * lr
+        coef = (labels - stable_sigmoid(scores)) * lr
         grad_in = (coef[:, None, :] @ out_vecs)[:, 0]
         grad_out = coef[:, :, None] * center_vecs[:, None, :]
         # Updates inside a chunk share stale vectors; averaging each row's

@@ -1,7 +1,8 @@
 """Minimal differentiable substrate: tensors, layers, Adam, gradient checks."""
 
-from .tensor import Tensor, concat, gather, sigmoid, softmax, softmax_cross_entropy, tanh
+from .tensor import Tensor, concat, gather, sigmoid, softmax, softmax_cross_entropy, stable_sigmoid, tanh
 from .layers import (
+    CHAR_EMBEDDING_DIM,
     CHAR_FEATURE_DIM,
     CNN_KERNELS,
     char_cnn_forward,
@@ -10,6 +11,7 @@ from .layers import (
     init_char_cnn,
     init_dense,
     init_lstm,
+    lstm_cell,
     lstm_forward,
     lstm_step,
     uniform_init,
@@ -19,6 +21,7 @@ from .gradcheck import grad_check
 
 __all__ = [
     "AdamState",
+    "CHAR_EMBEDDING_DIM",
     "CHAR_FEATURE_DIM",
     "CNN_KERNELS",
     "Tensor",
@@ -33,11 +36,13 @@ __all__ = [
     "init_char_cnn",
     "init_dense",
     "init_lstm",
+    "lstm_cell",
     "lstm_forward",
     "lstm_step",
     "sigmoid",
     "softmax",
     "softmax_cross_entropy",
+    "stable_sigmoid",
     "tanh",
     "uniform_init",
 ]

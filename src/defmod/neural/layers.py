@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
-from .tensor import Tensor, _as_array, sigmoid, tanh
+from .tensor import Tensor, _as_array, stable_sigmoid
 
 # (kernel length, number of filters); concatenated output dim is 160.
 CNN_KERNELS = ((2, 10), (3, 30), (4, 40), (5, 40), (6, 40))
@@ -47,20 +48,70 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, layers: int
     return params
 
 
+def _gate_views(acts: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    return tuple(acts[:, k * hidden:(k + 1) * hidden] for k in range(4))
+
+
+def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, Wx: np.ndarray,
+              Wh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM cell update on plain arrays: (h_new, c_new, acts, tanh(c_new)).
+
+    `acts` holds the gate activations side by side in the order
+    [input, forget, candidate, output]. The gate pre-activations are checked
+    for finiteness first, since sigmoid and tanh would map an infinite value
+    to a finite one.
+    """
+    hidden = Wh.shape[0]
+    gates = _as_array(x @ Wx + h @ Wh + b)
+    acts = stable_sigmoid(gates)
+    acts[:, 2 * hidden:3 * hidden] = np.tanh(gates[:, 2 * hidden:3 * hidden])
+    i, f, g, o = _gate_views(acts, hidden)
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, acts, tanh_c
+
+
 def lstm_step(
     x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor
 ) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update for a (batch, dim) input."""
-    hidden = Wh.shape[0]
+    """One LSTM cell update for a (batch, dim) input, as two graph nodes.
+
+    The c_new node owns the cell; the h_new node's backward only adds its
+    share to c_new's gradient, so when the cell's backward runs it finds
+    both output gradients complete. Every gradient takes the same operations
+    in the same order as a graph of slice, sigmoid, tanh and mul nodes, so
+    the two agree bit for bit.
+    """
     if x.shape[1] != Wx.shape[0]:
         raise ShapeError(f"lstm input dim {x.shape[1]} does not match weights {Wx.shape[0]}")
-    gates = x @ Wx + h @ Wh + b
-    i = sigmoid(gates[:, 0 * hidden:1 * hidden])
-    f = sigmoid(gates[:, 1 * hidden:2 * hidden])
-    g = tanh(gates[:, 2 * hidden:3 * hidden])
-    o = sigmoid(gates[:, 3 * hidden:4 * hidden])
-    c_new = f * c + i * g
-    h_new = o * tanh(c_new)
+    h_data, c_data, acts, tanh_c = lstm_cell(x.data, h.data, c.data, Wx.data, Wh.data, b.data)
+    i, f, g, o = _gate_views(acts, Wh.shape[0])
+    c_new = Tensor(c_data, parents=(x, h, c, Wx, Wh, b))
+    h_new = Tensor(h_data, parents=(c_new,))
+
+    def h_backward(dh):
+        c_new._accumulate(dh * o * (1.0 - tanh_c * tanh_c))
+
+    def c_backward(dc):
+        d_out = np.zeros_like(o) if h_new.grad is None else h_new.grad * tanh_c * o * (1.0 - o)
+        d_gates = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f), dc * i * (1.0 - g * g), d_out],
+            axis=1)
+        if b.requires_grad:
+            b._accumulate(d_gates.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(d_gates @ Wx.data.T)
+        if Wx.requires_grad:
+            Wx._accumulate(x.data.T @ d_gates)
+        if h.requires_grad:
+            h._accumulate(d_gates @ Wh.data.T)
+        if Wh.requires_grad:
+            Wh._accumulate(h.data.T @ d_gates)
+        if c.requires_grad:
+            c._accumulate(dc * f)
+
+    h_new._backward = h_backward
+    c_new._backward = c_backward
     return h_new, c_new
 
 
@@ -108,6 +159,14 @@ def init_char_cnn(rng: np.random.Generator, char_vocab_size: int,
     return params
 
 
+@lru_cache(maxsize=1024)
+def _window_rows(n: int, length: int) -> np.ndarray:
+    """Row p holds p, p + 1, ..., p + length - 1: every stride-1 window of n rows."""
+    rows = np.arange(n - length + 1)[:, None] + np.arange(length)
+    rows.flags.writeable = False
+    return rows
+
+
 def char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Tensor:
     """Convolve character embeddings of one word into a (1, 160) feature row.
 
@@ -135,8 +194,7 @@ def char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Tensor
     firsts: list[np.ndarray] = []
     pooled: list[np.ndarray] = []
     for (length, size), (K, Kb) in zip(CNN_KERNELS, kernels):
-        # Row p holds emb[p], emb[p + 1], ..., emb[p + length - 1] end to end.
-        win = sliding_window_view(emb, length, axis=0).transpose(0, 2, 1).reshape(-1, length * width)
+        win = emb[_window_rows(len(ids), length)].reshape(-1, length * width)
         scores = _as_array(win @ K.data + Kb.data)
         first = scores.argmax(axis=0)
         windows.append(win)

@@ -229,10 +229,18 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|.
+
+    Equal bit for bit to 1 / (1 + exp(-x)) where x >= 0 and to
+    exp(x) / (1 + exp(x)) elsewhere.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    data = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                    np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
-    out = Tensor(data, parents=(x,))
+    out = Tensor(stable_sigmoid(x.data), parents=(x,))
 
     def backward(g):
         if x.requires_grad:

@@ -1,5 +1,7 @@
 """Tests for the conditioned definition language model."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from defmod.defgen import (
     generate_for_word,
     init_model,
     load_checkpoint,
+    parameter_shapes,
     sample_definition,
     save_checkpoint,
     save_generated,
@@ -23,7 +26,7 @@ from defmod.defgen import (
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.errors import CheckpointError, ConfigError, MissingWordError
 from defmod.matcher import SenseDefPair
-from defmod.neural import grad_check
+from defmod.neural import Tensor, grad_check
 from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
 
@@ -84,7 +87,8 @@ def test_sequence_nll_factorizes_over_steps():
     condition = np.linspace(-0.2, 0.2, 4)
     nll = sequence_nll(model, condition, "cat", definition).item()
 
-    from defmod.defgen import _condition_block, _np_sigmoid
+    from defmod.defgen import _condition_block
+    from defmod.neural import stable_sigmoid as _np_sigmoid
 
     P = {k: t.data for k, t in model.params.items()}
     cond = _condition_block(model, condition[None, :], ["cat"]).data
@@ -164,6 +168,46 @@ def test_batch_matches_single_pair_losses():
         count += t
     assert n_tokens == count
     np.testing.assert_allclose(batched.item(), total / count, rtol=1e-12)
+
+
+def _reachable_nodes(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_batch_nll_graph_size_and_char_cnn_calls(monkeypatch):
+    """The fused design's exact graph size; one char-CNN run per distinct headword."""
+    import defmod.defgen as defgen
+
+    calls = []
+    original = defgen.char_cnn_forward
+
+    def counting(params, char_ids, pad_id):
+        calls.append(list(char_ids))
+        return original(params, char_ids, pad_id)
+
+    monkeypatch.setattr(defgen, "char_cnn_forward", counting)
+    model = init_model(tiny_config())
+    pairs = [
+        pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal")),
+        pair("dog", [-0.2, 0.1, 0.3, -0.3], ("a", "animal")),
+        pair("cat", [0.0, -0.1, 0.2, 0.1], ("dog",)),
+    ]
+    loss, _ = batch_nll(model, pairs)
+    assert len(calls) == 2
+    steps, layers = 4, 2
+    leaves = len(model.params) + 4      # plus conditions, zero state, mask, 1/n
+    condition = 2 + 2 + 3               # char-CNN per headword, concat, gather; concat, @Wc, +bc
+    per_step = 2 + 2 * layers           # gather, concat; c and h of every cell
+    output = 7                          # concat, @Wo, +bo, cross-entropy, *mask, sum, *1/n
+    expected = leaves + condition + steps * per_step + output
+    assert _reachable_nodes(loss) == expected == 64
 
 
 def overfit_two_senses():
@@ -336,6 +380,57 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(trailing, cfg.vocab, cfg.char_vocab)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_parameter_shapes_match_init_model(layers):
+    model = init_model(tiny_config(layers=layers))
+    assert parameter_shapes(model.config) == {
+        name: p.shape for name, p in model.params.items()}
+
+
+def test_checkpoint_rejects_wrong_tensor_shape(tmp_path):
+    cfg = tiny_config()
+    model = init_model(cfg)
+    model.params["Wh1"] = Tensor(np.zeros((5, 16)), requires_grad=True)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match="Wh1"):
+        load_checkpoint(path, cfg.vocab, cfg.char_vocab)
+
+
+def test_train_logs_one_line_per_epoch(caplog):
+    cfg = tiny_config(max_epochs=3, patience=10)
+    pairs = [
+        pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal")),
+        pair("dog", [-0.2, 0.1, 0.3, -0.3], ("a", "animal")),
+    ]
+    with caplog.at_level(logging.INFO, logger="defmod.defgen"):
+        _, report = train_defmodel(init_model(cfg), pairs)
+    lines = [r.getMessage() for r in caplog.records if r.name == "defmod.defgen"]
+    assert [line.split(":")[0] for line in lines] == ["epoch 1/3", "epoch 2/3", "epoch 3/3"]
+    for line, train, dev, norm in zip(lines, report.train_losses, report.dev_losses,
+                                      report.grad_norms):
+        assert f"train nll {train:.4f}" in line
+        assert f"dev nll {dev:.4f}" in line
+        assert f"grad norm {norm:.3f}" in line
+        assert "clip rate 0.00" in line
+        assert line.endswith("tokens/s")
+    assert len(report.grad_norms) == len(report.clip_rates) == 3
+    assert all(0.0 < norm < 5.0 for norm in report.grad_norms)
+
+
+def test_train_reports_clip_rate(monkeypatch):
+    import defmod.defgen as defgen
+
+    monkeypatch.setattr(defgen, "CLIP_NORM", 1e-9)
+    cfg = tiny_config(max_epochs=2, batch_size=1, patience=10)
+    pairs = [
+        pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal")),
+        pair("dog", [-0.2, 0.1, 0.3, -0.3], ("a", "animal")),
+    ]
+    _, report = train_defmodel(init_model(cfg), pairs)
+    assert report.clip_rates == (1.0, 1.0)
 
 
 def test_word_char_ids_unknown_chars_map_to_unk():

@@ -25,6 +25,7 @@ from defmod.neural import (
     init_dense,
     init_lstm,
     lstm_forward,
+    lstm_step,
     sigmoid,
     softmax,
     softmax_cross_entropy,
@@ -262,6 +263,85 @@ def test_lstm_grad_check_two_layers():
         return (concat(outputs, axis=0) * np.tile(weights, (3, 1))).sum()
 
     assert grad_check(loss, params, epsilon=1e-4) < 1e-3
+
+
+def _lstm_step_by_nodes(x, h, c, Wx, Wh, b):
+    """The LSTM cell built from one graph node per slice, sigmoid, tanh and mul."""
+    hidden = Wh.shape[0]
+    gates = x @ Wx + h @ Wh + b
+    i = sigmoid(gates[:, 0 * hidden:1 * hidden])
+    f = sigmoid(gates[:, 1 * hidden:2 * hidden])
+    g = tanh(gates[:, 2 * hidden:3 * hidden])
+    o = sigmoid(gates[:, 3 * hidden:4 * hidden])
+    c_new = f * c + i * g
+    return o * tanh(c_new), c_new
+
+
+def _lstm_chain_loss(step, params, inputs, h0, c0, weights):
+    """Two stacked layers over every input; the loss reads every h and the final c."""
+    state = [(h0, c0), (h0, c0)]
+    tops = []
+    for x in inputs:
+        for layer in range(2):
+            h, c = step(x, *state[layer], params[f"Wx{layer}"], params[f"Wh{layer}"],
+                        params[f"b{layer}"])
+            state[layer] = (h, c)
+            x = h
+        tops.append(x)
+    loss = (concat(tops, axis=0) * weights).sum()
+    for _h, c in state:
+        loss = loss + (c * weights[:c.shape[0]]).sum()
+    return loss
+
+
+def test_lstm_step_matches_node_graph_bit_for_bit():
+    rng = np.random.default_rng(19)
+    params = init_lstm(rng, input_dim=3, hidden=4, layers=2)
+    inputs = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+    h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    c0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    weights = rng.normal(size=(8, 4))
+    leaves = {**params, "h0": h0, "c0": c0, **{f"x{t}": x for t, x in enumerate(inputs)}}
+    results = []
+    for step in (lstm_step, _lstm_step_by_nodes):
+        for p in leaves.values():
+            p.zero_grad()
+        loss = _lstm_chain_loss(step, params, inputs, h0, c0, weights)
+        loss.backward()
+        results.append((loss.data, {name: p.grad for name, p in leaves.items()}))
+    (fused, fused_grads), (nodes, node_grads) = results
+    np.testing.assert_array_equal(fused, nodes)
+    for name in leaves:
+        np.testing.assert_array_equal(fused_grads[name], node_grads[name])
+
+
+def test_lstm_step_rejects_overflowing_gates():
+    # sigmoid and tanh map an infinite gate to a finite value, so the gates
+    # must be checked first.
+    params = init_lstm(np.random.default_rng(21), input_dim=3, hidden=4, layers=1)
+    params["Wx0"].data[:, 0] = 1e308
+    x = Tensor(np.ones((1, 3)))
+    zero = Tensor(np.zeros((1, 4)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        lstm_step(x, zero, zero, params["Wx0"], params["Wh0"], params["b0"])
+
+
+def test_lstm_step_grad_check_two_steps():
+    rng = np.random.default_rng(22)
+    params = init_lstm(rng, input_dim=3, hidden=4, layers=1)
+    xs = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2)]
+    h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    c0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    weights = rng.normal(size=(2, 4))
+
+    def loss():
+        h, c = h0, c0
+        for x in xs:
+            h, c = lstm_step(x, h, c, params["Wx0"], params["Wh0"], params["b0"])
+        return (h * weights).sum() + (c * c).sum()
+
+    leaves = {**params, "h0": h0, "c0": c0, "x0": xs[0], "x1": xs[1]}
+    assert grad_check(loss, leaves, epsilon=1e-4) < 1e-3
 
 
 def test_char_cnn_output_dim():
