@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -292,7 +293,7 @@ def train_defmodel(
     grad_norms: list[float] = []
     clip_rates: list[float] = []
     best_dev = np.inf
-    best_params = _snapshot(model.params)
+    best_params: dict[str, np.ndarray] | None = None
     best_epoch = 0
     stopped_early = False
     for epoch in range(cfg.max_epochs):
@@ -323,14 +324,19 @@ def train_defmodel(
                  "clip rate %.2f, %.0f tokens/s", epoch + 1, cfg.max_epochs,
                  train_losses[-1], dev_loss, grad_norms[-1], clip_rates[-1],
                  tokens / max(seconds, 1e-9))
+        if not np.isfinite(dev_loss):
+            raise ConfigError(f"dev NLL is not finite after epoch {epoch + 1}: {dev_loss}")
         if dev_loss < best_dev:
             best_dev = dev_loss
-            best_params = _snapshot(model.params)
             best_epoch = epoch
+            # After the last epoch the live parameters are the best ones.
+            if epoch + 1 < cfg.max_epochs:
+                best_params = _snapshot(model.params)
         elif epoch - best_epoch >= cfg.patience:
             stopped_early = True
             break
-    _restore(model.params, best_params)
+    if best_epoch != len(dev_losses) - 1:
+        _restore(model.params, best_params)
     return model, TrainReport(tuple(train_losses), tuple(dev_losses), best_epoch,
                               stopped_early, tuple(grad_norms), tuple(clip_rates))
 
@@ -430,21 +436,32 @@ def _config_payload(cfg: DefModelConfig) -> bytes:
 
 
 def save_checkpoint(model: DefModel, path: str | Path) -> None:
-    """Binary container: magic, canonical JSON config echo, named tensors."""
+    """Binary container: magic, canonical JSON config echo, named tensors.
+
+    Written to a temporary file in the target directory and moved into place
+    with `os.replace`, so a failed save leaves any earlier checkpoint intact.
+    """
+    path = Path(path)
     payload = _config_payload(model.config)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(payload)))
-        f.write(payload)
-        f.write(struct.pack("<I", len(model.params)))
-        for name in sorted(model.params):
-            data = model.params[name].data
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.astype("<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", len(payload)))
+            f.write(payload)
+            f.write(struct.pack("<I", len(model.params)))
+            for name in sorted(model.params):
+                data = model.params[name].data
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", data.ndim))
+                f.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                f.write(data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, vocab: Vocabulary,

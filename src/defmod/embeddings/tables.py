@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ class EmbeddingTable:
         if matrix.shape != (len(words), dim):
             raise ShapeError(f"matrix shape {matrix.shape} does not match {len(words)} x {dim}")
         if not np.all(np.isfinite(matrix)):
-            raise ValueError("embedding vectors must be finite")
+            raise ConfigError("embedding vectors must be finite")
         self.dim = dim
         self._words = list(words)
         self._index = {w: i for i, w in enumerate(self._words)}
@@ -84,14 +85,14 @@ class EmbeddingTable:
             header = f.readline().split()
             if len(header) != 2:
                 raise ConfigError(f"{path}: expected '<vocab_size> <dim>' header")
-            count, dim = int(header[0]), int(header[1])
+            count, dim = _parse_ints(header, path, 1)
             words, rows = [], []
-            for line in f:
+            for lineno, line in enumerate(f, start=2):
                 parts = line.rstrip("\n").split(" ")
                 if len(parts) != dim + 1:
-                    raise ConfigError(f"{path}: bad row for {parts[0]!r}")
+                    raise ConfigError(f"{path}:{lineno}: bad row for {parts[0]!r}")
                 words.append(parts[0])
-                rows.append([float(x) for x in parts[1:]])
+                rows.append(_parse_floats(parts[1:], path, lineno))
         if len(words) != count:
             raise ConfigError(f"{path}: header promises {count} rows, found {len(words)}")
         return cls(dim, words, np.array(rows, dtype=np.float64).reshape(len(words), dim))
@@ -128,6 +129,8 @@ class SenseTable:
             raise ShapeError(f"bad sense vectors shape {vectors.shape} for {word!r}")
         if priors.shape != (vectors.shape[0],):
             raise ShapeError(f"priors shape {priors.shape} does not match {vectors.shape[0]} prototypes")
+        if not (np.isfinite(vectors).all() and np.isfinite(priors).all()):
+            raise ConfigError(f"sense vectors and priors for {word!r} must be finite")
         if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-6:
             raise ConfigError(f"priors for {word!r} must be nonnegative and sum to 1")
         self._entries[word] = (vectors, priors)
@@ -174,20 +177,44 @@ class SenseTable:
             header = f.readline().split()
             if header[:2] != ["#senses", "v1"] or len(header) != 4:
                 raise ConfigError(f"{path}: expected '#senses v1 <dim> <max_prototypes>' header")
-            table = cls(int(header[2]), int(header[3]), prune_threshold)
+            dim, max_prototypes = _parse_ints(header[2:], path, 1)
+            table = cls(dim, max_prototypes, prune_threshold)
             rows: dict[str, list[tuple[int, float, list[float]]]] = {}
             for lineno, line in enumerate(f, start=2):
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 4:
                     raise ConfigError(f"{path}:{lineno}: expected 4 tab-separated fields")
                 word, k, prior, vec = parts
-                rows.setdefault(word, []).append((int(k), float(prior), [float(x) for x in vec.split(" ")]))
+                (k,) = _parse_ints([k], path, lineno)
+                prior, *vec = _parse_floats([prior, *vec.split(" ")], path, lineno)
+                if len(vec) != table.dim:
+                    raise ConfigError(f"{path}:{lineno}: expected {table.dim} vector components, "
+                                      f"found {len(vec)}")
+                rows.setdefault(word, []).append((k, prior, vec))
         for word, items in rows.items():
             items.sort()
             if [k for k, _, _ in items] != list(range(len(items))):
                 raise ConfigError(f"{path}: prototype indices for {word!r} are not contiguous")
             table.add(word, np.array([v for _, _, v in items]), np.array([p for _, p, _ in items]))
         return table
+
+
+def _parse_ints(fields: list[str], path, lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ConfigError(f"{path}:{lineno}: expected integers, found {fields!r}") from None
+
+
+def _parse_floats(fields: list[str], path, lineno: int) -> list[float]:
+    """Finite floats, or a ConfigError naming the file and line."""
+    try:
+        values = [float(x) for x in fields]
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(f"{path}:{lineno}: values must be finite")
+    return values
 
 
 def word_vector(word: str, senses: SenseTable) -> np.ndarray:

@@ -231,9 +231,15 @@ def char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Tensor
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients together so their joint L2 norm is at most max_norm."""
+    """Scale all gradients together so their joint L2 norm is at most max_norm.
+
+    The arrays are scaled in place and the same dict is returned, with the
+    norm before clipping.
+    """
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if total <= max_norm or total == 0.0:
         return grads, total
     scale = max_norm / total
-    return {name: g * scale for name, g in grads.items()}, total
+    for g in grads.values():
+        g *= scale
+    return grads, total

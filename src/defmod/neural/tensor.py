@@ -67,9 +67,14 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # The first gradient is copied, never kept: one array may reach
+        # several parents (`+` hands the same g to both), and each adds into
+        # its own grad in place.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph."""
@@ -293,22 +298,26 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     """Per-row negative log-likelihood of the target class, shape (N,).
 
     Fused for numerical stability: loss_i = logsumexp(l_i) - l_i[target_i].
+    The softmax itself is formed only by the backward, so a forward whose
+    loss is never differentiated (a dev-NLL pass) never builds it.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"expected (N,V) logits and (N,) targets, got {logits.shape} and {targets.shape}")
-    shift = logits.data - logits.data.max(axis=1, keepdims=True)
-    exp = np.exp(shift)
-    probs = exp / exp.sum(axis=1, keepdims=True)
     rows = np.arange(logits.shape[0])
-    losses = np.log(exp.sum(axis=1)) - shift[rows, targets]
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = shift[rows, targets]
+    exp = np.exp(shift, out=shift)
+    sums = exp.sum(axis=1, keepdims=True)
+    losses = np.log(sums[:, 0]) - picked
     out = Tensor(losses, parents=(logits,))
 
     def backward(g):
         if logits.requires_grad:
-            dlogits = probs.copy()
+            dlogits = exp / sums
             dlogits[rows, targets] -= 1.0
-            logits._accumulate(dlogits * g[:, None])
+            dlogits *= g[:, None]
+            logits._accumulate(dlogits)
 
     out._backward = backward
     return out

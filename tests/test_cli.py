@@ -334,6 +334,55 @@ def test_generate_unknown_word_exits_2(work, trained, tmp_path, capsys):
     assert "zebra" in capsys.readouterr().err
 
 
+def _corrupt_line(src, dst, lineno, edit):
+    """Copy a table with line `lineno` (1-based, no newline) passed through `edit`."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return dst
+
+
+def _with_field(line, sep, index, value):
+    parts = line.split(sep)
+    parts[index] = value
+    return sep.join(parts)
+
+
+def _d2s_pairs(work, tmp_path, senses):
+    return main(["build-pairs", "--mode", "d2s",
+                 "--lexicon", str(work / "splits" / "train.tsv"),
+                 "--senses", str(senses),
+                 "--embeddings", str(work / "words.tsv"),
+                 "--output", str(tmp_path / "pairs.tsv")])
+
+
+def test_nan_in_sense_vector_exits_2_naming_line(work, tmp_path, capsys):
+    def nan_first_component(line):
+        vector = line.split("\t")[3].split(" ")
+        return _with_field(line, "\t", 3, " ".join(["nan"] + vector[1:]))
+
+    bad = _corrupt_line(work / "senses.tsv", tmp_path / "senses.tsv", 3, nan_first_component)
+    assert _d2s_pairs(work, tmp_path, bad) == 2
+    assert f"{bad}:3:" in capsys.readouterr().err
+
+
+def test_non_integer_sense_index_exits_2_naming_line(work, tmp_path, capsys):
+    bad = _corrupt_line(work / "senses.tsv", tmp_path / "senses.tsv", 4,
+                        lambda line: _with_field(line, "\t", 1, "one"))
+    assert _d2s_pairs(work, tmp_path, bad) == 2
+    assert f"{bad}:4:" in capsys.readouterr().err
+
+
+def test_nan_in_embedding_row_exits_2_naming_line(work, tmp_path, capsys):
+    bad = _corrupt_line(work / "words.tsv", tmp_path / "words.tsv", 5,
+                        lambda line: _with_field(line, " ", 2, "nan"))
+    assert main(["build-pairs", "--mode", "base",
+                 "--lexicon", str(work / "splits" / "train.tsv"),
+                 "--embeddings", str(bad),
+                 "--output", str(tmp_path / "pairs.tsv")]) == 2
+    assert f"{bad}:5:" in capsys.readouterr().err
+
+
 def test_internal_failure_exits_1(work, monkeypatch):
     import defmod.cli as cli
 

@@ -278,6 +278,50 @@ def test_train_returns_best_dev_parameters():
     assert report.dev_losses[report.best_epoch] == min(report.dev_losses)
 
 
+def test_train_restores_an_earlier_best_epoch_bit_for_bit(monkeypatch):
+    """Stopping at the best epoch and restoring it give the same parameters."""
+    import defmod.defgen as defgen
+
+    calls = {"snapshot": 0, "restore": 0}
+    snapshot, restore = defgen._snapshot, defgen._restore
+
+    def counting_snapshot(params):
+        calls["snapshot"] += 1
+        return snapshot(params)
+
+    def counting_restore(params, saved):
+        calls["restore"] += 1
+        restore(params, saved)
+
+    monkeypatch.setattr(defgen, "_snapshot", counting_snapshot)
+    monkeypatch.setattr(defgen, "_restore", counting_restore)
+    train = [pair("cat", [0.1, 0.2, -0.1, 0.0], ("small", "small", "cat")),
+             pair("dog", [-0.2, 0.1, 0.3, -0.3], ("dog", "small", "cat"))]
+    dev = [pair("dog", [-0.2, 0.1, 0.3, -0.3], ("small", "animal"))]
+    long_model, long_report = train_defmodel(
+        init_model(tiny_config(max_epochs=6, patience=10, lr=0.1)), train, dev)
+    best = long_report.best_epoch
+    assert 0 < best < 6 - 1
+    assert calls == {"snapshot": best + 1, "restore": 1}
+    calls.update(snapshot=0, restore=0)
+    short_model, short_report = train_defmodel(
+        init_model(tiny_config(max_epochs=best + 1, patience=10, lr=0.1)), train, dev)
+    # The best epoch is the last one run: no snapshot of it, no restore.
+    assert short_report.best_epoch == best
+    assert calls == {"snapshot": best, "restore": 0}
+    for name, p in long_model.params.items():
+        assert p.data.tobytes() == short_model.params[name].data.tobytes(), name
+
+
+def test_train_rejects_non_finite_dev_loss(monkeypatch):
+    import defmod.defgen as defgen
+
+    monkeypatch.setattr(defgen, "dataset_nll", lambda model, pairs: float("nan"))
+    train = [pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal"))]
+    with pytest.raises(ConfigError, match="dev NLL is not finite after epoch 1"):
+        train_defmodel(init_model(tiny_config()), train)
+
+
 def test_train_empty_pairs_rejected():
     with pytest.raises(ConfigError):
         train_defmodel(init_model(tiny_config()), [])
@@ -344,6 +388,36 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_allclose(
         sequence_nll(again, cond, "cat", ("a", "animal")).item(),
         sequence_nll(model, cond, "cat", ("a", "animal")).item())
+
+
+def test_checkpoint_save_failure_keeps_old_checkpoint(tmp_path, monkeypatch):
+    import struct
+
+    import defmod.defgen as defgen
+
+    cfg = tiny_config()
+    path = tmp_path / "model.bin"
+    save_checkpoint(init_model(cfg), path)
+    before = path.read_bytes()
+
+    class FailingStruct:
+        """struct whose tenth pack call fails, partway through the tensors."""
+
+        calls = 0
+
+        @classmethod
+        def pack(cls, *args):
+            cls.calls += 1
+            if cls.calls == 10:
+                raise OSError("disk full")
+            return struct.pack(*args)
+
+    monkeypatch.setattr(defgen, "struct", FailingStruct)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(init_model(tiny_config(seed=2)), path)
+    assert FailingStruct.calls == 10
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
 
 def test_checkpoint_digest_mismatch(tmp_path):

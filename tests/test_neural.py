@@ -4,6 +4,8 @@ Every differentiable piece is verified against central finite differences
 computed from the same forward code, with epsilon 1e-4 on 64-bit reals.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from defmod.neural import (
     softmax_cross_entropy,
     tanh,
 )
+from defmod.neural.optim import BLOCK_ENTRIES
 
 
 def test_tensor_rejects_non_finite():
@@ -477,6 +480,133 @@ def test_clip_global_norm():
     assert total == pytest.approx(1.0)
     zero, norm = clip_global_norm({"a": np.zeros(2)}, 1.0)
     assert norm == 0.0
+
+
+def _reference_adam_step(params, grads, state):
+    """The textbook update on whole arrays, as adam_step computed it before blocking."""
+    state.step += 1
+    correct1 = 1.0 - state.beta1 ** state.step
+    correct2 = 1.0 - state.beta2 ** state.step
+    for name, g in grads.items():
+        p = params[name]
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p.data -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+
+
+def test_adam_matches_whole_array_update_bit_for_bit():
+    rng = np.random.default_rng(21)
+    shapes = {
+        "wide_rows": (3, BLOCK_ENTRIES + 5),      # one row is more than a block
+        "flat": (2 * BLOCK_ENTRIES + 17,),
+        "matrix": (1001, 33),                     # 33 does not divide the block
+        "fortran": (40, 900),
+        "scalar": (),
+        "single": (1,),
+    }
+    data = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    data["fortran"] = np.asfortranarray(data["fortran"])
+    data["matrix"][5] = -0.0
+    grad_steps = []
+    for step in range(3):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        if step > 0:
+            grads["matrix"][10:20] = 0.0          # rows with no gradient still move
+        grads["matrix"][30, ::2] = -0.0
+        grads["flat"][:100] = -0.0
+        grads["single"][0] = -0.0
+        grad_steps.append(grads)
+    results = []
+    for step_fn in (adam_step, _reference_adam_step):
+        params = {name: Tensor(arr.copy(order="K"), requires_grad=True)
+                  for name, arr in data.items()}
+        state = init_adam(params, lr=0.01)
+        for grads in grad_steps:
+            step_fn(params, {k: g.copy() for k, g in grads.items()}, state)
+        results.append((params, state))
+    (blocked, b_state), (whole, w_state) = results
+    assert b_state.step == w_state.step == 3
+    for name in shapes:
+        assert blocked[name].data.tobytes() == whole[name].data.tobytes(), name
+        assert b_state.first_moment[name].tobytes() == w_state.first_moment[name].tobytes()
+        assert b_state.second_moment[name].tobytes() == w_state.second_moment[name].tobytes()
+    # The rows with no gradient in the last step moved: dense Adam, not lazy.
+    previous = {name: Tensor(arr.copy(order="K"), requires_grad=True) for name, arr in data.items()}
+    state = init_adam(previous, lr=0.01)
+    for grads in grad_steps[:2]:
+        adam_step(previous, {k: g.copy() for k, g in grads.items()}, state)
+    assert (blocked["matrix"].data[10:20] != previous["matrix"].data[10:20]).all()
+    assert blocked["fortran"].data.flags.f_contiguous
+
+
+def test_adam_allocates_no_parameter_sized_temporaries():
+    n = 1_000_000
+    rng = np.random.default_rng(22)
+    params = {"w": Tensor(rng.normal(size=(n // 500, 500)), requires_grad=True)}
+    grads = {"w": rng.normal(size=(n // 500, 500))}
+    state = init_adam(params)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        adam_step(params, grads, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < params["w"].data.nbytes / 8
+
+
+def test_clip_global_norm_scales_in_place_bit_for_bit():
+    rng = np.random.default_rng(23)
+    grads = {"a": rng.normal(size=(7, 5)), "b": rng.normal(size=11), "c": np.array([-0.0, 3.0])}
+    before = {name: g.copy() for name, g in grads.items()}
+    arrays = dict(grads)
+    norm_expected = float(np.sqrt(sum(float((g * g).sum()) for g in before.values())))
+    clipped, norm = clip_global_norm(grads, 1.0)
+    assert norm == norm_expected
+    scale = 1.0 / norm_expected
+    assert clipped is grads
+    for name, g in before.items():
+        assert clipped[name] is arrays[name]
+        assert clipped[name].tobytes() == (g * scale).tobytes()
+
+
+def test_cross_entropy_matches_dense_softmax_formula_bit_for_bit():
+    rng = np.random.default_rng(24)
+    logits = rng.normal(size=(6, 9)) * 3.0
+    targets = rng.integers(0, 9, size=6)
+    weights = rng.uniform(0.1, 2.0, size=6)
+    x = Tensor(logits, requires_grad=True)
+    losses = softmax_cross_entropy(x, targets)
+    (losses * Tensor(weights)).sum().backward()
+
+    rows = np.arange(6)
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shift)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    expected_losses = np.log(exp.sum(axis=1)) - shift[rows, targets]
+    dlogits = probs.copy()
+    dlogits[rows, targets] -= 1.0
+    assert losses.data.tobytes() == expected_losses.tobytes()
+    assert x.grad.tobytes() == (dlogits * weights[:, None]).tobytes()
+
+
+def test_shared_upstream_gradient_is_never_aliased():
+    rng = np.random.default_rng(25)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = rng.normal(size=(3, 4))
+    v = rng.normal(size=(3, 4))
+    # `+` hands one gradient array to both parents; a then gains a second term.
+    loss = ((a + b) * Tensor(w)).sum() + (a * Tensor(v)).sum()
+    loss.backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(a.grad, w + v)
 
 
 def test_uniform_init_range():
