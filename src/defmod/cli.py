@@ -70,126 +70,142 @@ from .textprep import (
 
 log = logging.getLogger(__name__)
 
-# Documented defaults per command; the config file and flags override these
-# in that order. Embedding defaults mirror the trainer dataclasses so the
-# CLI never drifts from the library.
+# Every CLI option is declared once, as (flag, default, argparse keywords):
+# the parser, each command's defaults, the config keys and their types are
+# all read off these. Embedding defaults mirror the trainer dataclasses so
+# the CLI never drifts from the library.
 _SGNS_DEFAULTS = dataclasses.asdict(SgnsConfig())
 _ADAGRAM_DEFAULTS = dataclasses.asdict(AdagramConfig())
 
-GLOBAL_DEFAULTS = {"seed": 0, "threads": 1, "deterministic": False}
 
-COMMAND_DEFAULTS = {
-    "tokenize": {
-        "input": None,
-        "output": None,
-        "language": "en",
-        "lowercase": True,
-        "punctuation": "split_off",
-    },
-    "train-embeddings": {
-        "mode": None,
-        "tokens": None,
-        "output": None,
-        "dim": _SGNS_DEFAULTS["dim"],
-        "window": _SGNS_DEFAULTS["window"],
-        "negatives": _SGNS_DEFAULTS["negatives"],
-        "epochs": _SGNS_DEFAULTS["epochs"],
-        "lr": _SGNS_DEFAULTS["initial_lr"],
-        "min_count": _SGNS_DEFAULTS["min_count"],
-        "max_prototypes": _ADAGRAM_DEFAULTS["max_prototypes"],
-        "alpha": _ADAGRAM_DEFAULTS["concentration_alpha"],
-        "prune_threshold": _ADAGRAM_DEFAULTS["prune_threshold"],
-    },
-    "stats": {
-        "lexicon": None,
-        "output": None,
-        "language": "en",
-        "source": "",
-        "max_def_tokens": 60,
-    },
-    "split": {
-        "lexicon": None,
-        "output_dir": None,
-        "ratios": "0.8,0.1,0.1",
-        "language": "en",
-        "source": "",
-        "max_def_tokens": 60,
-    },
-    "build-pairs": {
-        "mode": None,
-        "lexicon": None,
-        "senses": None,
-        "embeddings": None,
-        "stopwords": None,
-        "min_similarity": None,
-        "output": None,
-        "language": "en",
-        "source": "",
-        "max_def_tokens": 60,
-        "prune_threshold": _ADAGRAM_DEFAULTS["prune_threshold"],
-    },
-    "train": {
-        "model": None,
-        "pairs": None,
-        "dev_pairs": None,
-        "senses": None,
-        "embeddings": None,
-        "output": None,
-        "hidden": 300,
-        "layers": 2,
-        "token_embedding_dim": 300,
-        "max_def_len": 60,
-        "lr": 0.001,
-        "batch_size": 16,
-        "max_epochs": 100,
-        "patience": 5,
-        "min_count": 1,
-        "prune_threshold": _ADAGRAM_DEFAULTS["prune_threshold"],
-    },
-    "generate": {
-        "checkpoint": None,
-        "vocab": None,
-        "chars": None,
-        "senses": None,
-        "embeddings": None,
-        "words": None,
-        "lexicon": None,
-        "output": None,
-        "temperature": 0.1,
-        "max_len": 60,
-        "mask_unk": True,
-        "language": "en",
-        "source": "",
-        "max_def_tokens": 60,
-        "prune_threshold": _ADAGRAM_DEFAULTS["prune_threshold"],
-    },
-    "evaluate": {
-        "checkpoint": None,
-        "vocab": None,
-        "chars": None,
-        "senses": None,
-        "embeddings": None,
-        "test": None,
-        "output": None,
-        "word_scores": None,
-        "runs": 10,
-        "temperature": 0.1,
-        "max_len": 60,
-        "mask_unk": True,
-        "max_n": 4,
-        "smoothing": "epsilon",
-        "language": "en",
-        "source": "",
-        "max_def_tokens": 60,
-        "prune_threshold": _ADAGRAM_DEFAULTS["prune_threshold"],
-    },
+def _opt(flag: str, default=None, **kwargs) -> tuple:
+    return flag, default, kwargs
+
+
+_GLOBALS = [
+    _opt("--seed", 0, type=int, help="random seed (default 0)"),
+    _opt("--threads", 1, type=int, help="worker threads (default 1)"),
+    _opt("--deterministic", False, action="store_true",
+         help="force single-threaded, bit-reproducible runs"),
+]
+_LANGUAGE = _opt("--language", "en", help="language tag (default en)")
+_LEXICON = [
+    _LANGUAGE,
+    _opt("--source", "", help="source tag recorded in artifacts"),
+    _opt("--max-def-tokens", 60, type=int,
+         help="truncate definitions to this many tokens (default 60)"),
+]
+_MODEL_INPUTS = [_opt("--checkpoint"), _opt("--vocab"), _opt("--chars"),
+                 _opt("--senses"), _opt("--embeddings")]
+_PRUNE_THRESHOLD = _opt("--prune-threshold", _ADAGRAM_DEFAULTS["prune_threshold"],
+                        type=float)
+_SAMPLING = [
+    _opt("--temperature", 0.1, type=float),
+    _opt("--max-len", 60, type=int),
+    _opt("--allow-unk", True, dest="mask_unk", action="store_false"),
+]
+
+OPTIONS = {
+    "tokenize": [
+        _opt("--input", help="raw text file"),
+        _opt("--output", help="tokenized output, one line per input line"),
+        _opt(*_LANGUAGE[:2]),  # --language, shown without a help line
+        _opt("--no-lowercase", True, dest="lowercase", action="store_false"),
+        _opt("--punctuation", "split_off", choices=("split_off", "drop")),
+    ],
+    "train-embeddings": [
+        _opt("--mode", choices=("sgns", "adagram")),
+        _opt("--tokens", help="tokenized corpus file"),
+        _opt("--output", help="vector table file"),
+        _opt("--dim", _SGNS_DEFAULTS["dim"], type=int),
+        _opt("--window", _SGNS_DEFAULTS["window"], type=int),
+        _opt("--negatives", _SGNS_DEFAULTS["negatives"], type=int,
+             help="negative samples per pair (sgns)"),
+        _opt("--epochs", _SGNS_DEFAULTS["epochs"], type=int),
+        _opt("--lr", _SGNS_DEFAULTS["initial_lr"], type=float),
+        _opt("--min-count", _SGNS_DEFAULTS["min_count"], type=int),
+        _opt("--max-prototypes", _ADAGRAM_DEFAULTS["max_prototypes"], type=int),
+        _opt("--alpha", _ADAGRAM_DEFAULTS["concentration_alpha"], type=float,
+             help="stick-breaking concentration (adagram)"),
+        _PRUNE_THRESHOLD,
+    ],
+    "stats": [
+        *_LEXICON,
+        _opt("--lexicon", help="word\\tdefinition TSV"),
+        _opt("--output", help="also write the JSON here"),
+    ],
+    "split": [
+        *_LEXICON,
+        _opt("--lexicon"),
+        _opt("--output-dir"),
+        _opt("--ratios", "0.8,0.1,0.1", help="comma-separated, e.g. 0.8,0.1,0.1"),
+    ],
+    "build-pairs": [
+        *_LEXICON,
+        _opt("--mode", choices=("d2s", "s2d", "base")),
+        _opt("--lexicon", help="split TSV to build pairs from"),
+        _opt("--senses", help="sense table (d2s/s2d)"),
+        _opt("--embeddings", help="word table (base; optional for d2s/s2d)"),
+        _opt("--stopwords", help="stopword file, one token per line"),
+        _opt("--min-similarity", type=float,
+             help="drop pairs whose winning cosine is below this"),
+        _opt("--output", help="pairs TSV"),
+        _PRUNE_THRESHOLD,
+    ],
+    "train": [
+        _opt("--model", choices=("base", "multisense")),
+        _opt("--pairs", help="training pairs TSV"),
+        _opt("--dev-pairs", help="held-out pairs for early stopping"),
+        _opt("--senses", help="sense table (multisense)"),
+        _opt("--embeddings", help="word table (base)"),
+        _opt("--output", help="model checkpoint; vocab files sit beside it"),
+        _opt("--hidden", 300, type=int),
+        _opt("--layers", 2, type=int),
+        _opt("--token-embedding-dim", 300, type=int),
+        _opt("--max-def-len", 60, type=int),
+        _opt("--lr", 0.001, type=float),
+        _opt("--batch-size", 16, type=int),
+        _opt("--max-epochs", 100, type=int),
+        _opt("--patience", 5, type=int),
+        _opt("--min-count", 1, type=int,
+             help="token vocabulary frequency floor (default 1)"),
+        _PRUNE_THRESHOLD,
+    ],
+    "generate": [
+        *_LEXICON,
+        *_MODEL_INPUTS,
+        _opt("--words", nargs="+", help="headwords to define"),
+        _opt("--lexicon", help="define every headword in this TSV"),
+        _opt("--output", help="generated definitions TSV"),
+        *_SAMPLING,
+        _PRUNE_THRESHOLD,
+    ],
+    "evaluate": [
+        *_LEXICON,
+        *_MODEL_INPUTS,
+        _opt("--test", help="reference lexicon TSV"),
+        _opt("--output", help="evaluation report JSON"),
+        _opt("--word-scores", help="also write per-word scores TSV"),
+        _opt("--runs", 10, type=int),
+        *_SAMPLING,
+        _opt("--max-n", 4, type=int),
+        _opt("--smoothing", "epsilon", choices=tuple(s.value for s in Smoothing)),
+        _PRUNE_THRESHOLD,
+    ],
 }
 
-# Union of every key any command accepts; a single config file may carry
-# settings for several stages, so validation is against this union.
-_ALL_CONFIG_KEYS = set(GLOBAL_DEFAULTS)
-for _spec in COMMAND_DEFAULTS.values():
-    _ALL_CONFIG_KEYS.update(_spec)
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list of strings"}
+
+
+def _declared(command: str) -> dict:
+    """Config key -> (default, kind) for the globals and one command's options."""
+    spec = {}
+    for flag, default, kwargs in (*_GLOBALS, *OPTIONS[command]):
+        kind = (bool if "action" in kwargs else list if "nargs" in kwargs
+                else kwargs.get("type", str))
+        spec[kwargs.get("dest", flag[2:].replace("-", "_"))] = (default, kind)
+    return spec
 
 
 def _load_config_file(path: str) -> dict:
@@ -200,40 +216,39 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(payload) - _ALL_CONFIG_KEYS)
+    # One file may carry settings for several stages, so any command's key
+    # is accepted.
+    known = {key for command in OPTIONS for key in _declared(command)}
+    unknown = sorted(set(payload) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return payload
 
 
-def _check_type(key: str, value, default):
-    """Light shape check so a bad config fails before any work starts."""
-    if default is None or value is None:
+def _check_type(key: str, value, default, kind) -> None:
+    """Fail on a mistyped config value before any work starts.
+
+    null stands for "unset" and is accepted only where the default is None.
+    """
+    if value is None and default is None:
         return
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key} must be a boolean")
-    elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key} must be an integer")
-    elif isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key} must be a number")
-    elif isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key} must be a string")
+    if kind is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = (isinstance(value, (int, float) if kind is float else kind)
+              and (kind is bool or not isinstance(value, bool)))
+    if not ok:
+        raise ConfigError(f"config key {key} must be {_KIND_NAMES[kind]}")
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge defaults, config-file values, and explicit flags, in that order."""
-    spec = dict(GLOBAL_DEFAULTS)
-    spec.update(COMMAND_DEFAULTS[command])
-    merged = dict(spec)
+    spec = _declared(command)
+    merged = {key: default for key, (default, _) in spec.items()}
     if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        for key, value in file_cfg.items():
+        for key, value in _load_config_file(args.config).items():
             if key in spec:
-                _check_type(key, value, spec[key])
+                _check_type(key, value, *spec[key])
                 merged[key] = value
     for key in spec:
         value = getattr(args, key, None)
@@ -293,9 +308,9 @@ def _load_lex(path, cfg: dict):
     return load_lexicon(
         _require_input(path),
         _profile(cfg),
-        source_tag=cfg.get("source", ""),
+        source_tag=cfg["source"],
         language_tag=cfg["language"],
-        max_def_tokens=cfg.get("max_def_tokens", 60),
+        max_def_tokens=cfg["max_def_tokens"],
     )
 
 
@@ -580,21 +595,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_globals(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--threads", type=int, help="worker threads (default 1)")
-    parser.add_argument("--deterministic", action="store_true", default=None,
-                        help="force single-threaded, bit-reproducible runs")
-
-
-def _add_lexicon_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--language", help="language tag (default en)")
-    parser.add_argument("--source", help="source tag recorded in artifacts")
-    parser.add_argument("--max-def-tokens", type=int,
-                        help="truncate definitions to this many tokens (default 60)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defmod",
@@ -602,128 +602,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "train, generate, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tokenize", help="tokenize a raw text corpus")
-    _add_globals(p)
-    p.add_argument("--input", help="raw text file")
-    p.add_argument("--output", help="tokenized output, one line per input line")
-    p.add_argument("--language")
-    p.add_argument("--no-lowercase", dest="lowercase", action="store_false",
-                   default=None)
-    p.add_argument("--punctuation", choices=("split_off", "drop"))
-    p.set_defaults(func=cmd_tokenize)
-
-    p = sub.add_parser("train-embeddings",
-                       help="train word or sense vectors on a token file")
-    _add_globals(p)
-    p.add_argument("--mode", choices=("sgns", "adagram"))
-    p.add_argument("--tokens", help="tokenized corpus file")
-    p.add_argument("--output", help="vector table file")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int, help="negative samples per pair (sgns)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--max-prototypes", type=int)
-    p.add_argument("--alpha", type=float,
-                   help="stick-breaking concentration (adagram)")
-    p.add_argument("--prune-threshold", type=float)
-    p.set_defaults(func=cmd_train_embeddings)
-
-    p = sub.add_parser("stats", help="dataset statistics for a lexicon TSV")
-    _add_globals(p)
-    _add_lexicon_opts(p)
-    p.add_argument("--lexicon", help="word\\tdefinition TSV")
-    p.add_argument("--output", help="also write the JSON here")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("split",
-                       help="word-disjoint train/dev/test split of a lexicon")
-    _add_globals(p)
-    _add_lexicon_opts(p)
-    p.add_argument("--lexicon")
-    p.add_argument("--output-dir")
-    p.add_argument("--ratios", help="comma-separated, e.g. 0.8,0.1,0.1")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("build-pairs",
-                       help="align definitions with sense or word vectors")
-    _add_globals(p)
-    _add_lexicon_opts(p)
-    p.add_argument("--mode", choices=("d2s", "s2d", "base"))
-    p.add_argument("--lexicon", help="split TSV to build pairs from")
-    p.add_argument("--senses", help="sense table (d2s/s2d)")
-    p.add_argument("--embeddings", help="word table (base; optional for d2s/s2d)")
-    p.add_argument("--stopwords", help="stopword file, one token per line")
-    p.add_argument("--min-similarity", type=float,
-                   help="drop pairs whose winning cosine is below this")
-    p.add_argument("--output", help="pairs TSV")
-    p.add_argument("--prune-threshold", type=float)
-    p.set_defaults(func=cmd_build_pairs)
-
-    p = sub.add_parser("train", help="train the definition generator")
-    _add_globals(p)
-    p.add_argument("--model", choices=("base", "multisense"))
-    p.add_argument("--pairs", help="training pairs TSV")
-    p.add_argument("--dev-pairs", help="held-out pairs for early stopping")
-    p.add_argument("--senses", help="sense table (multisense)")
-    p.add_argument("--embeddings", help="word table (base)")
-    p.add_argument("--output", help="model checkpoint; vocab files sit beside it")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--token-embedding-dim", type=int)
-    p.add_argument("--max-def-len", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--min-count", type=int,
-                   help="token vocabulary frequency floor (default 1)")
-    p.add_argument("--prune-threshold", type=float)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("generate", help="sample definitions from a checkpoint")
-    _add_globals(p)
-    _add_lexicon_opts(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--chars")
-    p.add_argument("--senses")
-    p.add_argument("--embeddings")
-    p.add_argument("--words", nargs="+", help="headwords to define")
-    p.add_argument("--lexicon", help="define every headword in this TSV")
-    p.add_argument("--output", help="generated definitions TSV")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--allow-unk", dest="mask_unk", action="store_false",
-                   default=None)
-    p.add_argument("--prune-threshold", type=float)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("evaluate",
-                       help="score generated definitions against references")
-    _add_globals(p)
-    _add_lexicon_opts(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--chars")
-    p.add_argument("--senses")
-    p.add_argument("--embeddings")
-    p.add_argument("--test", help="reference lexicon TSV")
-    p.add_argument("--output", help="evaluation report JSON")
-    p.add_argument("--word-scores", help="also write per-word scores TSV")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--allow-unk", dest="mask_unk", action="store_false",
-                   default=None)
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--smoothing",
-                   choices=tuple(s.value for s in Smoothing))
-    p.add_argument("--prune-threshold", type=float)
-    p.set_defaults(func=cmd_evaluate)
-
+    for command, func, help_text in (
+        ("tokenize", cmd_tokenize, "tokenize a raw text corpus"),
+        ("train-embeddings", cmd_train_embeddings,
+         "train word or sense vectors on a token file"),
+        ("stats", cmd_stats, "dataset statistics for a lexicon TSV"),
+        ("split", cmd_split, "word-disjoint train/dev/test split of a lexicon"),
+        ("build-pairs", cmd_build_pairs,
+         "align definitions with sense or word vectors"),
+        ("train", cmd_train, "train the definition generator"),
+        ("generate", cmd_generate, "sample definitions from a checkpoint"),
+        ("evaluate", cmd_evaluate,
+         "score generated definitions against references"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for flag, _, kwargs in (*_GLOBALS, *OPTIONS[command]):
+            # None when absent, so that a config-file value is kept.
+            p.add_argument(flag, default=None, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

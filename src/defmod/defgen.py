@@ -37,7 +37,8 @@ from .neural import (
     init_char_cnn,
     init_lstm,
     lstm_cell,
-    lstm_step,
+    lstm_forward,
+    lstm_step,  # not called here; kept because perfbench's tracer wraps defgen.lstm_step
     softmax,
     softmax_cross_entropy,
     uniform_init,
@@ -210,20 +211,9 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
 
     conditions = np.stack([p.sense_vector for p in pairs])
     cond = _condition_block(model, conditions, [p.headword for p in pairs])
-    hidden = cfg.hidden
-    zero = Tensor(np.zeros((batch, hidden)))
-    state = [(zero, zero) for _ in range(cfg.layers)]
-    tops = []
-    for t in range(T):
-        x = concat([gather(model.params["token_emb"], inputs[:, t]), cond], axis=1)
-        layer_input = x
-        for layer in range(cfg.layers):
-            h, c = lstm_step(layer_input, state[layer][0], state[layer][1],
-                             model.params[f"Wx{layer}"], model.params[f"Wh{layer}"],
-                             model.params[f"b{layer}"])
-            state[layer] = (h, c)
-            layer_input = h
-        tops.append(layer_input)
+    steps = [concat([gather(model.params["token_emb"], inputs[:, t]), cond], axis=1)
+             for t in range(T)]
+    tops, _ = lstm_forward(model.params, steps)
     logits = concat(tops, axis=0) @ model.params["Wo"] + model.params["bo"]
     flat_targets = targets.T.reshape(-1)  # time-major to match the concat
     losses = softmax_cross_entropy(logits, flat_targets)

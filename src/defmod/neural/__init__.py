@@ -7,9 +7,7 @@ from .layers import (
     CNN_KERNELS,
     char_cnn_forward,
     clip_global_norm,
-    dense,
     init_char_cnn,
-    init_dense,
     init_lstm,
     lstm_cell,
     lstm_forward,
@@ -29,12 +27,10 @@ __all__ = [
     "char_cnn_forward",
     "clip_global_norm",
     "concat",
-    "dense",
     "gather",
     "grad_check",
     "init_adam",
     "init_char_cnn",
-    "init_dense",
     "init_lstm",
     "lstm_cell",
     "lstm_forward",

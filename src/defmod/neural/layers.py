@@ -1,4 +1,4 @@
-"""Dense, stacked-LSTM, and character-CNN layers built on the Tensor graph."""
+"""Stacked-LSTM and character-CNN layers built on the Tensor graph."""
 
 from __future__ import annotations
 
@@ -19,17 +19,6 @@ INIT_SCALE = 0.05
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float = INIT_SCALE) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
-
-
-def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int) -> dict[str, Tensor]:
-    return {
-        "W": uniform_init(rng, (in_dim, out_dim)),
-        "b": Tensor(np.zeros(out_dim), requires_grad=True),
-    }
-
-
-def dense(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    return x @ params["W"] + params["b"]
 
 
 def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, layers: int) -> dict[str, Tensor]:
@@ -124,7 +113,8 @@ def lstm_forward(
 
     Layer count and hidden size are read off the parameter collection.
     Returns the top layer's hidden state at every step and the final
-    (h, c) pair of every layer.
+    (h, c) pair of every layer. The default initial state is one zero leaf
+    shared by every h and c.
     """
     if not inputs:
         raise ShapeError("lstm_forward needs at least one input step")
@@ -132,8 +122,8 @@ def lstm_forward(
     hidden = params["Wh0"].shape[0]
     batch = inputs[0].shape[0]
     if initial_state is None:
-        zero = np.zeros((batch, hidden))
-        state = [(Tensor(zero), Tensor(zero)) for _ in range(layers)]
+        zero = Tensor(np.zeros((batch, hidden)))
+        state = [(zero, zero)] * layers
     else:
         state = list(initial_state)
     outputs: list[Tensor] = []

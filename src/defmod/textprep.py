@@ -141,7 +141,12 @@ class Vocabulary:
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                rows.append((parts[0], int(parts[1]), int(parts[2])))
+                try:
+                    rows.append((parts[0], int(parts[1]), int(parts[2])))
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected integer id and count, found {parts[1:]!r}"
+                    ) from None
         rows.sort(key=lambda r: r[1])
         expected_ids = list(range(len(rows)))
         if [r[1] for r in rows] != expected_ids:

@@ -7,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import defmod.cli as cli
 from defmod.cli import main
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.lexicon import load_lexicon
@@ -285,6 +286,41 @@ def test_config_file_type_check(work, tmp_path):
                  "--lexicon", str(work / "lex.tsv")]) == 2
 
 
+def test_config_non_numeric_float_exits_2(work, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"min_similarity": "high"}', encoding="utf-8")
+    assert main(["build-pairs", "--mode", "d2s", "--config", str(cfg),
+                 "--lexicon", str(work / "splits" / "train.tsv"),
+                 "--senses", str(work / "senses.tsv"),
+                 "--embeddings", str(work / "words.tsv"),
+                 "--prune-threshold", "0.05",
+                 "--output", str(tmp_path / "pairs.tsv")]) == 2
+    assert "config key min_similarity must be a number" in capsys.readouterr().err
+
+
+def test_config_string_for_word_list_exits_2(work, trained, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"words": "cat"}', encoding="utf-8")
+    assert main(["generate", "--config", str(cfg), "--checkpoint", str(trained),
+                 "--vocab", str(work / "model.bin.vocab"),
+                 "--chars", str(work / "model.bin.chars"),
+                 "--senses", str(work / "senses.tsv"),
+                 "--prune-threshold", "0.05",
+                 "--output", str(tmp_path / "g.tsv")]) == 2
+    assert "config key words must be a list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_declared_defaults_pass_their_own_type_check(command, tmp_path):
+    defaults = {key: default for key, (default, _) in cli._declared(command).items()}
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(defaults), encoding="utf-8")
+    parser = cli.build_parser()
+    plain = cli._resolve(parser.parse_args([command]), command)
+    assert plain == defaults
+    assert cli._resolve(parser.parse_args([command, "--config", str(cfg)]), command) == plain
+
+
 def test_config_precedence_defaults_file_flags(work, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seed": 7, "ratios": "0.6,0.2,0.2"}', encoding="utf-8")
@@ -381,6 +417,21 @@ def test_nan_in_embedding_row_exits_2_naming_line(work, tmp_path, capsys):
                  "--embeddings", str(bad),
                  "--output", str(tmp_path / "pairs.tsv")]) == 2
     assert f"{bad}:5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [1, 2])
+def test_non_integer_vocabulary_field_exits_2_naming_line(work, trained, tmp_path,
+                                                          capsys, field):
+    bad = _corrupt_line(work / "model.bin.vocab", tmp_path / "model.vocab", 6,
+                        lambda line: _with_field(line, "\t", field, "7.5"))
+    assert main(["generate", "--checkpoint", str(trained),
+                 "--vocab", str(bad),
+                 "--chars", str(work / "model.bin.chars"),
+                 "--senses", str(work / "senses.tsv"),
+                 "--prune-threshold", "0.05",
+                 "--words", "cat",
+                 "--output", str(tmp_path / "g.tsv")]) == 2
+    assert f"{bad}:6:" in capsys.readouterr().err
 
 
 def test_internal_failure_exits_1(work, monkeypatch):

@@ -19,12 +19,10 @@ from defmod.neural import (
     char_cnn_forward,
     clip_global_norm,
     concat,
-    dense,
     gather,
     grad_check,
     init_adam,
     init_char_cnn,
-    init_dense,
     init_lstm,
     lstm_forward,
     lstm_step,
@@ -204,17 +202,6 @@ def test_grad_check_max_and_concat():
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     err = grad_check(lambda: concat([a, b], axis=1).max(axis=0).sum(), [a, b])
-    assert err < 1e-6
-
-
-def test_dense_forward_and_grad():
-    rng = np.random.default_rng(6)
-    params = init_dense(rng, 4, 3)
-    assert params["W"].shape == (4, 3) and params["b"].shape == (3,)
-    assert np.all(params["b"].data == 0)
-    assert np.all(np.abs(params["W"].data) <= 0.05)
-    x = Tensor(rng.normal(size=(2, 4)))
-    err = grad_check(lambda: tanh(dense(x, params)).sum(), params)
     assert err < 1e-6
 
 
