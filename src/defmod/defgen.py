@@ -60,7 +60,6 @@ class DefModelConfig:
     condition_dim: int
     hidden: int = 300
     layers: int = 2
-    char_feature_dim: int = CHAR_FEATURE_DIM
     token_embedding_dim: int = 300
     max_def_len: int = 60
     lr: float = 0.001
@@ -78,9 +77,6 @@ class DefModelConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.char_feature_dim != CHAR_FEATURE_DIM:
-            raise ConfigError(
-                f"char_feature_dim is fixed at {CHAR_FEATURE_DIM} by the kernel set")
 
 
 @dataclass(eq=False)
@@ -411,7 +407,7 @@ def _config_payload(cfg: DefModelConfig) -> bytes:
         "condition_dim": cfg.condition_dim,
         "hidden": cfg.hidden,
         "layers": cfg.layers,
-        "char_feature_dim": cfg.char_feature_dim,
+        "char_feature_dim": CHAR_FEATURE_DIM,
         "token_embedding_dim": cfg.token_embedding_dim,
         "max_def_len": cfg.max_def_len,
         "lr": cfg.lr,
@@ -477,13 +473,15 @@ def load_checkpoint(path: str | Path, vocab: Vocabulary,
             raise CheckpointError(f"{path}: token vocabulary digest mismatch")
         if echo["char_vocab_digest"] != char_vocab.digest():
             raise CheckpointError(f"{path}: character vocabulary digest mismatch")
+        if echo["char_feature_dim"] != CHAR_FEATURE_DIM:
+            raise CheckpointError(f"{path}: char_feature_dim {echo['char_feature_dim']} in the "
+                                  f"checkpoint, the kernel set gives {CHAR_FEATURE_DIM}")
         cfg = DefModelConfig(
             vocab=vocab,
             char_vocab=char_vocab,
             condition_dim=echo["condition_dim"],
             hidden=echo["hidden"],
             layers=echo["layers"],
-            char_feature_dim=echo["char_feature_dim"],
             token_embedding_dim=echo["token_embedding_dim"],
             max_def_len=echo["max_def_len"],
             lr=echo["lr"],

@@ -16,19 +16,15 @@ matrix gradient.
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma
 
 from ..errors import ConfigError
-from ..textprep import Vocabulary, build_vocab, count_tokens
-from .corpus import chunk_ranges, corpus_to_ids, linear_lr, scatter_add, shard_ranges
+from ..textprep import Vocabulary
+from .corpus import chunk_ranges, linear_lr, prepare_corpus, run_epochs, scatter_add, window_contexts
 from .tables import SenseTable
-
-log = logging.getLogger(__name__)
 
 CHUNK = 1024
 DEFAULT_PRUNE_THRESHOLD = 1e-3
@@ -93,26 +89,6 @@ def expected_pi(counts: np.ndarray, alpha: float) -> np.ndarray:
     return pi
 
 
-def _grouped_contexts(
-    n_positions: int, start: int, ids: np.ndarray, window: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-center context id matrix (n, 2*window) plus validity mask.
-
-    Each center draws its own width from 1..window; masked slots hold id 0.
-    """
-    widths = rng.integers(1, window + 1, size=n_positions)
-    positions = np.arange(start, start + n_positions)
-    ctx = np.zeros((n_positions, 2 * window), dtype=np.int64)
-    mask = np.zeros((n_positions, 2 * window), dtype=np.float64)
-    for offset in range(1, window + 1):
-        for sign, col in ((-1, 2 * (offset - 1)), (1, 2 * (offset - 1) + 1)):
-            pos = positions + sign * offset
-            ok = (widths >= offset) & (pos >= 0) & (pos < len(ids))
-            ctx[ok, col] = ids[pos[ok]]
-            mask[ok, col] = 1.0
-    return ctx, mask
-
-
 def _train_span(
     ids: np.ndarray,
     span: tuple[int, int],
@@ -131,7 +107,7 @@ def _train_span(
         hi = span[0] + stop
         n = hi - lo
         centers = ids[lo:hi]
-        ctx, mask = _grouped_contexts(n, lo, ids, cfg.window, rng)
+        ctx, mask = window_contexts(ids, lo, hi, cfg.window, rng)
         lr = linear_lr(cfg.initial_lr, lr_offset + lo, lr_total)
 
         uniq, inv = np.unique(centers, return_inverse=True)
@@ -178,41 +154,16 @@ def _train_span(
 
 
 def train_adagram(corpus, cfg: AdagramConfig, vocab: Vocabulary | None = None) -> SenseTable:
-    """Train multi-sense embeddings; single-threaded runs are seed-stable.
-
-    With threads > 1 the corpus is sharded across lock-free workers
-    (races tolerated).
-    """
-    tokens = list(corpus) if not isinstance(corpus, list) else corpus
-    if vocab is None:
-        vocab = build_vocab(count_tokens(tokens), min_count=cfg.min_count)
-    words = vocab.words()[4:]
-    if not words:
-        raise ConfigError("corpus has no words above min_count")
-    ids = corpus_to_ids(tokens, vocab)
-    if ids.size == 0:
-        raise ConfigError("corpus is empty after vocabulary filtering")
+    """Train multi-sense embeddings; epochs, threads and seeding follow
+    corpus.run_epochs."""
+    vocab, words, ids = prepare_corpus(corpus, cfg.min_count, vocab)
     rng = np.random.default_rng(cfg.seed)
     V = len(vocab)
     In = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(V, cfg.max_prototypes, cfg.dim))
     Out = np.zeros((V, cfg.dim))
     counts = np.zeros((V, cfg.max_prototypes))
-    total = max(cfg.epochs * ids.size, 1)
-    for epoch in range(cfg.epochs):
-        offset = epoch * ids.size
-        if cfg.threads == 1:
-            _train_span(ids, (0, ids.size), In, Out, counts, cfg, rng, offset, total)
-        else:
-            spans = shard_ranges(ids.size, cfg.threads)
-            rngs = [np.random.default_rng([cfg.seed, epoch, i]) for i in range(len(spans))]
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = [
-                    pool.submit(_train_span, ids, span, In, Out, counts, cfg, r, offset, total)
-                    for span, r in zip(spans, rngs)
-                ]
-                for fut in futures:
-                    fut.result()
-        log.info("adagram epoch %d/%d done", epoch + 1, cfg.epochs)
+    run_epochs(ids, cfg, rng, lambda span, r, offset, total: _train_span(
+        ids, span, In, Out, counts, cfg, r, offset, total), "adagram")
     table = SenseTable(cfg.dim, cfg.max_prototypes, cfg.prune_threshold)
     word_ids = [vocab.id(word) for word in words]
     priors = expected_pi(counts[word_ids], cfg.concentration_alpha)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy import sparse
 
 from ..errors import ConfigError
-from ..textprep import Vocabulary
+from ..textprep import Vocabulary, build_vocab
+
+log = logging.getLogger(__name__)
 
 NOISE_POWER = 0.75
 LR_FLOOR_RATIO = 1e-4
@@ -16,6 +22,24 @@ def corpus_to_ids(tokens, vocab: Vocabulary) -> np.ndarray:
     """Map a token stream to vocab ids, dropping out-of-vocabulary tokens."""
     ids = [vocab.id(t) for t in tokens if t in vocab]
     return np.asarray(ids, dtype=np.int64)
+
+
+def prepare_corpus(corpus, min_count: int, vocab: Vocabulary | None = None):
+    """(vocab, retained words, corpus ids) for a token stream.
+
+    Without a vocab one is built from the corpus at min_count. Raises
+    ConfigError when no word is retained or no token survives the filter.
+    """
+    tokens = corpus if isinstance(corpus, list) else list(corpus)
+    if vocab is None:
+        vocab = build_vocab(tokens, min_count=min_count)
+    words = vocab.words()[4:]
+    if not words:
+        raise ConfigError("corpus has no words above min_count")
+    ids = corpus_to_ids(tokens, vocab)
+    if ids.size == 0:
+        raise ConfigError("corpus is empty after vocabulary filtering")
+    return vocab, words, ids
 
 
 class NoiseSampler:
@@ -33,32 +57,26 @@ class NoiseSampler:
         return np.searchsorted(self._cdf, rng.random(shape), side="right")
 
 
-def dynamic_window_pairs(
+def window_contexts(
     ids: np.ndarray, start: int, stop: int, window: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Skip-gram (center, context) id pairs for center positions [start, stop).
+    """Context ids (n, 2*window) of the centers at positions [start, stop),
+    with a boolean mask of the valid slots.
 
-    Each center draws its own width uniformly from 1..window; contexts may
-    extend outside the chunk but never outside the corpus.
+    Each center draws its own width uniformly from 1..window. Columns 2k and
+    2k + 1 hold the tokens k + 1 places to the left and to the right;
+    contexts may extend outside the chunk but never outside the corpus, and
+    masked slots hold id 0. Read column by column (ctx.T[mask.T]) the valid
+    slots are skip-gram pairs ordered by offset, left before right, then by
+    position.
     """
-    n = stop - start
-    widths = rng.integers(1, window + 1, size=n)
-    centers_list = []
-    contexts_list = []
-    positions = np.arange(start, stop)
-    for offset in range(1, window + 1):
-        active = widths >= offset
-        left = positions - offset
-        ok = active & (left >= 0)
-        centers_list.append(positions[ok])
-        contexts_list.append(left[ok])
-        right = positions + offset
-        ok = active & (right < len(ids))
-        centers_list.append(positions[ok])
-        contexts_list.append(right[ok])
-    center_pos = np.concatenate(centers_list)
-    context_pos = np.concatenate(contexts_list)
-    return ids[center_pos], ids[context_pos]
+    widths = rng.integers(1, window + 1, size=stop - start)
+    offsets = np.repeat(np.arange(1, window + 1), 2)
+    offsets[::2] *= -1
+    pos = np.arange(start, stop)[:, None] + offsets
+    mask = (widths[:, None] >= np.abs(offsets)) & (pos >= 0) & (pos < ids.size)
+    ctx = np.where(mask, ids.take(pos, mode="clip"), 0)
+    return ctx, mask
 
 
 def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -93,7 +111,30 @@ def chunk_ranges(n: int, chunk: int):
         yield start, min(start + chunk, n)
 
 
-def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
-    """Split [0, n) into near-equal contiguous shards for worker threads."""
-    bounds = np.linspace(0, n, shards + 1).astype(np.int64)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(shards) if bounds[i] < bounds[i + 1]]
+def run_epochs(ids: np.ndarray, cfg, rng: np.random.Generator, train_span, name: str) -> None:
+    """Run cfg.epochs passes of train_span(span, rng, lr_offset, lr_total).
+
+    The learning rate decays linearly over all epochs' tokens. One thread
+    streams the whole corpus through rng, so runs are bit-reproducible for
+    a fixed seed. With threads > 1 the corpus is cut into at most
+    min(threads, os.cpu_count()) shards, each drawing from its own
+    (seed, epoch, shard) stream, and one worker per shard updates the shared
+    weights without locks: races are tolerated, which trades
+    reproducibility for speed.
+    """
+    total = max(cfg.epochs * ids.size, 1)
+    for epoch in range(cfg.epochs):
+        offset = epoch * ids.size
+        if cfg.threads == 1:
+            train_span((0, ids.size), rng, offset, total)
+        else:
+            bounds = np.linspace(0, ids.size, min(cfg.threads, os.cpu_count() or 1) + 1).astype(np.int64)
+            spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+            with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+                futures = [
+                    pool.submit(train_span, span, np.random.default_rng([cfg.seed, epoch, i]), offset, total)
+                    for i, span in enumerate(spans)
+                ]
+                for fut in futures:
+                    fut.result()
+        log.info("%s epoch %d/%d done", name, epoch + 1, cfg.epochs)

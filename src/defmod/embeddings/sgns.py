@@ -2,21 +2,15 @@
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..neural import stable_sigmoid
-from ..textprep import Vocabulary, build_vocab, count_tokens
-from .corpus import (
-    NoiseSampler, chunk_ranges, corpus_to_ids, dynamic_window_pairs, linear_lr, scatter_add, shard_ranges,
-)
+from ..textprep import Vocabulary
+from .corpus import NoiseSampler, chunk_ranges, linear_lr, prepare_corpus, run_epochs, scatter_add, window_contexts
 from .tables import EmbeddingTable
-
-log = logging.getLogger(__name__)
 
 # Centers per vectorized update; small enough to keep batches near-online.
 CHUNK = 512
@@ -58,9 +52,12 @@ def _train_span(
     for start, stop in chunk_ranges(span[1] - span[0], CHUNK):
         lo = span[0] + start
         hi = span[0] + stop
-        centers, contexts = dynamic_window_pairs(ids, lo, hi, cfg.window, rng)
-        if centers.size == 0:
+        ctx, mask = window_contexts(ids, lo, hi, cfg.window, rng)
+        # Column by column: pairs ordered by offset, then by position.
+        contexts = ctx.T[mask.T]
+        if contexts.size == 0:
             continue
+        centers = np.broadcast_to(ids[lo:hi], mask.T.shape)[mask.T]
         lr = linear_lr(cfg.initial_lr, lr_offset + lo, lr_total)
         negatives = sampler.sample(rng, (centers.size, cfg.negatives))
         out_ids = np.concatenate([contexts[:, None], negatives], axis=1)
@@ -86,39 +83,15 @@ def _train_span(
 def train_sgns(corpus, cfg: SgnsConfig, vocab: Vocabulary | None = None) -> EmbeddingTable:
     """Train single-sense embeddings; returns one vector per retained word.
 
-    Single-threaded runs are bit-reproducible for a fixed seed. With
-    threads > 1 the corpus is sharded and workers update shared weight
-    matrices without locks, trading reproducibility for speed.
+    Epochs, threads and seeding follow corpus.run_epochs.
     """
-    tokens = list(corpus) if not isinstance(corpus, list) else corpus
-    if vocab is None:
-        vocab = build_vocab(count_tokens(tokens), min_count=cfg.min_count)
-    words = vocab.words()[4:]
-    if not words:
-        raise ConfigError("corpus has no words above min_count")
-    ids = corpus_to_ids(tokens, vocab)
-    if ids.size == 0:
-        raise ConfigError("corpus is empty after vocabulary filtering")
+    vocab, words, ids = prepare_corpus(corpus, cfg.min_count, vocab)
     rng = np.random.default_rng(cfg.seed)
     V = len(vocab)
     W_in = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(V, cfg.dim))
     W_out = np.zeros((V, cfg.dim))
     sampler = NoiseSampler(vocab)
-    total = max(cfg.epochs * ids.size, 1)
-    for epoch in range(cfg.epochs):
-        offset = epoch * ids.size
-        if cfg.threads == 1:
-            _train_span(ids, (0, ids.size), W_in, W_out, sampler, cfg, rng, offset, total)
-        else:
-            spans = shard_ranges(ids.size, cfg.threads)
-            seeds = [np.random.default_rng([cfg.seed, epoch, i]) for i in range(len(spans))]
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = [
-                    pool.submit(_train_span, ids, span, W_in, W_out, sampler, cfg, r, offset, total)
-                    for span, r in zip(spans, seeds)
-                ]
-                for fut in futures:
-                    fut.result()
-        log.info("sgns epoch %d/%d done", epoch + 1, cfg.epochs)
+    run_epochs(ids, cfg, rng, lambda span, r, offset, total: _train_span(
+        ids, span, W_in, W_out, sampler, cfg, r, offset, total), "sgns")
     keep = [vocab.id(w) for w in words]
     return EmbeddingTable(cfg.dim, words, W_in[keep])

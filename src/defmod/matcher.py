@@ -223,7 +223,8 @@ def load_pairs(
 
     With a SenseTable the sense index selects one of the headword's retained
     senses; with an EmbeddingTable the index must be 0 and the headword's own
-    vector is used. Malformed lines raise PairsFormatError with their number.
+    vector is used. Malformed lines, and headwords `source` does not hold,
+    raise PairsFormatError with their number.
     """
     pairs = []
     with open(path, encoding="utf-8") as f:
@@ -243,6 +244,9 @@ def load_pairs(
             definition = tuple(def_text.split())
             if not headword or sense_index < 0 or not definition:
                 raise PairsFormatError(f"{path}:{lineno}: empty field")
+            if headword not in source:
+                raise PairsFormatError(
+                    f"{path}:{lineno}: headword {headword!r} has no condition vector")
             if isinstance(source, SenseTable):
                 retained = source.senses(headword)
                 if sense_index >= len(retained):

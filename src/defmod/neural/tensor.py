@@ -60,9 +60,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> np.ndarray:
-        return self.data.copy()
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -132,16 +129,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
-
     def __truediv__(self, scalar) -> "Tensor":
         if isinstance(scalar, Tensor):
             raise TypeError("division is supported by plain scalars only")
@@ -203,9 +190,6 @@ class Tensor:
 
         out._backward = backward
         return out
-
-    def mean(self) -> "Tensor":
-        return self.sum() / self.size
 
     def max(self, axis: int) -> "Tensor":
         """Maximum along one axis; ties route the gradient to the first maximum."""

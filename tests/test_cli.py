@@ -419,6 +419,23 @@ def test_nan_in_embedding_row_exits_2_naming_line(work, tmp_path, capsys):
     assert f"{bad}:5:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, pairs, source", [
+    ("multisense", "d2s_pairs.tsv", ["--senses", "senses.tsv", "--prune-threshold", "0.05"]),
+    ("base", "base_pairs.tsv", ["--embeddings", "words.tsv"]),
+])
+def test_unknown_headword_in_pairs_exits_2_naming_line(work, tmp_path, capsys, model, pairs, source):
+    lines = (work / pairs).read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if not line.startswith("#"))
+    bad = _corrupt_line(work / pairs, tmp_path / pairs, lineno,
+                        lambda line: _with_field(line, "\t", 0, "zebra"))
+    source = [str(work / arg) if arg.endswith(".tsv") else arg for arg in source]
+    assert main(["train", "--model", model, "--pairs", str(bad), *source,
+                 "--output", str(tmp_path / "model.bin"),
+                 "--hidden", "8", "--token-embedding-dim", "6", "--max-epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{lineno}:" in err and "zebra" in err
+
+
 @pytest.mark.parametrize("field", [1, 2])
 def test_non_integer_vocabulary_field_exits_2_naming_line(work, trained, tmp_path,
                                                           capsys, field):

@@ -45,8 +45,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(lr=0.0)
     with pytest.raises(ConfigError):
-        tiny_config(char_feature_dim=64)
-    with pytest.raises(ConfigError):
         DefModelConfig(Vocabulary({}), build_char_vocab(["cat"]), condition_dim=4)
 
 
@@ -454,6 +452,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(trailing, cfg.vocab, cfg.char_vocab)
+
+
+def test_checkpoint_rejects_other_char_feature_dim(tmp_path):
+    import struct
+
+    cfg = tiny_config()
+    path = tmp_path / "model.bin"
+    save_checkpoint(init_model(cfg), path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[5:9])
+    header = raw[9:9 + length]
+    assert b'"char_feature_dim":160' in header
+    header = header.replace(b'"char_feature_dim":160', b'"char_feature_dim":64')
+    path.write_bytes(raw[:5] + struct.pack("<I", len(header)) + header + raw[9 + length:])
+    with pytest.raises(CheckpointError, match="char_feature_dim 64"):
+        load_checkpoint(path, cfg.vocab, cfg.char_vocab)
 
 
 @pytest.mark.parametrize("layers", [1, 3])

@@ -1,6 +1,7 @@
 """Tests for embedding tables, cosine, and the two corpus trainers."""
 
 import itertools
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from defmod.embeddings import (
     train_sgns,
     word_vector,
 )
-from defmod.embeddings.adagram import _grouped_contexts, _train_span, expected_log_pi, expected_pi
-from defmod.embeddings.corpus import linear_lr, scatter_add
+from defmod.embeddings.adagram import _train_span, expected_log_pi, expected_pi
+from defmod.embeddings import corpus as corpus_mod
+from defmod.embeddings.corpus import linear_lr, scatter_add, window_contexts
 from defmod.errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
 from defmod.textprep import build_vocab
 
@@ -304,12 +306,117 @@ def test_scatter_add_rejects_a_table_it_would_copy():
         scatter_add(table, np.array([1]), np.ones((1, 2, 3)))
 
 
+def _pairs_oracle(ids, start, stop, window, rng):
+    """The skip-gram pair sampler SGNS first used, one offset at a time."""
+    n = stop - start
+    widths = rng.integers(1, window + 1, size=n)
+    centers_list = []
+    contexts_list = []
+    positions = np.arange(start, stop)
+    for offset in range(1, window + 1):
+        active = widths >= offset
+        left = positions - offset
+        ok = active & (left >= 0)
+        centers_list.append(positions[ok])
+        contexts_list.append(left[ok])
+        right = positions + offset
+        ok = active & (right < len(ids))
+        centers_list.append(positions[ok])
+        contexts_list.append(right[ok])
+    return ids[np.concatenate(centers_list)], ids[np.concatenate(contexts_list)]
+
+
+def _grouped_oracle(n_positions, start, ids, window, rng):
+    """The context matrix sampler AdaGram first used, one slot at a time."""
+    widths = rng.integers(1, window + 1, size=n_positions)
+    positions = np.arange(start, start + n_positions)
+    ctx = np.zeros((n_positions, 2 * window), dtype=np.int64)
+    mask = np.zeros((n_positions, 2 * window), dtype=np.float64)
+    for offset in range(1, window + 1):
+        for sign, col in ((-1, 2 * (offset - 1)), (1, 2 * (offset - 1) + 1)):
+            pos = positions + sign * offset
+            ok = (widths >= offset) & (pos >= 0) & (pos < len(ids))
+            ctx[ok, col] = ids[pos[ok]]
+            mask[ok, col] = 1.0
+    return ctx, mask
+
+
+@pytest.mark.parametrize("window", [1, 2, 5])
+@pytest.mark.parametrize("start, stop", [(0, 7), (3, 40), (33, 50), (0, 50), (49, 50)],
+                         ids=["head", "middle", "tail", "whole", "last"])
+def test_window_contexts_match_both_first_samplers(window, start, stop):
+    ids = np.random.default_rng(18).integers(0, 30, size=50)
+    seed = 100 * window + start
+    rng, rng_pairs, rng_grouped = (np.random.default_rng(seed) for _ in range(3))
+    ctx, mask = window_contexts(ids, start, stop, window, rng)
+    assert mask.dtype == bool and ctx.shape == mask.shape == (stop - start, 2 * window)
+
+    want_ctx, want_mask = _grouped_oracle(stop - start, start, ids, window, rng_grouped)
+    np.testing.assert_array_equal(ctx, want_ctx)
+    np.testing.assert_array_equal(mask, want_mask.astype(bool))
+
+    centers = np.broadcast_to(ids[start:stop], mask.T.shape)[mask.T]
+    want_centers, want_contexts = _pairs_oracle(ids, start, stop, window, rng_pairs)
+    np.testing.assert_array_equal(centers, want_centers)
+    np.testing.assert_array_equal(ctx.T[mask.T], want_contexts)
+
+    state = rng.bit_generator.state
+    assert state == rng_pairs.bit_generator.state == rng_grouped.bit_generator.state
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records its size and runs every
+    submitted shard at once in the caller, so no thread starts."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.spans = []
+        _InlinePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, span, *args):
+        self.spans.append(span)
+        fut = Future()
+        fut.set_result(fn(span, *args))
+        return fut
+
+
+@pytest.mark.parametrize("threads, cpus, tokens, shards", [
+    (64, 2, 300, 2), (3, 8, 300, 3), (64, 128, 5, 5),
+], ids=["capped-by-cpus", "under-cpus", "capped-by-tokens"])
+@pytest.mark.parametrize("train, make_cfg", [
+    (train_sgns, lambda threads: SgnsConfig(dim=4, window=2, negatives=2, epochs=2,
+                                            min_count=1, threads=threads)),
+    (train_adagram, lambda threads: AdagramConfig(dim=4, window=2, epochs=2, min_count=1,
+                                                  max_prototypes=2, threads=threads)),
+], ids=["sgns", "adagram"])
+def test_sharded_epochs_start_at_most_one_worker_per_cpu(
+        monkeypatch, train, make_cfg, threads, cpus, tokens, shards):
+    monkeypatch.setattr(corpus_mod, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(corpus_mod.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "made", [])
+    corpus = [f"w{i}" for i in np.random.default_rng(19).integers(0, 12, size=tokens)]
+    train(corpus, make_cfg(threads))
+    assert [pool.max_workers for pool in _InlinePool.made] == [shards, shards]
+    for pool in _InlinePool.made:
+        assert len(pool.spans) == shards
+        assert [lo for lo, _ in pool.spans] == [0] + [hi for _, hi in pool.spans[:-1]]
+        assert pool.spans[-1][1] == tokens
+
+
 def _reference_adagram_chunk(ids, In, Out, counts, cfg, rng, lr_total):
     """One AdaGram chunk update in its first form (einsum, logaddexp.reduce
     and np.add.at): the reference _train_span must match on one chunk."""
     n = ids.size
     centers = ids
-    ctx, mask = _grouped_contexts(n, 0, ids, cfg.window, rng)
+    ctx, mask = window_contexts(ids, 0, n, cfg.window, rng)
     lr = linear_lr(cfg.initial_lr, 0, lr_total)
     uniq, inv = np.unique(centers, return_inverse=True)
     in_u = In[uniq]
