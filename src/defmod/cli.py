@@ -51,7 +51,13 @@ from .errors import (
     UnrepresentableDefinitionError,
     ZeroVectorError,
 )
-from .lexicon import lexicon_stats, load_lexicon, split_lexicon
+from .lexicon import (
+    DEFAULT_MAX_DEF_TOKENS,
+    DEFAULT_RATIOS,
+    lexicon_stats,
+    load_lexicon,
+    split_lexicon,
+)
 from .matcher import (
     MatchMode,
     build_base_pairs,
@@ -59,7 +65,7 @@ from .matcher import (
     load_pairs,
     save_pairs,
 )
-from .metrics import BleuConfig, Smoothing, evaluate
+from .metrics import DEFAULT_BLEU, BleuConfig, Smoothing, evaluate
 from .textprep import (
     StopwordSet,
     TokenizerProfile,
@@ -71,38 +77,37 @@ from .textprep import (
 log = logging.getLogger(__name__)
 
 # Every CLI option is declared once, as (flag, default, argparse keywords):
-# the parser, each command's defaults, the config keys and their types are
-# all read off these. Embedding defaults mirror the trainer dataclasses so
-# the CLI never drifts from the library.
+# the parser, each command's defaults, the config keys, their types and
+# their allowed values are all read off these. Defaults that the library
+# owns are read off its dataclasses, so the CLI never drifts from it.
 _SGNS_DEFAULTS = dataclasses.asdict(SgnsConfig())
 _ADAGRAM_DEFAULTS = dataclasses.asdict(AdagramConfig())
+_GEN_DEFAULTS = dataclasses.asdict(GenConfig())
+_TOKENIZER_DEFAULTS = dataclasses.asdict(TokenizerProfile())
+_MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DefModelConfig)
+                   if f.default is not dataclasses.MISSING}
 
 
 def _opt(flag: str, default=None, **kwargs) -> tuple:
     return flag, default, kwargs
 
 
-_GLOBALS = [
-    _opt("--seed", 0, type=int, help="random seed (default 0)"),
-    _opt("--threads", 1, type=int, help="worker threads (default 1)"),
-    _opt("--deterministic", False, action="store_true",
-         help="force single-threaded, bit-reproducible runs"),
-]
+_GLOBALS = [_opt("--seed", 0, type=int, help="random seed (default 0)")]
 _LANGUAGE = _opt("--language", "en", help="language tag (default en)")
 _LEXICON = [
     _LANGUAGE,
     _opt("--source", "", help="source tag recorded in artifacts"),
-    _opt("--max-def-tokens", 60, type=int,
-         help="truncate definitions to this many tokens (default 60)"),
+    _opt("--max-def-tokens", DEFAULT_MAX_DEF_TOKENS, type=int,
+         help=f"truncate definitions to this many tokens (default {DEFAULT_MAX_DEF_TOKENS})"),
 ]
 _MODEL_INPUTS = [_opt("--checkpoint"), _opt("--vocab"), _opt("--chars"),
                  _opt("--senses"), _opt("--embeddings")]
 _PRUNE_THRESHOLD = _opt("--prune-threshold", _ADAGRAM_DEFAULTS["prune_threshold"],
                         type=float)
 _SAMPLING = [
-    _opt("--temperature", 0.1, type=float),
-    _opt("--max-len", 60, type=int),
-    _opt("--allow-unk", True, dest="mask_unk", action="store_false"),
+    _opt("--temperature", _GEN_DEFAULTS["temperature"], type=float),
+    _opt("--max-len", _GEN_DEFAULTS["max_len"], type=int),
+    _opt("--allow-unk", _GEN_DEFAULTS["mask_unk"], dest="mask_unk", action="store_false"),
 ]
 
 OPTIONS = {
@@ -110,10 +115,16 @@ OPTIONS = {
         _opt("--input", help="raw text file"),
         _opt("--output", help="tokenized output, one line per input line"),
         _opt(*_LANGUAGE[:2]),  # --language, shown without a help line
-        _opt("--no-lowercase", True, dest="lowercase", action="store_false"),
-        _opt("--punctuation", "split_off", choices=("split_off", "drop")),
+        _opt("--no-lowercase", _TOKENIZER_DEFAULTS["lowercase"], dest="lowercase",
+             action="store_false"),
+        _opt("--punctuation", _TOKENIZER_DEFAULTS["punctuation_policy"],
+             choices=("split_off", "drop")),
     ],
     "train-embeddings": [
+        _opt("--threads", _SGNS_DEFAULTS["threads"], type=int,
+             help=f"worker threads (default {_SGNS_DEFAULTS['threads']})"),
+        _opt("--deterministic", False, action="store_true",
+             help="force single-threaded, bit-reproducible runs"),
         _opt("--mode", choices=("sgns", "adagram")),
         _opt("--tokens", help="tokenized corpus file"),
         _opt("--output", help="vector table file"),
@@ -138,7 +149,8 @@ OPTIONS = {
         *_LEXICON,
         _opt("--lexicon"),
         _opt("--output-dir"),
-        _opt("--ratios", "0.8,0.1,0.1", help="comma-separated, e.g. 0.8,0.1,0.1"),
+        _opt("--ratios", ",".join(map(str, DEFAULT_RATIOS)),
+             help="comma-separated, e.g. 0.8,0.1,0.1"),
     ],
     "build-pairs": [
         *_LEXICON,
@@ -159,14 +171,8 @@ OPTIONS = {
         _opt("--senses", help="sense table (multisense)"),
         _opt("--embeddings", help="word table (base)"),
         _opt("--output", help="model checkpoint; vocab files sit beside it"),
-        _opt("--hidden", 300, type=int),
-        _opt("--layers", 2, type=int),
-        _opt("--token-embedding-dim", 300, type=int),
-        _opt("--max-def-len", 60, type=int),
-        _opt("--lr", 0.001, type=float),
-        _opt("--batch-size", 16, type=int),
-        _opt("--max-epochs", 100, type=int),
-        _opt("--patience", 5, type=int),
+        *(_opt("--" + name.replace("_", "-"), default, type=type(default))
+          for name, default in _MODEL_DEFAULTS.items() if name != "seed"),
         _opt("--min-count", 1, type=int,
              help="token vocabulary frequency floor (default 1)"),
         _PRUNE_THRESHOLD,
@@ -188,8 +194,9 @@ OPTIONS = {
         _opt("--word-scores", help="also write per-word scores TSV"),
         _opt("--runs", 10, type=int),
         *_SAMPLING,
-        _opt("--max-n", 4, type=int),
-        _opt("--smoothing", "epsilon", choices=tuple(s.value for s in Smoothing)),
+        _opt("--max-n", DEFAULT_BLEU.max_n, type=int),
+        _opt("--smoothing", DEFAULT_BLEU.smoothing.value,
+             choices=tuple(s.value for s in Smoothing)),
         _PRUNE_THRESHOLD,
     ],
 }
@@ -198,13 +205,17 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list of strings"}
 
 
+def _key(flag: str, kwargs: dict) -> str:
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
+
+
 def _declared(command: str) -> dict:
     """Config key -> (default, kind) for the globals and one command's options."""
     spec = {}
     for flag, default, kwargs in (*_GLOBALS, *OPTIONS[command]):
         kind = (bool if "action" in kwargs else list if "nargs" in kwargs
                 else kwargs.get("type", str))
-        spec[kwargs.get("dest", flag[2:].replace("-", "_"))] = (default, kind)
+        spec[_key(flag, kwargs)] = (default, kind)
     return spec
 
 
@@ -254,8 +265,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if merged["deterministic"]:
-        merged["threads"] = 1
+    # argparse checks a flag's choices; a config-file value is checked here.
+    for flag, _, kwargs in OPTIONS[command]:
+        key, choices = _key(flag, kwargs), kwargs.get("choices")
+        if choices and merged[key] is not None and merged[key] not in choices:
+            raise ConfigError(f"config key {key} must be one of {', '.join(choices)}, "
+                              f"got {merged[key]!r}")
     return merged
 
 
@@ -326,6 +341,10 @@ def _load_source(cfg: dict, command: str):
     raise ConfigError(f"{command} requires --senses or --embeddings")
 
 
+def _gen_config(cfg: dict) -> GenConfig:
+    return GenConfig(**{key: cfg[key] for key in _GEN_DEFAULTS})
+
+
 def _load_model(cfg: dict):
     vocab = Vocabulary.load(_require_input(cfg["vocab"]))
     chars = Vocabulary.load(_require_input(cfg["chars"]))
@@ -362,6 +381,8 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 def cmd_train_embeddings(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "train-embeddings")
     _require(cfg, "train-embeddings", "mode", "tokens", "output")
+    if cfg["deterministic"]:
+        cfg["threads"] = 1
     src = _require_input(cfg["tokens"])
     tokens = src.read_text(encoding="utf-8").split()
     out = Path(cfg["output"])
@@ -373,7 +394,7 @@ def cmd_train_embeddings(args: argparse.Namespace) -> int:
             threads=cfg["threads"],
         ))
         kind = f"{len(table.words())} word vectors"
-    elif cfg["mode"] == "adagram":
+    else:
         table = train_adagram(tokens, AdagramConfig(
             dim=cfg["dim"], window=cfg["window"],
             epochs=cfg["epochs"], initial_lr=cfg["lr"],
@@ -385,8 +406,6 @@ def cmd_train_embeddings(args: argparse.Namespace) -> int:
         ))
         n_senses = sum(len(table.senses(w)) for w in table.words())
         kind = f"{n_senses} sense vectors over {len(table.words())} words"
-    else:
-        raise ConfigError(f"unknown embedding mode: {cfg['mode']!r}")
     table.save(out)
     _write_manifest(out.with_name(out.name + ".manifest.json"),
                     "train-embeddings", cfg, [src], [out])
@@ -441,7 +460,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         table = EmbeddingTable.load(_require_input(cfg["embeddings"]))
         inputs.append(Path(cfg["embeddings"]))
         pairs, summary = build_base_pairs(lex, table)
-    elif cfg["mode"] in ("d2s", "s2d"):
+    else:
         _require(cfg, f"build-pairs --mode {cfg['mode']}", "senses")
         senses = SenseTable.load(_require_input(cfg["senses"]),
                                  prune_threshold=cfg["prune_threshold"])
@@ -460,8 +479,6 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
             lex, senses, table, stops, MatchMode(cfg["mode"]),
             min_similarity=cfg.get("min_similarity"),
         )
-    else:
-        raise ConfigError(f"unknown pair-building mode: {cfg['mode']!r}")
     out = Path(cfg["output"])
     save_pairs(pairs, out)
     _write_manifest(out.with_name(out.name + ".manifest.json"),
@@ -475,8 +492,6 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "train")
     _require(cfg, "train", "model", "pairs", "output")
-    if cfg["model"] not in ("base", "multisense"):
-        raise ConfigError(f"unknown model kind: {cfg['model']!r}")
     if cfg["model"] == "base":
         _require(cfg, "train --model base", "embeddings")
         if cfg.get("senses"):
@@ -502,20 +517,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         min_count=cfg["min_count"],
     )
     char_vocab = build_char_vocab(p.headword for p in pairs)
-    model_cfg = DefModelConfig(
-        vocab=vocab,
-        char_vocab=char_vocab,
-        condition_dim=pairs[0].sense_vector.size,
-        hidden=cfg["hidden"],
-        layers=cfg["layers"],
-        token_embedding_dim=cfg["token_embedding_dim"],
-        max_def_len=cfg["max_def_len"],
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-    )
+    model_cfg = DefModelConfig(vocab, char_vocab, pairs[0].sense_vector.size,
+                               **{key: cfg[key] for key in _MODEL_DEFAULTS})
     model, report = train_defmodel(init_model(model_cfg), pairs, dev_pairs)
     out = Path(cfg["output"])
     vocab_out = out.with_name(out.name + ".vocab")
@@ -546,8 +549,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         lex = _load_lex(cfg["lexicon"], cfg)
         inputs.append(Path(cfg["lexicon"]))
         words = lex.headwords()
-    gen_cfg = GenConfig(temperature=cfg["temperature"], max_len=cfg["max_len"],
-                        mask_unk=cfg["mask_unk"])
+    gen_cfg = _gen_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     for word in words:
@@ -570,16 +572,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     test = _load_lex(cfg["test"], cfg)
     inputs = [Path(cfg["checkpoint"]), Path(cfg["vocab"]), Path(cfg["chars"]),
               Path(cfg["senses"] or cfg["embeddings"]), Path(cfg["test"])]
-    try:
-        smoothing = Smoothing(cfg["smoothing"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown smoothing: {cfg['smoothing']!r}") from exc
-    gen_cfg = GenConfig(temperature=cfg["temperature"], max_len=cfg["max_len"],
-                        mask_unk=cfg["mask_unk"])
-    report = evaluate(model, test, source, gen_cfg, runs=cfg["runs"],
-                      base_seed=cfg["seed"],
-                      bleu_cfg=BleuConfig(max_n=cfg["max_n"],
-                                          smoothing=smoothing))
+    bleu_cfg = BleuConfig(max_n=cfg["max_n"], smoothing=Smoothing(cfg["smoothing"]))
+    report = evaluate(model, test, source, _gen_config(cfg), runs=cfg["runs"],
+                      base_seed=cfg["seed"], bleu_cfg=bleu_cfg)
     out = Path(cfg["output"])
     report.save(out)
     outputs = [out]

@@ -14,7 +14,7 @@ import logging
 import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -118,10 +118,15 @@ class GenConfig:
             raise ConfigError("max_len must be positive")
 
 
-def build_char_vocab(words: Iterable[str], min_count: int = 1) -> Vocabulary:
+# Every DefModelConfig field but the vocabularies; the checkpoint header
+# echoes these and `load_checkpoint` rebuilds the config from them.
+HYPERPARAMETERS = tuple(f.name for f in fields(DefModelConfig)
+                        if f.name not in ("vocab", "char_vocab"))
+
+
+def build_char_vocab(words: Iterable[str]) -> Vocabulary:
     """Character-level vocabulary over the given headwords."""
-    counts = count_tokens(ch for word in words for ch in word)
-    return Vocabulary(dict(counts), min_count=min_count)
+    return Vocabulary(dict(count_tokens(ch for word in words for ch in word)))
 
 
 def init_model(cfg: DefModelConfig) -> DefModel:
@@ -403,21 +408,10 @@ def save_generated(rows: list[tuple[str, int, tuple[str, ...]]], path: str | Pat
 
 
 def _config_payload(cfg: DefModelConfig) -> bytes:
-    echo = {
-        "condition_dim": cfg.condition_dim,
-        "hidden": cfg.hidden,
-        "layers": cfg.layers,
-        "char_feature_dim": CHAR_FEATURE_DIM,
-        "token_embedding_dim": cfg.token_embedding_dim,
-        "max_def_len": cfg.max_def_len,
-        "lr": cfg.lr,
-        "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs,
-        "patience": cfg.patience,
-        "seed": cfg.seed,
-        "vocab_digest": cfg.vocab.digest(),
-        "char_vocab_digest": cfg.char_vocab.digest(),
-    }
+    echo = {name: getattr(cfg, name) for name in HYPERPARAMETERS}
+    echo["char_feature_dim"] = CHAR_FEATURE_DIM
+    echo["vocab_digest"] = cfg.vocab.digest()
+    echo["char_vocab_digest"] = cfg.char_vocab.digest()
     return json.dumps(echo, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -476,20 +470,8 @@ def load_checkpoint(path: str | Path, vocab: Vocabulary,
         if echo["char_feature_dim"] != CHAR_FEATURE_DIM:
             raise CheckpointError(f"{path}: char_feature_dim {echo['char_feature_dim']} in the "
                                   f"checkpoint, the kernel set gives {CHAR_FEATURE_DIM}")
-        cfg = DefModelConfig(
-            vocab=vocab,
-            char_vocab=char_vocab,
-            condition_dim=echo["condition_dim"],
-            hidden=echo["hidden"],
-            layers=echo["layers"],
-            token_embedding_dim=echo["token_embedding_dim"],
-            max_def_len=echo["max_def_len"],
-            lr=echo["lr"],
-            batch_size=echo["batch_size"],
-            max_epochs=echo["max_epochs"],
-            patience=echo["patience"],
-            seed=echo["seed"],
-        )
+        cfg = DefModelConfig(vocab, char_vocab,
+                             **{name: echo[name] for name in HYPERPARAMETERS})
         (n_tensors,) = struct.unpack("<I", take(4))
         params: dict[str, Tensor] = {}
         for _ in range(n_tensors):

@@ -1,6 +1,6 @@
 """Single-sense and multi-sense word embedding training and lookup."""
 
-from .tables import EmbeddingTable, SenseTable, cosine, word_vector
+from .tables import EmbeddingTable, SenseTable, cosine
 from .corpus import NoiseSampler, corpus_to_ids
 from .sgns import SgnsConfig, train_sgns
 from .adagram import AdagramConfig, train_adagram
@@ -15,5 +15,4 @@ __all__ = [
     "cosine",
     "train_adagram",
     "train_sgns",
-    "word_vector",
 ]

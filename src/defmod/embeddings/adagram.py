@@ -24,10 +24,9 @@ from scipy.special import digamma
 from ..errors import ConfigError
 from ..textprep import Vocabulary
 from .corpus import chunk_ranges, linear_lr, prepare_corpus, run_epochs, scatter_add, window_contexts
-from .tables import SenseTable
+from .tables import DEFAULT_PRUNE_THRESHOLD, SenseTable
 
 CHUNK = 1024
-DEFAULT_PRUNE_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)

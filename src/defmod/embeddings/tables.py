@@ -9,6 +9,8 @@ import numpy as np
 
 from ..errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
 
+DEFAULT_PRUNE_THRESHOLD = 1e-3
+
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity u.v / (|u||v|), defined only for nonzero vectors."""
@@ -105,7 +107,8 @@ class SenseTable:
     or above prune_threshold, and always the most probable prototype).
     """
 
-    def __init__(self, dim: int, max_prototypes: int, prune_threshold: float = 1e-3):
+    def __init__(self, dim: int, max_prototypes: int,
+                 prune_threshold: float = DEFAULT_PRUNE_THRESHOLD):
         if dim < 1 or max_prototypes < 1:
             raise ConfigError("dim and max_prototypes must be positive")
         self.dim = dim
@@ -172,7 +175,8 @@ class SenseTable:
                             + " ".join(repr(float(x)) for x in vec) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path, prune_threshold: float = 1e-3) -> "SenseTable":
+    def load(cls, path: str | Path,
+             prune_threshold: float = DEFAULT_PRUNE_THRESHOLD) -> "SenseTable":
         with open(path, encoding="utf-8") as f:
             header = f.readline().split()
             if header[:2] != ["#senses", "v1"] or len(header) != 4:
@@ -216,7 +220,3 @@ def _parse_floats(fields: list[str], path, lineno: int) -> list[float]:
         raise ConfigError(f"{path}:{lineno}: values must be finite")
     return values
 
-
-def word_vector(word: str, senses: SenseTable) -> np.ndarray:
-    """Most probable sense vector of a word (ties to the lowest index)."""
-    return senses.word_vector(word)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 from pathlib import Path
@@ -165,10 +166,13 @@ def split_lexicon(
     """Partition headwords into train/dev/test, never splitting a word.
 
     Deterministic for a given seed; sizes follow largest-remainder
-    rounding of the ratios.
+    rounding of the ratios, which must be three finite, nonnegative numbers
+    that sum to 1.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+    if (len(ratios) != 3 or not all(math.isfinite(r) and r >= 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise ConfigError("split ratios must be three finite, nonnegative numbers "
+                          f"that sum to 1, got {ratios}")
     words = lex.headwords()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(words))

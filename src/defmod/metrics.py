@@ -13,13 +13,13 @@ import enum
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable
-from .errors import ScoringError
+from .errors import ConfigError, ScoringError
 from .lexicon import Lexicon
 from .defgen import DefModel, GenConfig, generate_for_word
 
@@ -43,7 +43,7 @@ class BleuConfig:
 
     def __post_init__(self):
         if self.max_n < 1:
-            raise ValueError("max_n must be at least 1")
+            raise ConfigError("max_n must be at least 1")
 
 
 DEFAULT_BLEU = BleuConfig()
@@ -201,7 +201,7 @@ def evaluate(
     from the condition source are skipped and counted once.
     """
     if runs < 1:
-        raise ValueError("runs must be positive")
+        raise ConfigError("runs must be positive")
     words = [w for w in test.headwords() if w in source]
     skipped = len(test.headwords()) - len(words)
     if skipped:
@@ -224,13 +224,7 @@ def evaluate(
         fbleu_runs.append(float(np.mean([s.fbleu for s in scores])))
         per_word += np.array([[s.bleu, s.rbleu, s.fbleu] for s in scores])
     per_word /= runs
-    config = {
-        "temperature": gen_cfg.temperature,
-        "max_len": gen_cfg.max_len,
-        "mask_unk": gen_cfg.mask_unk,
-        "max_n": bleu_cfg.max_n,
-        "smoothing": bleu_cfg.smoothing.value,
-    }
+    config = {**asdict(gen_cfg), **asdict(bleu_cfg), "smoothing": bleu_cfg.smoothing.value}
     rows = tuple((w, float(b), float(r), float(h))
                  for w, (b, r, h) in zip(words, per_word))
     return EvalReport(runs, base_seed, tuple(bleu_runs), tuple(rbleu_runs),

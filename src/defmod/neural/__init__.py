@@ -1,6 +1,6 @@
 """Minimal differentiable substrate: tensors, layers, Adam, gradient checks."""
 
-from .tensor import Tensor, concat, gather, sigmoid, softmax, softmax_cross_entropy, stable_sigmoid, tanh
+from .tensor import Tensor, concat, gather, softmax, softmax_cross_entropy, stable_sigmoid
 from .layers import (
     CHAR_EMBEDDING_DIM,
     CHAR_FEATURE_DIM,
@@ -35,10 +35,8 @@ __all__ = [
     "lstm_cell",
     "lstm_forward",
     "lstm_step",
-    "sigmoid",
     "softmax",
     "softmax_cross_entropy",
     "stable_sigmoid",
-    "tanh",
     "uniform_init",
 ]

@@ -151,32 +151,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def __getitem__(self, key) -> "Tensor":
-        """Basic indexing only (ints and slices); use `gather` for id arrays."""
-        parts = key if isinstance(key, tuple) else (key,)
-        if any(not isinstance(part, (int, np.integer, slice)) for part in parts):
-            raise TypeError("Tensor indexing supports ints and slices; use gather for arrays")
-        out = Tensor(self.data[key], parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[key] += g
-
-        out._backward = backward
-        return out
-
-    def reshape(self, *shape) -> "Tensor":
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.shape))
-
-        out._backward = backward
-        return out
-
     def sum(self, axis=None) -> "Tensor":
         out = Tensor(self.data.sum(axis=axis), parents=(self,))
 
@@ -191,32 +165,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def max(self, axis: int) -> "Tensor":
-        """Maximum along one axis; ties route the gradient to the first maximum."""
-        idx = np.argmax(self.data, axis=axis)
-        out = Tensor(np.take_along_axis(self.data, np.expand_dims(idx, axis), axis).squeeze(axis),
-                     parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                scatter = np.zeros_like(self.data)
-                np.put_along_axis(scatter, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-                self._accumulate(scatter)
-
-        out._backward = backward
-        return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = Tensor(np.tanh(x.data), parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - out.data * out.data))
-
-    out._backward = backward
-    return out
-
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|.
@@ -226,17 +174,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(stable_sigmoid(x.data), parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * out.data * (1.0 - out.data))
-
-    out._backward = backward
-    return out
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary construction, and stopword filtering.
+"""Tokenization, vocabulary construction, and stopword lists.
 
 Shared by corpus training, lexicon ingestion, and metric computation, so
 everything here is deterministic and pure.
@@ -6,14 +6,13 @@ everything here is deterministic and pure.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ConfigError
 
@@ -32,16 +31,11 @@ _PUNCT_RE = re.compile(r"[^\w\s]|_", re.UNICODE)
 
 @dataclass(frozen=True)
 class TokenizerProfile:
-    """Deterministic tokenization rules for one language.
-
-    `extra_rules` are regex (pattern, replacement) pairs applied in order
-    before anything else; they carry language-specific quirks.
-    """
+    """Deterministic tokenization rules for one language."""
 
     language_tag: str = "en"
     lowercase: bool = True
     punctuation_policy: str = "split_off"  # or "drop"
-    extra_rules: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if self.punctuation_policy not in ("split_off", "drop"):
@@ -50,18 +44,11 @@ class TokenizerProfile:
             )
 
 
-@functools.lru_cache(maxsize=32)
-def _compiled_rules(rules: tuple[tuple[str, str], ...]):
-    return [(re.compile(pat), repl) for pat, repl in rules]
-
-
 def tokenize(text: str, profile: TokenizerProfile) -> list[str]:
     """Split `text` into tokens according to `profile`.
 
     Idempotent on its own space-joined output; empty input gives [].
     """
-    for pattern, repl in _compiled_rules(profile.extra_rules):
-        text = pattern.sub(repl, text)
     if profile.lowercase:
         text = text.lower()
     if profile.punctuation_policy == "split_off":
@@ -79,10 +66,7 @@ class Vocabulary:
     Unknown lookups resolve to UNK.
     """
 
-    def __init__(self, counts: dict[str, int], min_count: int = 1):
-        if min_count < 1:
-            raise ConfigError(f"min_count must be >= 1, got {min_count}")
-        self.min_count = min_count
+    def __init__(self, counts: dict[str, int]):
         self._id_to_token = list(SPECIALS)
         self._token_to_id = {t: i for i, t in enumerate(SPECIALS)}
         self._counts = {t: 0 for t in SPECIALS}
@@ -154,7 +138,6 @@ class Vocabulary:
         if tuple(r[0] for r in rows[:4]) != SPECIALS:
             raise ConfigError(f"{path}: first four entries must be the special tokens")
         vocab = cls.__new__(cls)
-        vocab.min_count = 1
         vocab._id_to_token = [r[0] for r in rows]
         vocab._token_to_id = {r[0]: r[1] for r in rows}
         vocab._counts = {r[0]: r[2] for r in rows}
@@ -169,31 +152,15 @@ def count_tokens(tokens: Iterable[str]) -> Counter:
     return counts
 
 
-def build_vocab(
-    tokens: Iterable[str],
-    min_count: int = 1,
-    max_size: int | None = None,
-) -> Vocabulary:
+def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:
     """Build a Vocabulary from a token stream.
 
     Tokens with count >= min_count are kept, most frequent first, ties
-    broken lexicographically; `max_size` bounds the non-special entries.
+    broken lexicographically.
     """
-    return build_vocab_from_counts(count_tokens(tokens), min_count, max_size)
-
-
-def build_vocab_from_counts(
-    counts: Counter,
-    min_count: int = 1,
-    max_size: int | None = None,
-) -> Vocabulary:
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    kept = {t: c for t, c in counts.items() if c >= min_count}
-    if max_size is not None:
-        ranked = sorted(kept.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
-        kept = dict(ranked)
-    return Vocabulary(kept, min_count=min_count)
+    return Vocabulary({t: c for t, c in count_tokens(tokens).items() if c >= min_count})
 
 
 @dataclass(frozen=True)
@@ -235,15 +202,3 @@ class StopwordSet:
             if line and not line.startswith("#"):
                 tokens.add(line)
         return cls(language_tag, frozenset(tokens))
-
-
-def filter_stopwords(tokens: Iterable[str], stops: StopwordSet) -> list[str]:
-    """Drop stopwords, preserving the order of everything else."""
-    return [t for t in tokens if t not in stops.tokens]
-
-
-def iter_corpus_tokens(path: str | Path, profile: TokenizerProfile) -> Iterator[str]:
-    """Stream tokens from a text file, one line at a time."""
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            yield from tokenize(line, profile)

@@ -321,6 +321,65 @@ def test_declared_defaults_pass_their_own_type_check(command, tmp_path):
     assert cli._resolve(parser.parse_args([command, "--config", str(cfg)]), command) == plain
 
 
+@pytest.mark.parametrize("command", [c for c in cli.OPTIONS if c != "train-embeddings"])
+def test_threads_is_only_a_train_embeddings_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, threads", [(["--threads", "2"], 2),
+                                            (["--threads", "2", "--deterministic"], 1)])
+def test_train_embeddings_takes_threads(tmp_path, flags, threads):
+    src = tmp_path / "t.txt"
+    src.write_text("a b c a b c a b\n", encoding="utf-8")
+    out = tmp_path / "v.tsv"
+    assert main(["train-embeddings", "--mode", "sgns", "--tokens", str(src),
+                 "--output", str(out), "--dim", "4", "--epochs", "1",
+                 "--min-count", "1", *flags]) == 0
+    manifest = json.loads(out.with_name("v.tsv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["threads"] == threads
+
+
+def test_shared_config_with_threads_serves_stats(work, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"threads": 2, "seed": 3}', encoding="utf-8")
+    assert main(["stats", "--config", str(cfg), "--lexicon", str(work / "lex.tsv")]) == 0
+    assert json.loads(capsys.readouterr().out)["word_count"] == 10
+
+
+@pytest.mark.parametrize("command, key", [("train-embeddings", "mode"), ("build-pairs", "mode"),
+                                          ("train", "model"), ("evaluate", "smoothing"),
+                                          ("tokenize", "punctuation")])
+def test_config_value_outside_choices_exits_2(command, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "x"}), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"{key} must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios", ["1.2,-0.1,-0.1", "0.5,0.5", "nan,0.5,0.5"])
+def test_split_bad_ratios_exit_2(work, tmp_path, capsys, ratios):
+    out = tmp_path / "s"
+    assert main(["split", "--lexicon", str(work / "lex.tsv"), "--output-dir", str(out),
+                 "--ratios", ratios]) == 2
+    assert "split ratios" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--runs", "0"], ["--max-n", "0"]])
+def test_evaluate_nonpositive_counts_exit_2(work, trained, tmp_path, capsys, flags):
+    assert main(["evaluate", "--checkpoint", str(trained),
+                 "--vocab", str(work / "model.bin.vocab"),
+                 "--chars", str(work / "model.bin.chars"),
+                 "--senses", str(work / "senses.tsv"),
+                 "--prune-threshold", "0.05",
+                 "--test", str(work / "splits" / "test.tsv"),
+                 "--output", str(tmp_path / "report.json"), *flags]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_config_precedence_defaults_file_flags(work, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seed": 7, "ratios": "0.6,0.2,0.2"}', encoding="utf-8")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from defmod.defgen import (
+    HYPERPARAMETERS,
     DefModel,
     DefModelConfig,
     GenConfig,
@@ -22,6 +23,7 @@ from defmod.defgen import (
     sequence_nll,
     train_defmodel,
     word_char_ids,
+    _config_payload,
 )
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.errors import CheckpointError, ConfigError, MissingWordError
@@ -372,7 +374,7 @@ def test_save_generated(tmp_path):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    cfg = tiny_config(seed=13)
+    cfg = tiny_config(seed=13, layers=1, max_def_len=7, lr=0.25, patience=2)
     model = init_model(cfg)
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
@@ -380,12 +382,27 @@ def test_checkpoint_roundtrip(tmp_path):
     assert set(again.params) == set(model.params)
     for name in model.params:
         np.testing.assert_array_equal(again.params[name].data, model.params[name].data)
-    assert again.config.hidden == cfg.hidden
-    assert again.config.seed == cfg.seed
+    assert {name: getattr(again.config, name) for name in HYPERPARAMETERS} == \
+        {name: getattr(cfg, name) for name in HYPERPARAMETERS}
     cond = np.linspace(-0.1, 0.1, 4)
     np.testing.assert_allclose(
         sequence_nll(again, cond, "cat", ("a", "animal")).item(),
         sequence_nll(model, cond, "cat", ("a", "animal")).item())
+
+
+# The config echo of a tiny_config() checkpoint, byte for byte. Every saved
+# .bin starts with such a header, so a change here changes every checkpoint.
+TINY_CONFIG_PAYLOAD = (
+    b'{"batch_size":4,"char_feature_dim":160,'
+    b'"char_vocab_digest":"6aca714a0abbf93a50d25f531d66c1ae5b141f3c7d47d2bef362331389a64603",'
+    b'"condition_dim":4,"hidden":5,"layers":2,"lr":0.001,"max_def_len":60,"max_epochs":3,'
+    b'"patience":5,"seed":1,"token_embedding_dim":6,'
+    b'"vocab_digest":"92f9e9b4fb6b72833800684c932954e2ca06e5603b2b3a1641c498ff83c92cfb"}'
+)
+
+
+def test_checkpoint_header_bytes_are_pinned():
+    assert _config_payload(tiny_config()) == TINY_CONFIG_PAYLOAD
 
 
 def test_checkpoint_save_failure_keeps_old_checkpoint(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from defmod.embeddings import (
     cosine,
     train_adagram,
     train_sgns,
-    word_vector,
 )
 from defmod.embeddings.adagram import _train_span, expected_log_pi, expected_pi
 from defmod.embeddings import corpus as corpus_mod
@@ -87,7 +86,6 @@ def test_sense_table_retention_and_word_vector():
     retained = table.senses("w")
     assert [k for k, _, _ in retained] == [0, 1]
     np.testing.assert_array_equal(table.word_vector("w"), vecs[0])
-    np.testing.assert_array_equal(word_vector("w", table), vecs[0])
 
 
 def test_sense_table_tie_breaks_to_lowest_index():
