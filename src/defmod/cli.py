@@ -13,6 +13,7 @@ config.
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import sys
@@ -51,6 +52,7 @@ from .errors import (
     UnrepresentableDefinitionError,
     ZeroVectorError,
 )
+from .fileio import atomic_write
 from .lexicon import (
     DEFAULT_MAX_DEF_TOKENS,
     DEFAULT_RATIOS,
@@ -86,6 +88,8 @@ _GEN_DEFAULTS = dataclasses.asdict(GenConfig())
 _TOKENIZER_DEFAULTS = dataclasses.asdict(TokenizerProfile())
 _MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DefModelConfig)
                    if f.default is not dataclasses.MISSING}
+_VOCAB_MIN_COUNT = inspect.signature(build_vocab).parameters["min_count"].default
+_EVALUATE_RUNS = inspect.signature(evaluate).parameters["runs"].default
 
 
 def _opt(flag: str, default=None, **kwargs) -> tuple:
@@ -173,8 +177,8 @@ OPTIONS = {
         _opt("--output", help="model checkpoint; vocab files sit beside it"),
         *(_opt("--" + name.replace("_", "-"), default, type=type(default))
           for name, default in _MODEL_DEFAULTS.items() if name != "seed"),
-        _opt("--min-count", 1, type=int,
-             help="token vocabulary frequency floor (default 1)"),
+        _opt("--min-count", _VOCAB_MIN_COUNT, type=int,
+             help=f"token vocabulary frequency floor (default {_VOCAB_MIN_COUNT})"),
         _PRUNE_THRESHOLD,
     ],
     "generate": [
@@ -192,7 +196,7 @@ OPTIONS = {
         _opt("--test", help="reference lexicon TSV"),
         _opt("--output", help="evaluation report JSON"),
         _opt("--word-scores", help="also write per-word scores TSV"),
-        _opt("--runs", 10, type=int),
+        _opt("--runs", _EVALUATE_RUNS, type=int),
         *_SAMPLING,
         _opt("--max-n", DEFAULT_BLEU.max_n, type=int),
         _opt("--smoothing", DEFAULT_BLEU.smoothing.value,
@@ -228,19 +232,34 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     # One file may carry settings for several stages, so any command's key
-    # is accepted.
-    known = {key for command in OPTIONS for key in _declared(command)}
-    unknown = sorted(set(payload) - known)
+    # is accepted, with any value that one of the commands declaring it
+    # accepts. The running command checks its own keys again in `_resolve`.
+    declaring = {}
+    for command in OPTIONS:
+        for key in _declared(command):
+            declaring.setdefault(key, []).append(command)
+    unknown = sorted(set(payload) - set(declaring))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in payload.items():
+        errors = []
+        for command in declaring[key]:
+            try:
+                _check_value(command, key, value)
+                break
+            except ConfigError as exc:
+                errors.append(exc)
+        else:
+            raise ConfigError(f"{path}: {errors[0]}")
     return payload
 
 
-def _check_type(key: str, value, default, kind) -> None:
-    """Fail on a mistyped config value before any work starts.
+def _check_value(command: str, key: str, value) -> None:
+    """Fail on a config value that `command` declares another type or choice for.
 
     null stands for "unset" and is accepted only where the default is None.
     """
+    default, kind = _declared(command)[key]
     if value is None and default is None:
         return
     if kind is list:
@@ -250,6 +269,12 @@ def _check_type(key: str, value, default, kind) -> None:
               and (kind is bool or not isinstance(value, bool)))
     if not ok:
         raise ConfigError(f"config key {key} must be {_KIND_NAMES[kind]}")
+    # argparse checks a flag's choices; a config-file value is checked here.
+    choices = next((kwargs.get("choices") for flag, _, kwargs in OPTIONS[command]
+                    if _key(flag, kwargs) == key), None)
+    if choices and value not in choices:
+        raise ConfigError(f"config key {key} must be one of {', '.join(choices)}, "
+                          f"got {value!r}")
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
@@ -259,18 +284,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
             if key in spec:
-                _check_type(key, value, *spec[key])
+                _check_value(command, key, value)
                 merged[key] = value
     for key in spec:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    # argparse checks a flag's choices; a config-file value is checked here.
-    for flag, _, kwargs in OPTIONS[command]:
-        key, choices = _key(flag, kwargs), kwargs.get("choices")
-        if choices and merged[key] is not None and merged[key] not in choices:
-            raise ConfigError(f"config key {key} must be one of {', '.join(choices)}, "
-                              f"got {merged[key]!r}")
     return merged
 
 
@@ -311,8 +330,8 @@ def _write_manifest(manifest_path: Path, command: str, cfg: dict,
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "completed_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    with atomic_write(manifest_path) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _profile(cfg: dict) -> TokenizerProfile:
@@ -365,8 +384,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     )
     out = Path(cfg["output"])
     n_tokens = 0
-    with open(src, encoding="utf-8") as fin, \
-            open(out, "w", encoding="utf-8") as fout:
+    with open(src, encoding="utf-8") as fin, atomic_write(out) as fout:
         for line in fin:
             tokens = tokenize(line, profile)
             n_tokens += len(tokens)
@@ -421,7 +439,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(payload)
     if cfg.get("output"):
         out = Path(cfg["output"])
-        out.write_text(payload + "\n", encoding="utf-8")
+        with atomic_write(out) as f:
+            f.write(payload + "\n")
         _write_manifest(out.with_name(out.name + ".manifest.json"),
                         "stats", cfg, [Path(cfg["lexicon"])], [out])
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 import time
@@ -22,6 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable
 from .errors import CheckpointError, ConfigError, MissingWordError, ShapeError
+from .fileio import atomic_write
 from .matcher import SenseDefPair
 from .neural import (
     CHAR_EMBEDDING_DIM,
@@ -215,9 +217,9 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     steps = [concat([gather(model.params["token_emb"], inputs[:, t]), cond], axis=1)
              for t in range(T)]
     tops, _ = lstm_forward(model.params, steps)
-    logits = concat(tops, axis=0) @ model.params["Wo"] + model.params["bo"]
     flat_targets = targets.T.reshape(-1)  # time-major to match the concat
-    losses = softmax_cross_entropy(logits, flat_targets)
+    losses = softmax_cross_entropy(concat(tops, axis=0), model.params["Wo"],
+                                   model.params["bo"], flat_targets)
     flat_mask = mask.T.reshape(-1)
     n_tokens = int(flat_mask.sum())
     loss = (losses * Tensor(flat_mask)).sum() / float(n_tokens)
@@ -402,7 +404,7 @@ def generate_for_word(
 
 def save_generated(rows: list[tuple[str, int, tuple[str, ...]]], path: str | Path) -> None:
     """TSV: headword, sense index, space-joined generated definition."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for headword, sense_index, tokens in rows:
             f.write(f"{headword}\t{sense_index}\t{' '.join(tokens)}\n")
 
@@ -418,77 +420,74 @@ def _config_payload(cfg: DefModelConfig) -> bytes:
 def save_checkpoint(model: DefModel, path: str | Path) -> None:
     """Binary container: magic, canonical JSON config echo, named tensors.
 
-    Written to a temporary file in the target directory and moved into place
-    with `os.replace`, so a failed save leaves any earlier checkpoint intact.
+    Written atomically, so a failed save leaves any earlier checkpoint intact.
     """
-    path = Path(path)
     payload = _config_payload(model.config)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", len(payload)))
-            f.write(payload)
-            f.write(struct.pack("<I", len(model.params)))
-            for name in sorted(model.params):
-                data = model.params[name].data
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<H", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<B", data.ndim))
-                f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                f.write(data.astype("<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, binary=True) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", len(payload)))
+        f.write(payload)
+        f.write(struct.pack("<I", len(model.params)))
+        for name in sorted(model.params):
+            data = model.params[name].data
+            encoded = name.encode("utf-8")
+            f.write(struct.pack("<H", len(encoded)))
+            f.write(encoded)
+            f.write(struct.pack("<B", data.ndim))
+            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            f.write(data.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path, vocab: Vocabulary,
                     char_vocab: Vocabulary) -> DefModel:
-    """Rebuild a model, refusing when the vocabularies do not match."""
+    """Rebuild a model, refusing when the vocabularies do not match.
+
+    Each tensor is read straight from the file into its own array.
+    """
     try:
-        raw = Path(path).read_bytes()
-        offset = 0
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
 
-        def take(n: int) -> bytes:
-            nonlocal offset
-            if offset + n > len(raw):
-                raise CheckpointError(f"{path}: truncated checkpoint")
-            piece = raw[offset:offset + n]
-            offset += n
-            return piece
+            def take(n: int) -> bytes:
+                piece = f.read(n)
+                if len(piece) != n:
+                    raise CheckpointError(f"{path}: truncated checkpoint")
+                return piece
 
-        if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a model checkpoint")
-        (config_len,) = struct.unpack("<I", take(4))
-        echo = json.loads(take(config_len).decode("utf-8"))
-        if echo["vocab_digest"] != vocab.digest():
-            raise CheckpointError(f"{path}: token vocabulary digest mismatch")
-        if echo["char_vocab_digest"] != char_vocab.digest():
-            raise CheckpointError(f"{path}: character vocabulary digest mismatch")
-        if echo["char_feature_dim"] != CHAR_FEATURE_DIM:
-            raise CheckpointError(f"{path}: char_feature_dim {echo['char_feature_dim']} in the "
-                                  f"checkpoint, the kernel set gives {CHAR_FEATURE_DIM}")
-        cfg = DefModelConfig(vocab, char_vocab,
-                             **{name: echo[name] for name in HYPERPARAMETERS})
-        (n_tensors,) = struct.unpack("<I", take(4))
-        params: dict[str, Tensor] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", take(2))
-            name = take(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", take(1))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
-            params[name] = Tensor(data.astype(np.float64), requires_grad=True)
-        if offset != len(raw):
-            raise CheckpointError(f"{path}: trailing bytes after tensors")
+            if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"{path}: bad magic, not a model checkpoint")
+            (config_len,) = struct.unpack("<I", take(4))
+            echo = json.loads(take(config_len).decode("utf-8"))
+            if echo["vocab_digest"] != vocab.digest():
+                raise CheckpointError(f"{path}: token vocabulary digest mismatch")
+            if echo["char_vocab_digest"] != char_vocab.digest():
+                raise CheckpointError(f"{path}: character vocabulary digest mismatch")
+            if echo["char_feature_dim"] != CHAR_FEATURE_DIM:
+                raise CheckpointError(f"{path}: char_feature_dim {echo['char_feature_dim']} in "
+                                      f"the checkpoint, the kernel set gives {CHAR_FEATURE_DIM}")
+            cfg = DefModelConfig(vocab, char_vocab,
+                                 **{name: echo[name] for name in HYPERPARAMETERS})
+            expected = parameter_shapes(cfg)
+            (n_tensors,) = struct.unpack("<I", take(4))
+            params: dict[str, Tensor] = {}
+            for _ in range(n_tensors):
+                (name_len,) = struct.unpack("<H", take(2))
+                name = take(name_len).decode("utf-8")
+                (ndim,) = struct.unpack("<B", take(1))
+                shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+                # Sized against the bytes left before allocating, so a
+                # corrupt shape cannot ask for more memory than the file holds.
+                if 8 * math.prod(shape) > size - f.tell():
+                    raise CheckpointError(f"{path}: truncated checkpoint")
+                data = np.empty(shape, dtype="<f8")
+                f.readinto(data)
+                params[name] = Tensor(data, requires_grad=True)
+            if f.tell() != size:
+                raise CheckpointError(f"{path}: trailing bytes after tensors")
     except CheckpointError:
         raise
-    except (struct.error, ValueError, KeyError) as exc:
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
-    expected = parameter_shapes(cfg)
     if set(params) != set(expected):
         raise CheckpointError(f"{path}: tensor names do not match the architecture")
     for name, shape in expected.items():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
+from ..fileio import atomic_write
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
@@ -76,7 +77,7 @@ class EmbeddingTable:
         return out
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write(f"{len(self._words)} {self.dim}\n")
             for word, row in zip(self._words, self.matrix):
                 f.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
@@ -167,7 +168,7 @@ class SenseTable:
         return EmbeddingTable(self.dim, words, matrix)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write(f"#senses v1 {self.dim} {self.max_prototypes}\n")
             for word, (vectors, priors) in self._entries.items():
                 for k, (vec, prior) in enumerate(zip(vectors, priors)):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, LexiconFormatError
+from .fileio import atomic_write
 from .textprep import TokenizerProfile, tokenize
 
 import numpy as np
@@ -64,7 +65,7 @@ class Lexicon:
 
     def save(self, path: str | Path) -> None:
         """Write as the lexicon TSV format, sorted by headword."""
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for word in self.headwords():
                 for definition in self.entries[word].definitions:
                     f.write(f"{word}\t{' '.join(definition)}\n")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable, cosine
 from .errors import PairsFormatError, UnrepresentableDefinitionError
+from .fileio import atomic_write
 from .lexicon import Lexicon, WordEntry
 from .textprep import StopwordSet
 
@@ -209,7 +210,7 @@ def build_base_pairs(
 
 def save_pairs(pairs: list[SenseDefPair], path: str | Path) -> None:
     """Write pairs as TSV: headword, sense index, space-joined definition."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("#pairs v1\n")
         for p in pairs:
             f.write(f"{p.headword}\t{p.sense_index}\t{' '.join(p.definition)}\n")

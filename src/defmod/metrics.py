@@ -20,6 +20,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable
 from .errors import ConfigError, ScoringError
+from .fileio import atomic_write
 from .lexicon import Lexicon
 from .defgen import DefModel, GenConfig, generate_for_word
 
@@ -176,11 +177,12 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        with atomic_write(path) as f:
+            f.write(self.to_json() + "\n")
 
     def save_word_scores(self, path: str | Path) -> None:
         """Per-word TSV of cross-run mean scores."""
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for headword, b, r, h in self.word_rows:
                 f.write(f"{headword}\t{b:.4f}\t{r:.4f}\t{h:.4f}\n")
 

@@ -78,8 +78,9 @@ def lstm_step(
     c_new = Tensor(c_data, parents=(x, h, c, Wx, Wh, b))
     h_new = Tensor(h_data, parents=(c_new,))
 
+    # Every gradient below is a fresh array, handed over without a copy.
     def h_backward(dh):
-        c_new._accumulate(dh * o * (1.0 - tanh_c * tanh_c))
+        c_new._accumulate(dh * o * (1.0 - tanh_c * tanh_c), owned=True)
 
     def c_backward(dc):
         d_out = np.zeros_like(o) if h_new.grad is None else h_new.grad * tanh_c * o * (1.0 - o)
@@ -87,17 +88,17 @@ def lstm_step(
             [dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f), dc * i * (1.0 - g * g), d_out],
             axis=1)
         if b.requires_grad:
-            b._accumulate(d_gates.sum(axis=0))
+            b._accumulate(d_gates.sum(axis=0), owned=True)
         if x.requires_grad:
-            x._accumulate(d_gates @ Wx.data.T)
+            x._accumulate(d_gates @ Wx.data.T, owned=True)
         if Wx.requires_grad:
-            Wx._accumulate(x.data.T @ d_gates)
+            Wx._accumulate(x.data.T @ d_gates, owned=True)
         if h.requires_grad:
-            h._accumulate(d_gates @ Wh.data.T)
+            h._accumulate(d_gates @ Wh.data.T, owned=True)
         if Wh.requires_grad:
-            Wh._accumulate(h.data.T @ d_gates)
+            Wh._accumulate(h.data.T @ d_gates, owned=True)
         if c.requires_grad:
-            c._accumulate(dc * f)
+            c._accumulate(dc * f, owned=True)
 
     h_new._backward = h_backward
     c_new._backward = c_backward

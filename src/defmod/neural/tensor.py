@@ -63,15 +63,22 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        # The first gradient is copied, never kept: one array may reach
-        # several parents (`+` hands the same g to both), and each adds into
-        # its own grad in place.
-        if self.grad is None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add `grad` into this tensor's gradient.
+
+        A first gradient is copied, not kept: one array may reach several
+        parents (`+` hands the same g to both), and each adds into its own
+        grad in place. A caller that has just built `grad`, with this
+        tensor's shape, and holds no other reference to it passes
+        `owned=True`, and the array itself becomes the gradient.
+        """
+        if self.grad is not None:
+            self.grad += grad
+        elif owned:
+            self.grad = grad
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, grad)
-        else:
-            self.grad += grad
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph."""
@@ -144,9 +151,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ other.data.T, owned=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(self.data.T @ g, owned=True)
 
         out._backward = backward
         return out
@@ -215,30 +222,47 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Per-row negative log-likelihood of the target class, shape (N,).
+def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tensor:
+    """Per-row negative log-likelihood of the target class under
+    softmax(hidden @ W + b), shape (N,), as one graph node.
 
     Fused for numerical stability: loss_i = logsumexp(l_i) - l_i[target_i].
-    The softmax itself is formed only by the backward, so a forward whose
-    loss is never differentiated (a dev-NLL pass) never builds it.
+    The forward keeps one (N, V) array, the shifted exponentials, and the
+    row sums; the softmax itself is formed only by the backward, so a
+    forward whose loss is never differentiated (a dev-NLL pass) never
+    builds it. The backward hands the gradients it builds to the parents
+    without copies. Every output and gradient takes the same operations in
+    the same order as a matmul node, a bias node and a cross-entropy node
+    over the logits, so the two agree bit for bit.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise ShapeError(f"expected (N,V) logits and (N,) targets, got {logits.shape} and {targets.shape}")
-    rows = np.arange(logits.shape[0])
-    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    if hidden.ndim != 2 or W.ndim != 2 or hidden.shape[1] != W.shape[0]:
+        raise ShapeError(f"expected (N,H) hidden and (H,V) weights, got {hidden.shape} and {W.shape}")
+    if b.shape != (W.shape[1],) or targets.shape != (hidden.shape[0],):
+        raise ShapeError(f"expected ({W.shape[1]},) bias and ({hidden.shape[0]},) targets, "
+                         f"got {b.shape} and {targets.shape}")
+    rows = np.arange(hidden.shape[0])
+    # One (N, V) array, built in place: logits, then shifted, then exponentials.
+    logits = hidden.data @ W.data
+    logits += b.data
+    shift = _as_array(logits)
+    shift -= shift.max(axis=1, keepdims=True)
     picked = shift[rows, targets]
     exp = np.exp(shift, out=shift)
     sums = exp.sum(axis=1, keepdims=True)
     losses = np.log(sums[:, 0]) - picked
-    out = Tensor(losses, parents=(logits,))
+    out = Tensor(losses, parents=(hidden, W, b))
 
     def backward(g):
-        if logits.requires_grad:
-            dlogits = exp / sums
-            dlogits[rows, targets] -= 1.0
-            dlogits *= g[:, None]
-            logits._accumulate(dlogits)
+        dlogits = exp / sums
+        dlogits[rows, targets] -= 1.0
+        dlogits *= g[:, None]
+        if b.requires_grad:
+            b._accumulate(dlogits.sum(axis=0), owned=True)
+        if W.requires_grad:
+            W._accumulate(hidden.data.T @ dlogits, owned=True)
+        if hidden.requires_grad:
+            hidden._accumulate(dlogits @ W.data.T, owned=True)
 
     out._backward = backward
     return out

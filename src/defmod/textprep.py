@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
+from .fileio import atomic_write
 
 UNK = "<unk>"
 BOS = "<bos>"
@@ -106,7 +107,7 @@ class Vocabulary:
         return h.hexdigest()
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write("#vocab v1\n")
             for i, token in enumerate(self._id_to_token):
                 f.write(f"{token}\t{i}\t{self._counts[token]}\n")

@@ -1,12 +1,14 @@
 """Unfused Tensor ops that only the node-graph oracles in test_neural use.
 
-The fused LSTM cell and char-CNN in `defmod.neural.layers` must match a
-graph built from these one-op nodes bit for bit. The package itself never
-builds such a graph, so the ops live here rather than in `defmod.neural`.
+The fused LSTM cell, char-CNN and output-layer cross-entropy in
+`defmod.neural` must match a graph built from these one-op nodes bit for
+bit. The package itself never builds such a graph, so the ops live here
+rather than in `defmod.neural`.
 """
 
 import numpy as np
 
+from defmod.errors import ShapeError
 from defmod.neural import Tensor, stable_sigmoid
 
 
@@ -71,6 +73,35 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             x._accumulate(g * out.data * (1.0 - out.data))
+
+    out._backward = backward
+    return out
+
+
+def ref_softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Per-row negative log-likelihood of the target class, shape (N,).
+
+    Fused for numerical stability: loss_i = logsumexp(l_i) - l_i[target_i].
+    The softmax itself is formed only by the backward, so a forward whose
+    loss is never differentiated (a dev-NLL pass) never builds it.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
+        raise ShapeError(f"expected (N,V) logits and (N,) targets, got {logits.shape} and {targets.shape}")
+    rows = np.arange(logits.shape[0])
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = shift[rows, targets]
+    exp = np.exp(shift, out=shift)
+    sums = exp.sum(axis=1, keepdims=True)
+    losses = np.log(sums[:, 0]) - picked
+    out = Tensor(losses, parents=(logits,))
+
+    def backward(g):
+        if logits.requires_grad:
+            dlogits = exp / sums
+            dlogits[rows, targets] -= 1.0
+            dlogits *= g[:, None]
+            logits._accumulate(dlogits)
 
     out._backward = backward
     return out

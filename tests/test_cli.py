@@ -349,6 +349,37 @@ def test_shared_config_with_threads_serves_stats(work, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["word_count"] == 10
 
 
+@pytest.mark.parametrize("payload, key", [({"threads": "two", "mode": "bogus"}, "threads"),
+                                          ({"mode": "bogus"}, "mode"),
+                                          ({"smoothing": "x", "seed": 3}, "smoothing")])
+def test_shared_config_bad_value_for_another_stage_exits_2(work, tmp_path, capsys, payload, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--config", str(cfg), "--lexicon", str(work / "lex.tsv"),
+                 "--output", str(out)]) == 2
+    assert f"{cfg}: config key {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shared_config_with_another_stages_choice_serves_stats(work, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"mode": "adagram", "threads": 2}', encoding="utf-8")
+    assert main(["stats", "--config", str(cfg), "--lexicon", str(work / "lex.tsv")]) == 0
+    assert json.loads(capsys.readouterr().out)["word_count"] == 10
+
+
+def test_library_owned_defaults_are_read_off_the_library():
+    import inspect
+
+    from defmod.metrics import evaluate
+
+    assert cli._declared("evaluate")["runs"][0] == \
+        inspect.signature(evaluate).parameters["runs"].default
+    assert cli._declared("train")["min_count"][0] == \
+        inspect.signature(build_vocab).parameters["min_count"].default
+
+
 @pytest.mark.parametrize("command, key", [("train-embeddings", "mode"), ("build-pairs", "mode"),
                                           ("train", "model"), ("evaluate", "smoothing"),
                                           ("tokenize", "punctuation")])

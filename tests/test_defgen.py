@@ -1,9 +1,16 @@
 """Tests for the conditioned definition language model."""
 
+import functools
 import logging
+import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from defmod.defgen import (
     HYPERPARAMETERS,
@@ -205,9 +212,9 @@ def test_batch_nll_graph_size_and_char_cnn_calls(monkeypatch):
     leaves = len(model.params) + 4      # plus conditions, zero state, mask, 1/n
     condition = 2 + 2 + 3               # char-CNN per headword, concat, gather; concat, @Wc, +bc
     per_step = 2 + 2 * layers           # gather, concat; c and h of every cell
-    output = 7                          # concat, @Wo, +bo, cross-entropy, *mask, sum, *1/n
+    output = 5                          # concat, fused @Wo +bo cross-entropy, *mask, sum, *1/n
     expected = leaves + condition + steps * per_step + output
-    assert _reachable_nodes(loss) == expected == 64
+    assert _reachable_nodes(loss) == expected == 62
 
 
 def overfit_two_senses():
@@ -485,6 +492,53 @@ def test_checkpoint_rejects_other_char_feature_dim(tmp_path):
     path.write_bytes(raw[:5] + struct.pack("<I", len(header)) + header + raw[9 + length:])
     with pytest.raises(CheckpointError, match="char_feature_dim 64"):
         load_checkpoint(path, cfg.vocab, cfg.char_vocab)
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_checkpoint() -> tuple[bytes, tuple[int, ...]]:
+    """A tiny_config() checkpoint, and the offsets of every byte that is not
+    tensor data: magic, config echo and each tensor's name and shape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_checkpoint(init_model(tiny_config()), path)
+        raw = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", raw, 5)
+    pos = 9 + config_len + 4
+    structure = list(range(pos))
+    while pos < len(raw):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        ndim = raw[pos + 2 + name_len]
+        shape = struct.unpack_from(f"<{ndim}I", raw, pos + 3 + name_len)
+        head = 3 + name_len + 4 * ndim
+        structure.extend(range(pos, pos + head))
+        pos += head + 8 * math.prod(shape)
+    return raw, tuple(structure)
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(tmp_path, data):
+    """Truncated, altered or extended files load with the declared shapes or
+    raise CheckpointError, never any other exception."""
+    raw, structure = _fuzz_checkpoint()
+    kind = data.draw(st.sampled_from(["truncate", "byte", "append"]))
+    if kind == "append":
+        blob = raw + data.draw(st.binary(min_size=1, max_size=64))
+    else:
+        pos = data.draw(st.sampled_from(structure) | st.integers(0, len(raw) - 1))
+        if kind == "truncate":
+            blob = raw[:pos]
+        else:
+            blob = raw[:pos] + bytes([data.draw(st.integers(0, 255))]) + raw[pos + 1:]
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(blob)
+    cfg = tiny_config()
+    try:
+        model = load_checkpoint(path, cfg.vocab, cfg.char_vocab)
+    except CheckpointError:
+        return
+    assert {name: p.shape for name, p in model.params.items()} == parameter_shapes(model.config)
 
 
 @pytest.mark.parametrize("layers", [1, 3])

@@ -31,7 +31,14 @@ from defmod.neural import (
 )
 from defmod.neural.optim import BLOCK_ENTRIES
 
-from _reference_ops import getitem, reshape, sigmoid, tanh, tensor_max
+from _reference_ops import getitem, ref_softmax_cross_entropy, reshape, sigmoid, tanh, tensor_max
+
+
+def cross_entropy_on_logits(logits, targets) -> Tensor:
+    """The fused op over given logits: an identity W and a zero b reproduce them exactly."""
+    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
+    width = logits.shape[-1]
+    return softmax_cross_entropy(logits, Tensor(np.eye(width)), Tensor(np.zeros(width)), targets)
 
 
 def test_tensor_rejects_non_finite():
@@ -150,7 +157,7 @@ def test_cross_entropy_is_negative_log_prob():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(6, 9))
     targets = rng.integers(0, 9, size=6)
-    losses = softmax_cross_entropy(Tensor(logits), targets)
+    losses = cross_entropy_on_logits(logits, targets)
     probs = softmax(logits)
     np.testing.assert_allclose(losses.data, -np.log(probs[np.arange(6), targets]), atol=1e-12)
     assert (losses.data >= 0).all()
@@ -158,15 +165,20 @@ def test_cross_entropy_is_negative_log_prob():
 
 def test_cross_entropy_zero_iff_certain():
     logits = Tensor(np.array([[50.0, -50.0, -50.0]]))
-    loss = softmax_cross_entropy(logits, [0]).data[0]
+    loss = cross_entropy_on_logits(logits, [0]).data[0]
     assert loss < 1e-9
 
 
 def test_cross_entropy_shape_errors():
     with pytest.raises(ShapeError):
-        softmax_cross_entropy(Tensor(np.zeros(4)), [0])
+        cross_entropy_on_logits(Tensor(np.zeros(4)), [0])
     with pytest.raises(ShapeError):
-        softmax_cross_entropy(Tensor(np.zeros((2, 4))), [0, 1, 2])
+        cross_entropy_on_logits(Tensor(np.zeros((2, 4))), [0, 1, 2])
+    hidden, bias = Tensor(np.zeros((2, 3))), Tensor(np.zeros(4))
+    with pytest.raises(ShapeError):
+        softmax_cross_entropy(hidden, Tensor(np.zeros((2, 4))), bias, [0, 1])
+    with pytest.raises(ShapeError):
+        softmax_cross_entropy(hidden, Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)), [0, 1])
 
 
 def test_grad_check_affine():
@@ -193,7 +205,7 @@ def test_grad_check_softmax_cross_entropy():
     rng = np.random.default_rng(4)
     logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
     targets = rng.integers(0, 7, size=5)
-    err = grad_check(lambda: softmax_cross_entropy(logits, targets).sum(), [logits])
+    err = grad_check(lambda: cross_entropy_on_logits(logits, targets).sum(), [logits])
     assert err < 1e-5
 
 
@@ -569,7 +581,7 @@ def test_cross_entropy_matches_dense_softmax_formula_bit_for_bit():
     targets = rng.integers(0, 9, size=6)
     weights = rng.uniform(0.1, 2.0, size=6)
     x = Tensor(logits, requires_grad=True)
-    losses = softmax_cross_entropy(x, targets)
+    losses = cross_entropy_on_logits(x, targets)
     (losses * Tensor(weights)).sum().backward()
 
     rows = np.arange(6)
@@ -581,6 +593,77 @@ def test_cross_entropy_matches_dense_softmax_formula_bit_for_bit():
     dlogits[rows, targets] -= 1.0
     assert losses.data.tobytes() == expected_losses.tobytes()
     assert x.grad.tobytes() == (dlogits * weights[:, None]).tobytes()
+
+
+def _output_layer(seed, n, hidden, width):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, hidden)), rng.normal(size=(hidden, width)) * 0.5,
+            rng.normal(size=width), rng.integers(0, width, size=n), rng.uniform(0.1, 2.0, size=n))
+
+
+def test_fused_cross_entropy_matches_reference_graph_bit_for_bit():
+    h_data, w_data, b_data, targets, weights = _output_layer(26, 7, 5, 11)
+    fused = [Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data)]
+    losses = softmax_cross_entropy(*fused, targets)
+    (losses * Tensor(weights)).sum().backward()
+
+    graph = [Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data)]
+    ref_losses = ref_softmax_cross_entropy(graph[0] @ graph[1] + graph[2], targets)
+    (ref_losses * Tensor(weights)).sum().backward()
+
+    assert losses.data.tobytes() == ref_losses.data.tobytes()
+    for got, want in zip(fused, graph):
+        assert got.grad.shape == want.grad.shape
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def test_grad_check_fused_cross_entropy_parameters():
+    h_data, w_data, b_data, targets, _ = _output_layer(27, 4, 3, 6)
+    h, w, b = (Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data))
+    err = grad_check(lambda: softmax_cross_entropy(h, w, b, targets).sum(), [h, w, b])
+    assert err < 1e-5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("hidden, weights", [
+    ([[1e200]], [[1e200, 1.0]]),                          # overflows to inf
+    ([[1e300, 1e300]], [[1e300, 0.0], [-1e300, 0.0]]),    # inf - inf is nan
+])
+def test_fused_cross_entropy_rejects_non_finite_logits(hidden, weights):
+    with pytest.raises(ValueError, match="finite"):
+        softmax_cross_entropy(Tensor(hidden), Tensor(weights), Tensor(np.zeros(2)), [0])
+
+
+def test_owned_gradient_is_stored_without_a_copy():
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    g = np.ones((2, 3))
+    t._accumulate(g, owned=True)
+    assert t.grad is g
+    t._accumulate(np.full((2, 3), 2.0), owned=True)
+    assert t.grad is g
+    np.testing.assert_array_equal(g, np.full((2, 3), 3.0))
+    shared = Tensor(np.zeros((2, 3)), requires_grad=True)
+    shared._accumulate(g)
+    assert shared.grad is not g and not np.shares_memory(shared.grad, g)
+
+
+def test_fused_cross_entropy_holds_two_logit_sized_arrays():
+    n, hidden, width = 64, 16, 4096
+    h_data, w_data, b_data, targets, _ = _output_layer(28, n, hidden, width)
+    h, w, b = (Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        softmax_cross_entropy(h, w, b, targets).sum().backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    logits_bytes = n * width * 8
+    # Two (N, V) arrays (the exponentials and dlogits) and W's gradient,
+    # plus the (N, H) and (V,) gradients and a little bookkeeping.
+    bound = 2 * logits_bytes + w.data.nbytes + h.data.nbytes + b.data.nbytes + (64 << 10)
+    assert peak - base <= bound
 
 
 def test_shared_upstream_gradient_is_never_aliased():
