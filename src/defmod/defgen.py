@@ -51,6 +51,10 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"PDEF1"
 CLIP_NORM = 5.0
+# Rows `sample_definition` steps together. Fixed, not a setting: BLAS rounding
+# can depend on which rows share a block, and outputs must depend only on the
+# inputs and the seeds.
+SAMPLE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,11 +189,6 @@ def _condition_block(model: DefModel, conditions: np.ndarray, words: list[str]) 
     return block @ model.params["Wc"] + model.params["bc"]
 
 
-def _encode_definition(definition: tuple[str, ...], cfg: DefModelConfig) -> list[int]:
-    ids = cfg.vocab.ids(definition[:cfg.max_def_len])
-    return ids
-
-
 def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     """Teacher-forced mean NLL per token over a batch of pairs.
 
@@ -200,7 +199,7 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     if not pairs:
         raise ConfigError("batch_nll needs at least one pair")
     cfg = model.config
-    encoded = [_encode_definition(p.definition, cfg) for p in pairs]
+    encoded = [cfg.vocab.ids(p.definition[:cfg.max_def_len]) for p in pairs]
     batch = len(pairs)
     T = max(len(ids) for ids in encoded) + 1  # plus EOS
     inputs = np.full((batch, T), PAD_ID, dtype=np.int64)
@@ -336,49 +335,85 @@ def train_defmodel(
 
 def sample_definition(
     model: DefModel,
-    condition: np.ndarray,
-    target_word: str,
-    temperature: float = 0.1,
-    max_len: int = 60,
-    rng: np.random.Generator | None = None,
-    mask_unk: bool = True,
-) -> tuple[str, ...]:
-    """Autoregressive temperature sampling; returns content tokens only.
+    conditions: np.ndarray,
+    words: list[str],
+    cfg: GenConfig,
+    rngs: list[np.random.Generator],
+) -> list[tuple[str, ...]]:
+    """Autoregressive temperature sampling, one definition per row.
 
-    BOS and PAD can never be emitted; UNK is masked unless mask_unk is off.
-    Stops at EOS or after max_len tokens.
+    Row i is conditioned on conditions[i] and headword words[i], and draws
+    from rngs[i] alone: one `random()` per token, mapped through the row's
+    cumulative distribution exactly as `Generator.choice(p=...)` maps it.
+    BOS and PAD are never emitted, nor UNK when `cfg.mask_unk` is set; a row
+    stops at EOS or after `cfg.max_len` tokens. Rows step together in blocks
+    of SAMPLE_BLOCK_ROWS cut in input order, so the output depends only on
+    the inputs and the generators' states. Returns content tokens only, and
+    raises ValueError when a row's probabilities are not finite.
     """
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
-    rng = rng or np.random.default_rng(0)
-    cfg = model.config
-    condition = np.asarray(condition, dtype=np.float64).reshape(1, cfg.condition_dim)
-    cond = _condition_block(model, condition, [target_word]).data
+    conditions = np.asarray(conditions, dtype=np.float64)
+    if conditions.ndim != 2 or conditions.shape[1] != model.config.condition_dim:
+        raise ShapeError(f"conditions shape {conditions.shape} does not match config")
+    if not len(words) == len(rngs) == len(conditions):
+        raise ShapeError(f"{len(conditions)} conditions, {len(words)} words and "
+                         f"{len(rngs)} generators: need one of each per row")
+    out: list[tuple[str, ...]] = []
+    for start in range(0, len(words), SAMPLE_BLOCK_ROWS):
+        block = slice(start, start + SAMPLE_BLOCK_ROWS)
+        out.extend(_sample_block(model, conditions[block], words[block], cfg, rngs[block]))
+    return out
+
+
+def _sample_block(model: DefModel, conditions: np.ndarray, words: list[str],
+                  cfg: GenConfig, rngs: list[np.random.Generator]) -> list[tuple[str, ...]]:
+    mcfg = model.config
     P = {name: t.data for name, t in model.params.items()}
-    hs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]
-    cs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]
-    prev = BOS_ID
-    out: list[str] = []
-    n_vocab = len(cfg.vocab)
-    for _ in range(max_len):
-        x = np.concatenate([P["token_emb"][prev][None, :], cond], axis=1)
-        for layer in range(cfg.layers):
+    cond = _condition_block(model, conditions, words).data
+    masked = [BOS_ID, PAD_ID, UNK_ID] if cfg.mask_unk else [BOS_ID, PAD_ID]
+    active = np.arange(len(words))  # block rows still sampling
+    hs = [np.zeros((len(words), mcfg.hidden)) for _ in range(mcfg.layers)]
+    cs = [np.zeros((len(words), mcfg.hidden)) for _ in range(mcfg.layers)]
+    prev = np.full(len(words), BOS_ID)
+    out: list[list[str]] = [[] for _ in words]
+    for _ in range(cfg.max_len):
+        x = np.concatenate([P["token_emb"][prev], cond[active]], axis=1)
+        for layer in range(mcfg.layers):
             hs[layer], cs[layer], _acts, _tanh_c = lstm_cell(
                 x, hs[layer], cs[layer], P[f"Wx{layer}"], P[f"Wh{layer}"], P[f"b{layer}"])
             x = hs[layer]
-        logits = (x @ P["Wo"] + P["bo"])[0]
-        probs = softmax(logits, temperature)
-        probs[BOS_ID] = 0.0
-        probs[PAD_ID] = 0.0
-        if mask_unk:
-            probs[UNK_ID] = 0.0
-        probs = probs / probs.sum()
-        token_id = int(rng.choice(n_vocab, p=probs))
-        if token_id == EOS_ID:
+        logits = x @ P["Wo"]
+        logits += P["bo"]
+        if not np.isfinite(logits).all():
+            raise ValueError("sampling probabilities are not finite: non-finite logits")
+        probs = softmax(logits, cfg.temperature)
+        probs[:, masked] = 0.0
+        total = probs.sum(axis=1, keepdims=True)
+        if not (total > 0.0).all():
+            raise ValueError("sampling probabilities are not finite: masking "
+                             "left a row with no probability mass")
+        probs /= total
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]
+        tokens = np.array([np.searchsorted(row_cdf, rngs[row].random(), side="right")
+                           for row, row_cdf in zip(active, cdf)])
+        going = tokens != EOS_ID
+        active, prev = active[going], tokens[going]
+        for row, token_id in zip(active, prev):
+            out[row].append(mcfg.vocab.token(int(token_id)))
+        if not active.size:
             break
-        out.append(cfg.vocab.token(token_id))
-        prev = token_id
-    return tuple(out)
+        hs = [h[going] for h in hs]
+        cs = [c[going] for c in cs]
+    return [tuple(tokens) for tokens in out]
+
+
+def _sense_conditions(word: str, source: SenseTable | EmbeddingTable) -> list[np.ndarray]:
+    """One condition vector per retained sense (one total for a word table)."""
+    if word not in source:
+        raise MissingWordError(word)
+    if isinstance(source, SenseTable):
+        return [vec for _k, vec, _p in source.senses(word)]
+    return [source.vector(word)]
 
 
 def generate_for_word(
@@ -388,18 +423,42 @@ def generate_for_word(
     cfg: GenConfig,
     rng: np.random.Generator,
 ) -> list[tuple[int, tuple[str, ...]]]:
-    """One definition per retained sense (or one total for a word table)."""
-    if word not in source:
-        raise MissingWordError(word)
-    if isinstance(source, SenseTable):
-        conditions = [vec for _k, vec, _p in source.senses(word)]
-    else:
-        conditions = [source.vector(word)]
-    return [
-        (k, sample_definition(model, vec, word, cfg.temperature, cfg.max_len,
-                              rng, cfg.mask_unk))
-        for k, vec in enumerate(conditions)
-    ]
+    """One definition per retained sense (or one total for a word table).
+
+    Sense k draws from `rng.spawn(K)[k]`, K being the word's sense count.
+    """
+    conditions = _sense_conditions(word, source)
+    definitions = sample_definition(model, np.stack(conditions), [word] * len(conditions),
+                                    cfg, rng.spawn(len(conditions)))
+    return list(enumerate(definitions))
+
+
+def generate_seeded(
+    model: DefModel,
+    words: list[str],
+    source: SenseTable | EmbeddingTable,
+    cfg: GenConfig,
+    seeds: list[int],
+) -> list[list[list[tuple[str, ...]]]]:
+    """Definitions for every sense of every word, once per seed, in one call.
+
+    Returns out[s][i][k], sense k of words[i] under seeds[s]; that row draws
+    from the stream `default_rng([seeds[s], i, k])`. Rows are sampled in
+    (seed, word, sense) order.
+    """
+    conditions = [_sense_conditions(word, source) for word in words]
+    rows = [(s, i, k) for s in range(len(seeds))
+            for i, word_conditions in enumerate(conditions)
+            for k in range(len(word_conditions))]
+    stacked = (np.stack([conditions[i][k] for _s, i, k in rows]) if rows
+               else np.empty((0, model.config.condition_dim)))
+    definitions = sample_definition(
+        model, stacked, [words[i] for _s, i, _k in rows], cfg,
+        [np.random.default_rng([seeds[s], i, k]) for s, i, k in rows])
+    out: list[list[list[tuple[str, ...]]]] = [[[] for _ in words] for _ in seeds]
+    for (s, i, _k), tokens in zip(rows, definitions):
+        out[s][i].append(tokens)
+    return out
 
 
 def save_generated(rows: list[tuple[str, int, tuple[str, ...]]], path: str | Path) -> None:

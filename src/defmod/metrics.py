@@ -22,7 +22,12 @@ from .embeddings import EmbeddingTable, SenseTable
 from .errors import ConfigError, ScoringError
 from .fileio import atomic_write
 from .lexicon import Lexicon
-from .defgen import DefModel, GenConfig, generate_for_word
+from .defgen import (
+    DefModel,
+    GenConfig,
+    generate_for_word,  # not called here; kept because perfbench's tracer wraps metrics.generate_for_word
+    generate_seeded,
+)
 
 log = logging.getLogger(__name__)
 
@@ -84,12 +89,11 @@ def bleu(hypothesis, references, cfg: BleuConfig = DEFAULT_BLEU) -> float:
     orders = min(cfg.max_n, c)
     log_sum = 0.0
     for n in range(1, orders + 1):
-        counts = _ngrams(hyp, n)
+        best = Counter()  # per n-gram, its largest count in any one reference
+        for ref in refs:
+            best |= _ngrams(ref, n)
         total = c - n + 1
-        clipped = 0
-        for gram, count in counts.items():
-            best = max(_ngrams(ref, n)[gram] for ref in refs)
-            clipped += min(count, best)
+        clipped = sum(min(count, best[gram]) for gram, count in _ngrams(hyp, n).items())
         if cfg.smoothing is Smoothing.ADD_ONE_FOR_N_GE_2 and n >= 2:
             precision = (clipped + 1) / (total + 1)
         else:
@@ -198,9 +202,11 @@ def evaluate(
 ) -> EvalReport:
     """Generate and score definitions for every test headword, `runs` times.
 
-    Run r samples with seed base_seed + r; within a run each word owns the
-    rng stream (seed, word index), so reruns are bit-identical. Words absent
-    from the condition source are skipped and counted once.
+    Run r samples with seed base_seed + r: sense k of the word at index i
+    draws from its own stream `default_rng([base_seed + r, i, k])`. Every
+    (run, word, sense) row is sampled in one `generate_seeded` call, whose
+    blocks of rows are fixed by the inputs, so reruns are bit-identical.
+    Words absent from the condition source are skipped and counted once.
     """
     if runs < 1:
         raise ConfigError("runs must be positive")
@@ -212,15 +218,12 @@ def evaluate(
         raise ScoringError("no scorable test words")
     bleu_runs, rbleu_runs, fbleu_runs = [], [], []
     per_word = np.zeros((len(words), 3))
-    for run in range(runs):
-        seed = base_seed + run
-        scores = []
-        for wi, word in enumerate(words):
-            rng = np.random.default_rng([seed, wi])
-            generated = [tokens for _k, tokens in
-                         generate_for_word(model, word, source, gen_cfg, rng)]
-            scores.append(word_scores(generated, test.entries[word].definitions,
-                                      bleu_cfg, headword=word))
+    generated = generate_seeded(model, words, source, gen_cfg,
+                                [base_seed + run for run in range(runs)])
+    for run_generated in generated:
+        scores = [word_scores(definitions, test.entries[word].definitions,
+                              bleu_cfg, headword=word)
+                  for word, definitions in zip(words, run_generated)]
         bleu_runs.append(float(np.mean([s.bleu for s in scores])))
         rbleu_runs.append(float(np.mean([s.rbleu for s in scores])))
         fbleu_runs.append(float(np.mean([s.fbleu for s in scores])))

@@ -216,10 +216,12 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, stabilized by max subtraction."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    exp = np.exp(scaled)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    # Divide into one new array, then work in place: one allocation, not four.
+    probs = np.asarray(logits, dtype=np.float64) / temperature
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tensor:

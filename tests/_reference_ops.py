@@ -1,15 +1,19 @@
-"""Unfused Tensor ops that only the node-graph oracles in test_neural use.
+"""Reference implementations that only the tests use, as oracles.
 
 The fused LSTM cell, char-CNN and output-layer cross-entropy in
-`defmod.neural` must match a graph built from these one-op nodes bit for
-bit. The package itself never builds such a graph, so the ops live here
-rather than in `defmod.neural`.
+`defmod.neural` must match a graph built from the unfused one-op nodes
+below bit for bit. The package itself never builds such a graph, so the
+ops live here rather than in `defmod.neural`. `ref_sample_definition` is
+the single-row sampler that `defgen.sample_definition` must reproduce at
+batch 1.
 """
 
 import numpy as np
 
-from defmod.errors import ShapeError
-from defmod.neural import Tensor, stable_sigmoid
+from defmod.defgen import _condition_block
+from defmod.errors import ConfigError, ShapeError
+from defmod.neural import Tensor, lstm_cell, softmax, stable_sigmoid
+from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 
 def getitem(x: Tensor, key) -> Tensor:
@@ -105,3 +109,43 @@ def ref_softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 
     out._backward = backward
     return out
+
+
+def ref_sample_definition(model, condition, target_word, temperature=0.1, max_len=60,
+                          rng=None, mask_unk=True):
+    """Autoregressive temperature sampling of one row; returns content tokens only.
+
+    BOS and PAD can never be emitted; UNK is masked unless mask_unk is off.
+    Stops at EOS or after max_len tokens.
+    """
+    if temperature <= 0:
+        raise ConfigError("temperature must be positive")
+    rng = rng or np.random.default_rng(0)
+    cfg = model.config
+    condition = np.asarray(condition, dtype=np.float64).reshape(1, cfg.condition_dim)
+    cond = _condition_block(model, condition, [target_word]).data
+    P = {name: t.data for name, t in model.params.items()}
+    hs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]
+    cs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]
+    prev = BOS_ID
+    out = []
+    n_vocab = len(cfg.vocab)
+    for _ in range(max_len):
+        x = np.concatenate([P["token_emb"][prev][None, :], cond], axis=1)
+        for layer in range(cfg.layers):
+            hs[layer], cs[layer], _acts, _tanh_c = lstm_cell(
+                x, hs[layer], cs[layer], P[f"Wx{layer}"], P[f"Wh{layer}"], P[f"b{layer}"])
+            x = hs[layer]
+        logits = (x @ P["Wo"] + P["bo"])[0]
+        probs = softmax(logits, temperature)
+        probs[BOS_ID] = 0.0
+        probs[PAD_ID] = 0.0
+        if mask_unk:
+            probs[UNK_ID] = 0.0
+        probs = probs / probs.sum()
+        token_id = int(rng.choice(n_vocab, p=probs))
+        if token_id == EOS_ID:
+            break
+        out.append(cfg.vocab.token(token_id))
+        prev = token_id
+    return tuple(out)

@@ -247,9 +247,9 @@ def test_criterion_4_overfit_ten_pairs_and_reproduce():
     sample_rng = np.random.default_rng(123)
     worst_hits = 100
     for i, w in enumerate(words):
-        hits = sum(sample_definition(model, conditions[i], w, 0.1, 10,
-                                     sample_rng) == defs[i]
-                   for _ in range(100))
+        hits = sum(out == defs[i] for out in sample_definition(
+            model, np.tile(conditions[i], (100, 1)), [w] * 100,
+            GenConfig(temperature=0.1, max_len=10), sample_rng.spawn(100)))
         worst_hits = min(worst_hits, hits)
     elapsed = time.monotonic() - start
     _line(4, "overfit ten pairs, reproduce under cold sampling",

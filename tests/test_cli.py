@@ -235,6 +235,25 @@ def test_generate_is_seed_deterministic(work, trained, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_generate_lexicon_twice_with_one_seed_writes_identical_files(work, trained, tmp_path):
+    outs = []
+    for name in ("g1.tsv", "g2.tsv"):
+        out = tmp_path / name
+        assert main(["generate", "--checkpoint", str(trained),
+                     "--vocab", str(work / "model.bin.vocab"),
+                     "--chars", str(work / "model.bin.chars"),
+                     "--senses", str(work / "senses.tsv"),
+                     "--prune-threshold", "0.05",
+                     "--lexicon", str(work / "lex.tsv"), "--seed", "5",
+                     "--temperature", "1.0",
+                     "--output", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    rows = [line.split("\t") for line in outs[0].decode("utf-8").splitlines()]
+    assert [(r[0], r[1]) for r in rows][:3] == [("bird", "0"), ("cat", "0"), ("cat", "1")]
+    assert len(rows) == len(WORDS) + 1
+
+
 def test_evaluate_writes_report(work, trained, tmp_path):
     out = tmp_path / "report.json"
     ws = tmp_path / "word_scores.tsv"

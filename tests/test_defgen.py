@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from defmod.defgen import (
     HYPERPARAMETERS,
+    SAMPLE_BLOCK_ROWS,
     DefModel,
     DefModelConfig,
     GenConfig,
@@ -21,6 +22,7 @@ from defmod.defgen import (
     build_char_vocab,
     dataset_nll,
     generate_for_word,
+    generate_seeded,
     init_model,
     load_checkpoint,
     parameter_shapes,
@@ -33,10 +35,12 @@ from defmod.defgen import (
     _config_payload,
 )
 from defmod.embeddings import EmbeddingTable, SenseTable
-from defmod.errors import CheckpointError, ConfigError, MissingWordError
+from defmod.errors import CheckpointError, ConfigError, MissingWordError, ShapeError
 from defmod.matcher import SenseDefPair
 from defmod.neural import Tensor, grad_check
 from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+
+from _reference_ops import ref_sample_definition
 
 
 def tiny_config(**overrides):
@@ -249,8 +253,9 @@ def test_overfit_sampling_reproduces_memorized(memorized):
     model, _report, (s0, def_a), (s1, def_b) = memorized
     rng = np.random.default_rng(11)
     hits = sum(
-        sample_definition(model, s0, "pw", temperature=0.1, rng=rng) == def_a
-        for _ in range(100))
+        out == def_a
+        for out in sample_definition(model, np.tile(s0, (100, 1)), ["pw"] * 100,
+                                     GenConfig(temperature=0.1), rng.spawn(100)))
     assert hits >= 95
 
 
@@ -258,9 +263,10 @@ def test_conditioning_controls_first_token(memorized):
     """Swapping the sense vectors swaps the argmax first-token prediction."""
     model, _report, (s0, def_a), (s1, def_b) = memorized
     first = {}
-    for vec, expected in ((s0, def_a), (s1, def_b)):
-        out = sample_definition(model, vec, "pw", temperature=0.01,
-                                rng=np.random.default_rng(0), max_len=5)
+    outs = sample_definition(model, np.stack([s0, s1]), ["pw", "pw"],
+                             GenConfig(temperature=0.01, max_len=5),
+                             [np.random.default_rng(0), np.random.default_rng(0)])
+    for expected, out in zip((def_a, def_b), outs):
         first[expected] = out[1] if len(out) > 1 else out
     assert first[def_a] != first[def_b]
 
@@ -336,19 +342,131 @@ def test_train_empty_pairs_rejected():
 
 def test_sample_respects_max_len():
     model = init_model(tiny_config())
-    for seed in range(5):
-        out = sample_definition(model, np.zeros(4), "cat", temperature=2.0,
-                                max_len=7, rng=np.random.default_rng(seed),
-                                mask_unk=True)
+    outs = sample_definition(model, np.zeros((5, 4)), ["cat"] * 5,
+                             GenConfig(temperature=2.0, max_len=7, mask_unk=True),
+                             [np.random.default_rng(seed) for seed in range(5)])
+    for out in outs:
         assert len(out) <= 7
         assert all(t not in ("<bos>", "<pad>", "<eos>", "<unk>") for t in out)
 
 
 def test_sample_deterministic_given_seed():
     model = init_model(tiny_config())
-    a = sample_definition(model, np.zeros(4), "cat", rng=np.random.default_rng(9))
-    b = sample_definition(model, np.zeros(4), "cat", rng=np.random.default_rng(9))
+    a = sample_definition(model, np.zeros((1, 4)), ["cat"], GenConfig(),
+                          [np.random.default_rng(9)])
+    b = sample_definition(model, np.zeros((1, 4)), ["cat"], GenConfig(),
+                          [np.random.default_rng(9)])
     assert a == b
+
+
+@pytest.mark.parametrize("mask_unk", [True, False])
+def test_sampler_matches_single_row_oracle_at_batch_1(mask_unk):
+    """At batch 1 the batched sampler takes the old single-row sampler's draws."""
+    model = init_model(tiny_config(hidden=7))
+    rng = np.random.default_rng(5)
+    emitted = set()
+    for seed in range(12):
+        condition = rng.normal(size=4)
+        word = ("cat", "dog", "cog")[seed % 3]
+        for temperature in (0.5, 2.0):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            cfg = GenConfig(temperature=temperature, max_len=9, mask_unk=mask_unk)
+            got = sample_definition(model, condition[None, :], [word], cfg, [ours])
+            want = ref_sample_definition(model, condition, word, temperature, 9,
+                                         theirs, mask_unk)
+            assert got == [want]
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            emitted.update(want)
+    assert ("<unk>" in emitted) is not mask_unk
+
+
+@pytest.mark.parametrize("param, index, value", [
+    ("Wo", (0, 5), np.nan), ("bo", 6, np.inf), ("bo", 4, -np.inf), ("Wo", (2, 7), -np.inf),
+    ("bo", BOS_ID, 1e4)])  # every unmasked token underflows: 0 / 0
+def test_sampler_rejects_non_finite_probabilities(param, index, value):
+    model = init_model(tiny_config())
+    model.params[param].data[index] = value
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    with pytest.raises(ValueError, match="not finite"):
+        sample_definition(model, np.ones((3, 4)), ["cat", "dog", "cat"], GenConfig(), rngs)
+
+
+def test_sampler_rejects_mismatched_rows():
+    model = init_model(tiny_config())
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ShapeError):
+        sample_definition(model, np.zeros((2, 3)), ["cat", "dog"], GenConfig(), rngs)
+    with pytest.raises(ShapeError):
+        sample_definition(model, np.zeros((2, 4)), ["cat"], GenConfig(), rngs)
+    with pytest.raises(ShapeError):
+        sample_definition(model, np.zeros((2, 4)), ["cat", "dog"], GenConfig(), rngs[:1])
+
+
+def test_sampler_blocks_are_cut_in_input_order():
+    """A block's rows depend on that block's inputs and streams alone."""
+    model = init_model(tiny_config())
+    n = 2 * SAMPLE_BLOCK_ROWS + 5
+    conditions = np.random.default_rng(3).normal(size=(n, 4))
+    words = [("cat", "dog")[i % 2] for i in range(n)]
+    cfg = GenConfig(temperature=1.5, max_len=8)
+
+    def sample(rows):
+        return sample_definition(model, conditions[rows], words[rows], cfg,
+                                 [np.random.default_rng([7, i]) for i in range(n)][rows])
+
+    full = sample(slice(None))
+    assert len(full) == n
+    assert sample(slice(None)) == full
+    second = slice(SAMPLE_BLOCK_ROWS, 2 * SAMPLE_BLOCK_ROWS)
+    assert sample(second) == full[second]
+    assert sample(slice(2 * SAMPLE_BLOCK_ROWS, None)) == full[2 * SAMPLE_BLOCK_ROWS:]
+    assert len(set(full)) > 1
+
+
+def test_each_row_draws_once_per_step_from_its_own_stream():
+    model = init_model(tiny_config())
+    n, max_len = 70, 6
+    rngs = [np.random.default_rng([2, i]) for i in range(n)]
+    outs = sample_definition(model, np.random.default_rng(1).normal(size=(n, 4)),
+                             ["cat"] * n, GenConfig(temperature=1.5, max_len=max_len), rngs)
+    assert {len(out) for out in outs} >= {0, max_len}
+    for i, (out, rng) in enumerate(zip(outs, rngs)):
+        fresh = np.random.default_rng([2, i])
+        fresh.random(len(out) if len(out) == max_len else len(out) + 1)  # + the EOS draw
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_generate_for_word_draws_sense_k_from_spawned_stream_k():
+    model = init_model(tiny_config())
+    senses = SenseTable(4, 3)
+    vectors = np.random.default_rng(2).normal(size=(3, 4))
+    senses.add("cat", vectors, np.array([0.5, 0.3, 0.2]))
+    cfg = GenConfig(temperature=1.5, max_len=8)
+    out = generate_for_word(model, "cat", senses, cfg, np.random.default_rng(4))
+    expected = sample_definition(model, vectors, ["cat"] * 3, cfg,
+                                 np.random.default_rng(4).spawn(3))
+    assert out == list(enumerate(expected))
+
+
+def test_generate_seeded_gives_each_row_its_own_stream():
+    model = init_model(tiny_config())
+    rng = np.random.default_rng(8)
+    senses = SenseTable(4, 3)
+    senses.add("cat", rng.normal(size=(2, 4)), np.array([0.6, 0.4]))
+    senses.add("dog", rng.normal(size=(1, 4)), np.array([1.0]))
+    cfg = GenConfig(temperature=1.5, max_len=8)
+    out = generate_seeded(model, ["dog", "cat"], senses, cfg, [11, 12])
+    rows = [(seed, i, k) for seed in (11, 12) for i, word in enumerate(["dog", "cat"])
+            for k in range(len(senses.senses(word)))]
+    flat = sample_definition(
+        model, np.stack([senses.senses(["dog", "cat"][i])[k][1] for _s, i, k in rows]),
+        [["dog", "cat"][i] for _s, i, _k in rows], cfg,
+        [np.random.default_rng([seed, i, k]) for seed, i, k in rows])
+    assert out == [[flat[0:1], flat[1:3]], [flat[3:4], flat[4:6]]]
+    assert generate_seeded(model, ["dog", "cat"], senses, cfg, [11, 12]) == out
+    assert generate_seeded(model, [], senses, cfg, [11]) == [[]]
+    with pytest.raises(MissingWordError):
+        generate_seeded(model, ["zebra"], senses, cfg, [11])
 
 
 def test_generate_for_word_cardinalities():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import defmod.defgen as defgen
 from defmod.defgen import DefModelConfig, GenConfig, build_char_vocab, init_model, train_defmodel
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.errors import ScoringError
@@ -288,3 +289,36 @@ def test_evaluate_multisense_source(memorizing_setup):
     assert report.scored_words == 1
     # The matching sense reproduces the sole reference, so recall is perfect.
     assert report.rbleu_runs[0] == 100.0
+
+
+def test_evaluate_report_spanning_two_blocks_is_byte_identical(memorizing_setup, tmp_path,
+                                                               monkeypatch):
+    """Two runs over 35 words are 70 rows, so the sampler steps two blocks."""
+    trained, _lex, _table = memorizing_setup
+    model = init_model(trained.config)  # untrained, so runs differ
+    words = [f"cat{i}" for i in range(35)]
+    rng = np.random.default_rng(6)
+    table = EmbeddingTable(3, words, rng.normal(size=(35, 3)))
+    big = Lexicon("toy", "en")
+    for word in words:
+        big.entries[word] = WordEntry(word, [])
+        big.entries[word].add(("a", "furry", "pet"))
+    blocks = []
+    sample_block = defgen._sample_block
+
+    def counting_block(model, conditions, *rest):
+        blocks.append(len(conditions))
+        return sample_block(model, conditions, *rest)
+
+    monkeypatch.setattr(defgen, "_sample_block", counting_block)
+    cfg = GenConfig(temperature=1.0, max_len=6)
+    files = []
+    for name in ("first", "second"):
+        report = evaluate(model, big, table, cfg, runs=2, base_seed=3)
+        report.save(tmp_path / f"{name}.json")
+        report.save_word_scores(tmp_path / f"{name}.tsv")
+        files.append(((tmp_path / f"{name}.json").read_bytes(),
+                      (tmp_path / f"{name}.tsv").read_bytes()))
+    assert blocks == [64, 6, 64, 6]
+    assert files[0] == files[1]
+    assert report.scored_words == 35 and len(set(report.bleu_runs)) == 2

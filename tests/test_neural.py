@@ -140,6 +140,21 @@ def test_softmax_uniform_and_sum():
         assert np.argmax(p) == np.argmax(logits)
 
 
+def test_softmax_matches_out_of_place_formula_bit_for_bit():
+    """The in-place softmax takes the formula's operations in the same order."""
+    rng = np.random.default_rng(4)
+    for shape in ((7,), (1, 300), (3, 300), (5, 17)):
+        logits = rng.normal(size=shape) * 10
+        before = logits.copy()
+        for temperature in (0.1, 1.0, 2.5):
+            scaled = logits / temperature
+            scaled = scaled - scaled.max(axis=-1, keepdims=True)
+            exp = np.exp(scaled)
+            expected = exp / exp.sum(axis=-1, keepdims=True)
+            assert softmax(logits, temperature).tobytes() == expected.tobytes()
+        assert logits.tobytes() == before.tobytes()
+
+
 def test_softmax_temperature_sharpens():
     hot = softmax(np.array([2.0, 1.0]), temperature=0.1)
     warm = softmax(np.array([2.0, 1.0]), temperature=1.0)
