@@ -16,6 +16,7 @@ import hashlib
 import inspect
 import json
 import logging
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,7 +52,7 @@ from .errors import (
     UnrepresentableDefinitionError,
     ZeroVectorError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .lexicon import (
     DEFAULT_MAX_DEF_TOKENS,
     DEFAULT_RATIOS,
@@ -223,9 +224,8 @@ def _declared(command: str) -> dict:
 
 
 def _load_config_file(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads("\n".join(read_lines(path, ConfigError)))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -257,6 +257,7 @@ def _check_value(command: str, key: str, value) -> None:
     """Fail on a config value that `command` declares another type or choice for.
 
     null stands for "unset" and is accepted only where the default is None.
+    A number must be finite.
     """
     default, kind = _declared(command)[key]
     if value is None and default is None:
@@ -268,7 +269,8 @@ def _check_value(command: str, key: str, value) -> None:
               and (kind is bool or not isinstance(value, bool)))
     if not ok:
         raise ConfigError(f"config key {key} must be {_KIND_NAMES[kind]}")
-    # argparse checks a flag's choices; a config-file value is checked here.
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {value!r}")
     choices = next((kwargs.get("choices") for flag, _, kwargs in OPTIONS[command]
                     if _key(flag, kwargs) == key), None)
     if choices and value not in choices:
@@ -277,33 +279,24 @@ def _check_value(command: str, key: str, value) -> None:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge defaults, config-file values, and explicit flags, in that order."""
+    """Merge defaults, config-file values, and explicit flags, in that order.
+
+    Every merged value, flags' included, is then checked against the
+    command's declared type, choices and finiteness.
+    """
     spec = _declared(command)
     merged = {key: default for key, (default, _) in spec.items()}
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
             if key in spec:
-                _check_value(command, key, value)
                 merged[key] = value
     for key in spec:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for key, value in merged.items():
+        _check_value(command, key, value)
     return merged
-
-
-def _require(cfg: dict, command: str, *keys: str) -> None:
-    for key in keys:
-        if cfg.get(key) in (None, ""):
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{command} requires {flag}")
-
-
-def _require_input(path) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(str(p))
-    return p
 
 
 def _sha256(path: Path) -> str:
@@ -314,17 +307,11 @@ def _sha256(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _json_safe(value):
-    if isinstance(value, Path):
-        return str(value)
-    return value
-
-
 def _write_manifest(manifest_path: Path, command: str, cfg: dict,
                     inputs: list, outputs: list) -> None:
     payload = {
         "command": command,
-        "config": {k: _json_safe(v) for k, v in sorted(cfg.items())},
+        "config": cfg,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "completed_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -333,49 +320,70 @@ def _write_manifest(manifest_path: Path, command: str, cfg: dict,
         f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _profile(cfg: dict) -> TokenizerProfile:
-    return TokenizerProfile(language_tag=cfg["language"])
+class Run:
+    """One command's run: its name, its merged config, and the files it read.
 
+    Every input is opened through `input`, which records it, so the manifest
+    lists exactly what the command read.
+    """
 
-def _load_lex(path, cfg: dict):
-    return load_lexicon(
-        _require_input(path),
-        _profile(cfg),
-        source_tag=cfg["source"],
-        language_tag=cfg["language"],
-        max_def_tokens=cfg["max_def_tokens"],
-    )
+    def __init__(self, command: str, cfg: dict):
+        self.command = command
+        self.cfg = cfg
+        self.inputs: list[Path] = []
 
+    def require(self, *keys: str, context: str = "") -> None:
+        for key in keys:
+            if self.cfg.get(key) in (None, ""):
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"{self.command}{context} requires {flag}")
 
-def _load_source(cfg: dict, command: str):
-    """Condition-vector source: a sense table or a word-embedding table."""
-    if cfg.get("senses") and cfg.get("embeddings"):
-        raise ConfigError(f"{command}: give --senses or --embeddings, not both")
-    if cfg.get("senses"):
-        return SenseTable.load(_require_input(cfg["senses"]),
-                               prune_threshold=cfg["prune_threshold"])
-    if cfg.get("embeddings"):
-        return EmbeddingTable.load(_require_input(cfg["embeddings"]))
-    raise ConfigError(f"{command} requires --senses or --embeddings")
+    def input(self, key: str) -> Path:
+        path = Path(self.cfg[key])
+        if not path.is_file():
+            raise FileNotFoundError(str(path))
+        self.inputs.append(path)
+        return path
+
+    def lexicon(self, key: str):
+        cfg = self.cfg
+        return load_lexicon(self.input(key), TokenizerProfile(language_tag=cfg["language"]),
+                            source_tag=cfg["source"], language_tag=cfg["language"],
+                            max_def_tokens=cfg["max_def_tokens"])
+
+    def source(self):
+        """Condition-vector source: a sense table or a word-embedding table."""
+        if self.cfg.get("senses") and self.cfg.get("embeddings"):
+            raise ConfigError(f"{self.command}: give --senses or --embeddings, not both")
+        if self.cfg.get("senses"):
+            return SenseTable.load(self.input("senses"),
+                                   prune_threshold=self.cfg["prune_threshold"])
+        if self.cfg.get("embeddings"):
+            return EmbeddingTable.load(self.input("embeddings"))
+        raise ConfigError(f"{self.command} requires --senses or --embeddings")
+
+    def model(self):
+        vocab = Vocabulary.load(self.input("vocab"))
+        chars = Vocabulary.load(self.input("chars"))
+        return load_checkpoint(self.input("checkpoint"), vocab, chars)
+
+    def manifest(self, primary: Path, outputs: list) -> None:
+        """Write `<primary>.manifest.json` for the inputs read so far."""
+        _write_manifest(primary.with_name(primary.name + ".manifest.json"),
+                        self.command, self.cfg, self.inputs, outputs)
 
 
 def _gen_config(cfg: dict) -> GenConfig:
     return GenConfig(**{key: cfg[key] for key in _GEN_DEFAULTS})
 
 
-def _load_model(cfg: dict):
-    vocab = Vocabulary.load(_require_input(cfg["vocab"]))
-    chars = Vocabulary.load(_require_input(cfg["chars"]))
-    model = load_checkpoint(_require_input(cfg["checkpoint"]), vocab, chars)
-    return model
+# One function per subcommand. `main` resolves the config and maps errors
+# to exit codes.
 
-
-# One function per subcommand; each returns the process exit code.
-
-def cmd_tokenize(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "tokenize")
-    _require(cfg, "tokenize", "input", "output")
-    src = _require_input(cfg["input"])
+def cmd_tokenize(run: Run) -> None:
+    cfg = run.cfg
+    run.require("input", "output")
+    lines = read_lines(run.input("input"), ConfigError)
     profile = TokenizerProfile(
         language_tag=cfg["language"],
         lowercase=cfg["lowercase"],
@@ -383,25 +391,23 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     )
     out = Path(cfg["output"])
     n_tokens = 0
-    with open(src, encoding="utf-8") as fin, atomic_write(out) as fout:
-        for line in fin:
+    with atomic_write(out) as fout:
+        for line in lines:
             tokens = tokenize(line, profile)
             n_tokens += len(tokens)
             if tokens:
                 fout.write(" ".join(tokens) + "\n")
-    _write_manifest(out.with_name(out.name + ".manifest.json"),
-                    "tokenize", cfg, [src], [out])
+    run.manifest(out, [out])
     print(f"wrote {n_tokens} tokens to {out}")
-    return 0
 
 
-def cmd_train_embeddings(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "train-embeddings")
-    _require(cfg, "train-embeddings", "mode", "tokens", "output")
+def cmd_train_embeddings(run: Run) -> None:
+    cfg = run.cfg
+    run.require("mode", "tokens", "output")
     if cfg["deterministic"]:
         cfg["threads"] = 1
-    src = _require_input(cfg["tokens"])
-    tokens = src.read_text(encoding="utf-8").split()
+    tokens = [tok for line in read_lines(run.input("tokens"), ConfigError)
+              for tok in line.split()]
     out = Path(cfg["output"])
     if cfg["mode"] == "sgns":
         table = train_sgns(tokens, SgnsConfig(
@@ -424,36 +430,29 @@ def cmd_train_embeddings(args: argparse.Namespace) -> int:
         n_senses = sum(len(table.senses(w)) for w in table.words())
         kind = f"{n_senses} sense vectors over {len(table.words())} words"
     table.save(out)
-    _write_manifest(out.with_name(out.name + ".manifest.json"),
-                    "train-embeddings", cfg, [src], [out])
+    run.manifest(out, [out])
     print(f"wrote {kind} to {out}")
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "stats")
-    _require(cfg, "stats", "lexicon")
-    lex = _load_lex(cfg["lexicon"], cfg)
-    payload = lexicon_stats(lex).to_json()
+def cmd_stats(run: Run) -> None:
+    run.require("lexicon")
+    payload = lexicon_stats(run.lexicon("lexicon")).to_json()
     print(payload)
-    if cfg.get("output"):
-        out = Path(cfg["output"])
+    if run.cfg.get("output"):
+        out = Path(run.cfg["output"])
         with atomic_write(out) as f:
             f.write(payload + "\n")
-        _write_manifest(out.with_name(out.name + ".manifest.json"),
-                        "stats", cfg, [Path(cfg["lexicon"])], [out])
-    return 0
+        run.manifest(out, [out])
 
 
-def cmd_split(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "split")
-    _require(cfg, "split", "lexicon", "output_dir")
+def cmd_split(run: Run) -> None:
+    cfg = run.cfg
+    run.require("lexicon", "output_dir")
     try:
         ratios = tuple(float(r) for r in str(cfg["ratios"]).split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --ratios value: {cfg['ratios']!r}") from exc
-    lex = _load_lex(cfg["lexicon"], cfg)
-    parts = split_lexicon(lex, ratios=ratios, seed=cfg["seed"])
+    parts = split_lexicon(run.lexicon("lexicon"), ratios=ratios, seed=cfg["seed"])
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -463,34 +462,22 @@ def cmd_split(args: argparse.Namespace) -> int:
         part.save(path)
         outputs.append(path)
         print(f"{name}: {len(part)} words, {part.definition_count()} definitions")
-    _write_manifest(out_dir / "split.manifest.json",
-                    "split", cfg, [Path(cfg["lexicon"])], outputs)
-    return 0
+    run.manifest(out_dir / "split", outputs)
 
 
-def cmd_build_pairs(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "build-pairs")
-    _require(cfg, "build-pairs", "mode", "lexicon", "output")
-    lex = _load_lex(cfg["lexicon"], cfg)
-    inputs = [Path(cfg["lexicon"])]
+def cmd_build_pairs(run: Run) -> None:
+    cfg = run.cfg
+    run.require("mode", "lexicon", "output")
+    lex = run.lexicon("lexicon")
     if cfg["mode"] == "base":
-        _require(cfg, "build-pairs --mode base", "embeddings")
-        table = EmbeddingTable.load(_require_input(cfg["embeddings"]))
-        inputs.append(Path(cfg["embeddings"]))
-        pairs, summary = build_base_pairs(lex, table)
+        run.require("embeddings", context=" --mode base")
+        pairs, summary = build_base_pairs(lex, EmbeddingTable.load(run.input("embeddings")))
     else:
-        _require(cfg, f"build-pairs --mode {cfg['mode']}", "senses")
-        senses = SenseTable.load(_require_input(cfg["senses"]),
-                                 prune_threshold=cfg["prune_threshold"])
-        inputs.append(Path(cfg["senses"]))
-        table = None
-        if cfg.get("embeddings"):
-            table = EmbeddingTable.load(_require_input(cfg["embeddings"]))
-            inputs.append(Path(cfg["embeddings"]))
+        run.require("senses", context=f" --mode {cfg['mode']}")
+        senses = SenseTable.load(run.input("senses"), prune_threshold=cfg["prune_threshold"])
+        table = EmbeddingTable.load(run.input("embeddings")) if cfg.get("embeddings") else None
         if cfg.get("stopwords"):
-            stops = StopwordSet.from_file(_require_input(cfg["stopwords"]),
-                                          cfg["language"])
-            inputs.append(Path(cfg["stopwords"]))
+            stops = StopwordSet.from_file(run.input("stopwords"), cfg["language"])
         else:
             stops = StopwordSet.default(cfg["language"])
         pairs, summary = build_training_pairs(
@@ -499,36 +486,22 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         )
     out = Path(cfg["output"])
     save_pairs(pairs, out)
-    _write_manifest(out.with_name(out.name + ".manifest.json"),
-                    "build-pairs", cfg, inputs, [out])
+    run.manifest(out, [out])
     print(f"matched {summary.entries_matched} entries "
           f"({summary.entries_skipped} skipped), "
           f"wrote {summary.pairs_built} pairs to {out}")
-    return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "train")
-    _require(cfg, "train", "model", "pairs", "output")
-    if cfg["model"] == "base":
-        _require(cfg, "train --model base", "embeddings")
-        if cfg.get("senses"):
-            raise ConfigError("train --model base takes --embeddings, not --senses")
-    else:
-        _require(cfg, "train --model multisense", "senses")
-        if cfg.get("embeddings"):
-            raise ConfigError(
-                "train --model multisense takes --senses, not --embeddings")
-    source = _load_source(cfg, "train")
-    inputs = [Path(cfg["pairs"]),
-              Path(cfg["senses"] or cfg["embeddings"])]
-    pairs = load_pairs(_require_input(cfg["pairs"]), source)
+def cmd_train(run: Run) -> None:
+    cfg = run.cfg
+    run.require("model", "pairs", "output")
+    run.require("embeddings" if cfg["model"] == "base" else "senses",
+                context=f" --model {cfg['model']}")
+    source = run.source()
+    pairs = load_pairs(run.input("pairs"), source)
     if not pairs:
         raise ConfigError(f"{cfg['pairs']}: no training pairs")
-    dev_pairs = None
-    if cfg.get("dev_pairs"):
-        dev_pairs = load_pairs(_require_input(cfg["dev_pairs"]), source)
-        inputs.append(Path(cfg["dev_pairs"]))
+    dev_pairs = load_pairs(run.input("dev_pairs"), source) if cfg.get("dev_pairs") else None
 
     vocab = build_vocab(
         (tok for p in pairs for tok in p.definition),
@@ -544,50 +517,36 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(model, out)
     vocab.save(vocab_out)
     char_vocab.save(chars_out)
-    _write_manifest(out.with_name(out.name + ".manifest.json"),
-                    "train", cfg, inputs, [out, vocab_out, chars_out])
+    run.manifest(out, [out, vocab_out, chars_out])
     print(f"best dev loss {min(report.dev_losses):.4f} "
           f"at epoch {report.best_epoch + 1}/{len(report.train_losses)}, "
           f"wrote {out}")
-    return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "generate")
-    _require(cfg, "generate", "checkpoint", "vocab", "chars", "output")
+def cmd_generate(run: Run) -> None:
+    cfg = run.cfg
+    run.require("checkpoint", "vocab", "chars", "output")
     if not cfg.get("words") and not cfg.get("lexicon"):
         raise ConfigError("generate requires --words or --lexicon")
-    model = _load_model(cfg)
-    source = _load_source(cfg, "generate")
-    inputs = [Path(cfg["checkpoint"]), Path(cfg["vocab"]), Path(cfg["chars"]),
-              Path(cfg["senses"] or cfg["embeddings"])]
-    if cfg.get("words"):
-        words = list(cfg["words"])
-    else:
-        lex = _load_lex(cfg["lexicon"], cfg)
-        inputs.append(Path(cfg["lexicon"]))
-        words = lex.headwords()
-    gen_cfg = _gen_config(cfg)
-    generated = generate_seeded(model, words, source, gen_cfg, [cfg["seed"]])[0]
+    model = run.model()
+    source = run.source()
+    words = list(cfg["words"]) if cfg.get("words") else run.lexicon("lexicon").headwords()
+    generated = generate_seeded(model, words, source, _gen_config(cfg), [cfg["seed"]])[0]
     rows = [(word, sense_index, tokens)
             for word, definitions in zip(words, generated)
             for sense_index, tokens in enumerate(definitions)]
     out = Path(cfg["output"])
     save_generated(rows, out)
-    _write_manifest(out.with_name(out.name + ".manifest.json"),
-                    "generate", cfg, inputs, [out])
+    run.manifest(out, [out])
     print(f"wrote {len(rows)} definitions for {len(words)} words to {out}")
-    return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "evaluate")
-    _require(cfg, "evaluate", "checkpoint", "vocab", "chars", "test", "output")
-    model = _load_model(cfg)
-    source = _load_source(cfg, "evaluate")
-    test = _load_lex(cfg["test"], cfg)
-    inputs = [Path(cfg["checkpoint"]), Path(cfg["vocab"]), Path(cfg["chars"]),
-              Path(cfg["senses"] or cfg["embeddings"]), Path(cfg["test"])]
+def cmd_evaluate(run: Run) -> None:
+    cfg = run.cfg
+    run.require("checkpoint", "vocab", "chars", "test", "output")
+    model = run.model()
+    source = run.source()
+    test = run.lexicon("test")
     bleu_cfg = BleuConfig(max_n=cfg["max_n"], smoothing=Smoothing(cfg["smoothing"]))
     report = evaluate(model, test, source, _gen_config(cfg), runs=cfg["runs"],
                       base_seed=cfg["seed"], bleu_cfg=bleu_cfg)
@@ -595,15 +554,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report.save(out)
     outputs = [out]
     if cfg.get("word_scores"):
-        ws = Path(cfg["word_scores"])
-        report.save_word_scores(ws)
-        outputs.append(ws)
-    _write_manifest(out.with_name(out.name + ".manifest.json"),
-                    "evaluate", cfg, inputs, outputs)
+        outputs.append(Path(cfg["word_scores"]))
+        report.save_word_scores(outputs[-1])
+    run.manifest(out, outputs)
     print(f"bleu {report.bleu_mean:.2f}  rbleu {report.rbleu_mean:.2f}  "
           f"fbleu {report.fbleu_mean:.2f}  "
           f"({report.scored_words} words, {report.runs} runs)")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,7 +596,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(Run(args.command, _resolve(args, args.command)))
+        return 0
     except FileNotFoundError as exc:
         path = getattr(exc, "filename", None) or str(exc)
         print(f"error: input file not found: {path}", file=sys.stderr)

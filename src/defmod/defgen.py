@@ -39,8 +39,7 @@ from .neural import (
     init_char_cnn,
     init_lstm,
     lstm_cell,
-    lstm_forward,
-    lstm_step,  # not called here; kept because perfbench's tracer wraps defgen.lstm_step
+    lstm_step,
     softmax,
     softmax_cross_entropy,
     uniform_init,
@@ -215,7 +214,15 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     cond = _condition_block(model, conditions, [p.headword for p in pairs])
     steps = [concat([gather(model.params["token_emb"], inputs[:, t]), cond], axis=1)
              for t in range(T)]
-    tops, _ = lstm_forward(model.params, steps)
+    zero = Tensor(np.zeros((batch, cfg.hidden)))
+    state = [(zero, zero)] * cfg.layers
+    tops = []
+    for x in steps:
+        for layer in range(cfg.layers):
+            state[layer] = lstm_step(x, *state[layer], model.params[f"Wx{layer}"],
+                                     model.params[f"Wh{layer}"], model.params[f"b{layer}"])
+            x = state[layer][0]
+        tops.append(x)
     flat_targets = targets.T.reshape(-1)  # time-major to match the concat
     losses = softmax_cross_entropy(concat(tops, axis=0), model.params["Wo"],
                                    model.params["bo"], flat_targets)

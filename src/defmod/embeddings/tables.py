@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
-from ..fileio import atomic_write
+from ..fileio import atomic_write, read_lines
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
@@ -84,18 +84,21 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().split()
-            if len(header) != 2:
-                raise ConfigError(f"{path}: expected '<vocab_size> <dim>' header")
-            count, dim = _parse_ints(header, path, 1)
-            words, rows = [], []
-            for lineno, line in enumerate(f, start=2):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != dim + 1:
-                    raise ConfigError(f"{path}:{lineno}: bad row for {parts[0]!r}")
-                words.append(parts[0])
-                rows.append(_parse_floats(parts[1:], path, lineno))
+        lines = read_lines(path, ConfigError) or [""]
+        header = lines[0].split()
+        if len(header) != 2:
+            raise ConfigError(f"{path}: expected '<vocab_size> <dim>' header")
+        count, dim = _parse_ints(header, path, 1)
+        if count < 0 or dim < 1:
+            raise ConfigError(f"{path}:1: expected a count >= 0 and a dim >= 1, "
+                              f"found {count} {dim}")
+        words, rows = [], []
+        for lineno, line in enumerate(lines[1:], start=2):
+            parts = line.split(" ")
+            if len(parts) != dim + 1:
+                raise ConfigError(f"{path}:{lineno}: bad row for {parts[0]!r}")
+            words.append(parts[0])
+            rows.append(_parse_floats(parts[1:], path, lineno))
         if len(words) != count:
             raise ConfigError(f"{path}: header promises {count} rows, found {len(words)}")
         return cls(dim, words, np.array(rows, dtype=np.float64).reshape(len(words), dim))
@@ -178,24 +181,24 @@ class SenseTable:
     @classmethod
     def load(cls, path: str | Path,
              prune_threshold: float = DEFAULT_PRUNE_THRESHOLD) -> "SenseTable":
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().split()
-            if header[:2] != ["#senses", "v1"] or len(header) != 4:
-                raise ConfigError(f"{path}: expected '#senses v1 <dim> <max_prototypes>' header")
-            dim, max_prototypes = _parse_ints(header[2:], path, 1)
-            table = cls(dim, max_prototypes, prune_threshold)
-            rows: dict[str, list[tuple[int, float, list[float]]]] = {}
-            for lineno, line in enumerate(f, start=2):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 4:
-                    raise ConfigError(f"{path}:{lineno}: expected 4 tab-separated fields")
-                word, k, prior, vec = parts
-                (k,) = _parse_ints([k], path, lineno)
-                prior, *vec = _parse_floats([prior, *vec.split(" ")], path, lineno)
-                if len(vec) != table.dim:
-                    raise ConfigError(f"{path}:{lineno}: expected {table.dim} vector components, "
-                                      f"found {len(vec)}")
-                rows.setdefault(word, []).append((k, prior, vec))
+        lines = read_lines(path, ConfigError) or [""]
+        header = lines[0].split()
+        if header[:2] != ["#senses", "v1"] or len(header) != 4:
+            raise ConfigError(f"{path}: expected '#senses v1 <dim> <max_prototypes>' header")
+        dim, max_prototypes = _parse_ints(header[2:], path, 1)
+        table = cls(dim, max_prototypes, prune_threshold)
+        rows: dict[str, list[tuple[int, float, list[float]]]] = {}
+        for lineno, line in enumerate(lines[1:], start=2):
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ConfigError(f"{path}:{lineno}: expected 4 tab-separated fields")
+            word, k, prior, vec = parts
+            (k,) = _parse_ints([k], path, lineno)
+            prior, *vec = _parse_floats([prior, *vec.split(" ")], path, lineno)
+            if len(vec) != table.dim:
+                raise ConfigError(f"{path}:{lineno}: expected {table.dim} vector components, "
+                                  f"found {len(vec)}")
+            rows.setdefault(word, []).append((k, prior, vec))
         for word, items in rows.items():
             items.sort()
             if [k for k, _, _ in items] != list(range(len(items))):

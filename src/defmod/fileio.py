@@ -1,4 +1,5 @@
-"""Atomic file output: every artifact appears whole or not at all."""
+"""File access shared by every format: atomic output, and UTF-8 input whose
+undecodable bytes are reported as `path:line`."""
 
 from __future__ import annotations
 
@@ -26,3 +27,29 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
+    """The lines of a UTF-8 text file, without their line endings.
+
+    The file is decoded once, and split into the lines that text-mode
+    `open` yields: universal newlines, so "\\r\\n" and a lone "\\r" end a
+    line too, and no empty line after a final newline. Bytes that are not
+    UTF-8 raise `error` (the format's own exit-2 error) naming `path:line`.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(_split(data[:exc.start].decode("utf-8")))
+        raise error(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+    lines = _split(text)
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _split(text: str) -> list[str]:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, LexiconFormatError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .textprep import TokenizerProfile, tokenize
 
 import numpy as np
@@ -114,28 +114,26 @@ def load_lexicon(
     """
     lex = Lexicon(source_tag=source_tag, language_tag=language_tag or profile.language_tag)
     truncated = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            headword, sep, text = line.partition("\t")
-            if not sep:
-                raise LexiconFormatError(f"{path}:{lineno}: no TAB separator")
-            headword = headword.strip()
-            if not headword:
-                raise LexiconFormatError(f"{path}:{lineno}: empty headword")
-            definition = tuple(tokenize(text, profile))
-            if not definition:
-                log.warning("%s:%d: definition empty after tokenization, dropped", path, lineno)
-                continue
-            if len(definition) > max_def_tokens:
-                definition = definition[:max_def_tokens]
-                truncated += 1
-            entry = lex.entries.get(headword)
-            if entry is None:
-                entry = lex.entries[headword] = WordEntry(headword)
-            entry.add(definition)
+    for lineno, line in enumerate(read_lines(path, LexiconFormatError), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        headword, sep, text = line.partition("\t")
+        if not sep:
+            raise LexiconFormatError(f"{path}:{lineno}: no TAB separator")
+        headword = headword.strip()
+        if not headword:
+            raise LexiconFormatError(f"{path}:{lineno}: empty headword")
+        definition = tuple(tokenize(text, profile))
+        if not definition:
+            log.warning("%s:%d: definition empty after tokenization, dropped", path, lineno)
+            continue
+        if len(definition) > max_def_tokens:
+            definition = definition[:max_def_tokens]
+            truncated += 1
+        entry = lex.entries.get(headword)
+        if entry is None:
+            entry = lex.entries[headword] = WordEntry(headword)
+        entry.add(definition)
     lex.entries = {w: e for w, e in lex.entries.items() if e.definitions}
     if truncated:
         log.warning("%s: truncated %d definitions to %d tokens", path, truncated, max_def_tokens)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable, cosine
 from .errors import PairsFormatError, UnrepresentableDefinitionError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .lexicon import Lexicon, WordEntry
 from .textprep import StopwordSet
 
@@ -228,37 +228,35 @@ def load_pairs(
     raise PairsFormatError with their number.
     """
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise PairsFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            headword, index_text, def_text = parts
-            try:
-                sense_index = int(index_text)
-            except ValueError:
+    for lineno, line in enumerate(read_lines(path, PairsFormatError), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise PairsFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        headword, index_text, def_text = parts
+        try:
+            sense_index = int(index_text)
+        except ValueError:
+            raise PairsFormatError(
+                f"{path}:{lineno}: sense index {index_text!r} is not an integer")
+        definition = tuple(def_text.split())
+        if not headword or sense_index < 0 or not definition:
+            raise PairsFormatError(f"{path}:{lineno}: empty field")
+        if headword not in source:
+            raise PairsFormatError(
+                f"{path}:{lineno}: headword {headword!r} has no condition vector")
+        if isinstance(source, SenseTable):
+            retained = source.senses(headword)
+            if sense_index >= len(retained):
                 raise PairsFormatError(
-                    f"{path}:{lineno}: sense index {index_text!r} is not an integer")
-            definition = tuple(def_text.split())
-            if not headword or sense_index < 0 or not definition:
-                raise PairsFormatError(f"{path}:{lineno}: empty field")
-            if headword not in source:
+                    f"{path}:{lineno}: sense index {sense_index} out of range "
+                    f"({len(retained)} retained senses for {headword!r})")
+            vec = retained[sense_index][1]
+        else:
+            if sense_index != 0:
                 raise PairsFormatError(
-                    f"{path}:{lineno}: headword {headword!r} has no condition vector")
-            if isinstance(source, SenseTable):
-                retained = source.senses(headword)
-                if sense_index >= len(retained):
-                    raise PairsFormatError(
-                        f"{path}:{lineno}: sense index {sense_index} out of range "
-                        f"({len(retained)} retained senses for {headword!r})")
-                vec = retained[sense_index][1]
-            else:
-                if sense_index != 0:
-                    raise PairsFormatError(
-                        f"{path}:{lineno}: sense index must be 0 for a single-sense table")
-                vec = source.vector(headword)
-            pairs.append(SenseDefPair(headword, sense_index, vec, definition))
+                    f"{path}:{lineno}: sense index must be 0 for a single-sense table")
+            vec = source.vector(headword)
+        pairs.append(SenseDefPair(headword, sense_index, vec, definition))
     return pairs

@@ -10,7 +10,6 @@ from .layers import (
     init_char_cnn,
     init_lstm,
     lstm_cell,
-    lstm_forward,
     lstm_step,
     uniform_init,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "init_char_cnn",
     "init_lstm",
     "lstm_cell",
-    "lstm_forward",
     "lstm_step",
     "softmax",
     "softmax_cross_entropy",

@@ -105,42 +105,6 @@ def lstm_step(
     return h_new, c_new
 
 
-def lstm_forward(
-    params: dict[str, Tensor],
-    inputs: list[Tensor],
-    initial_state: list[tuple[Tensor, Tensor]] | None = None,
-) -> tuple[list[Tensor], list[tuple[Tensor, Tensor]]]:
-    """Run a stacked LSTM over per-step (batch, dim) inputs.
-
-    Layer count and hidden size are read off the parameter collection.
-    Returns the top layer's hidden state at every step and the final
-    (h, c) pair of every layer. The default initial state is one zero leaf
-    shared by every h and c.
-    """
-    if not inputs:
-        raise ShapeError("lstm_forward needs at least one input step")
-    layers = sum(1 for name in params if name.startswith("Wx"))
-    hidden = params["Wh0"].shape[0]
-    batch = inputs[0].shape[0]
-    if initial_state is None:
-        zero = Tensor(np.zeros((batch, hidden)))
-        state = [(zero, zero)] * layers
-    else:
-        state = list(initial_state)
-    outputs: list[Tensor] = []
-    for x in inputs:
-        layer_input = x
-        for layer in range(layers):
-            h, c = lstm_step(
-                layer_input, state[layer][0], state[layer][1],
-                params[f"Wx{layer}"], params[f"Wh{layer}"], params[f"b{layer}"],
-            )
-            state[layer] = (h, c)
-            layer_input = h
-        outputs.append(layer_input)
-    return outputs, state
-
-
 def init_char_cnn(rng: np.random.Generator, char_vocab_size: int,
                   emb_dim: int = CHAR_EMBEDDING_DIM) -> dict[str, Tensor]:
     params = {"char_emb": uniform_init(rng, (char_vocab_size, emb_dim))}

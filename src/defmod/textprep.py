@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 
 UNK = "<unk>"
 BOS = "<bos>"
@@ -114,24 +114,23 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != "#vocab v1":
-                raise ConfigError(f"{path}: not a vocabulary file (header {header!r})")
-            rows = []
-            for lineno, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                try:
-                    rows.append((parts[0], int(parts[1]), int(parts[2])))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected integer id and count, found {parts[1:]!r}"
-                    ) from None
+        lines = read_lines(path, ConfigError) or [""]
+        header = lines[0]
+        if header != "#vocab v1":
+            raise ConfigError(f"{path}: not a vocabulary file (header {header!r})")
+        rows = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            try:
+                rows.append((parts[0], int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected integer id and count, found {parts[1:]!r}"
+                ) from None
         rows.sort(key=lambda r: r[1])
         expected_ids = list(range(len(rows)))
         if [r[1] for r in rows] != expected_ids:
@@ -141,6 +140,14 @@ class Vocabulary:
         vocab = cls.__new__(cls)
         vocab._id_to_token = [r[0] for r in rows]
         vocab._token_to_id = {r[0]: r[1] for r in rows}
+        if len(vocab._token_to_id) < len(rows):  # a token is listed twice; find where
+            first_line = {}
+            for lineno, line in enumerate(lines[1:], start=2):
+                token = line.split("\t")[0]
+                if line and token in first_line:
+                    raise ConfigError(f"{path}:{lineno}: token {token!r} already listed "
+                                      f"at line {first_line[token]}")
+                first_line[token] = lineno
         vocab._counts = {r[0]: r[2] for r in rows}
         return vocab
 
@@ -181,14 +188,9 @@ class StopwordSet:
     @classmethod
     def from_file(cls, path: str | Path, language_tag: str = "") -> "StopwordSet":
         """One token per line; `#` starts a comment line."""
-        tokens = set()
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                tokens.add(line)
-        return cls(language_tag or Path(path).stem, frozenset(tokens))
+        tokens = (line.strip() for line in read_lines(path, ConfigError))
+        return cls(language_tag or Path(path).stem,
+                   frozenset(t for t in tokens if t and not t.startswith("#")))
 
     @classmethod
     def default(cls, language_tag: str) -> "StopwordSet":

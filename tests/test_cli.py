@@ -275,6 +275,65 @@ def test_evaluate_writes_report(work, trained, tmp_path):
     assert all(len(r) == 4 for r in rows)
 
 
+def _manifest_case(case, work, trained, tmp):
+    """(argv, inputs, outputs, manifest path) for one command, every optional input given."""
+    model = [("--checkpoint", trained), ("--vocab", work / "model.bin.vocab"),
+             ("--chars", work / "model.bin.chars"), ("--senses", work / "senses.tsv")]
+    prune = ["--prune-threshold", "0.05"]
+    if case == "tokenize":
+        (tmp / "corpus.txt").write_text("A cat.\n", encoding="utf-8")
+        inputs, options = [("--input", tmp / "corpus.txt")], []
+        outputs = [tmp / "tokens.txt"]
+    elif case == "train-embeddings":
+        (tmp / "tokens.txt").write_text("a b c a b c a b\n", encoding="utf-8")
+        inputs = [("--tokens", tmp / "tokens.txt")]
+        options = ["--mode", "sgns", "--dim", "4", "--epochs", "1", "--min-count", "1"]
+        outputs = [tmp / "vectors.tsv"]
+    elif case == "stats":
+        inputs, options = [("--lexicon", work / "lex.tsv")], []
+        outputs = [tmp / "stats.json"]
+    elif case == "split":
+        inputs, options = [("--lexicon", work / "lex.tsv")], ["--output-dir", str(tmp / "s")]
+        outputs = [tmp / "s" / f"{name}.tsv" for name in ("train", "dev", "test")]
+    elif case == "build-pairs":
+        (tmp / "stop.txt").write_text("a\nthe\n", encoding="utf-8")
+        inputs = [("--lexicon", work / "splits" / "train.tsv"), ("--senses", work / "senses.tsv"),
+                  ("--embeddings", work / "words.tsv"), ("--stopwords", tmp / "stop.txt")]
+        options = ["--mode", "d2s", *prune]
+        outputs = [tmp / "pairs.tsv"]
+    elif case == "train":
+        shutil.copy(work / "base_pairs.tsv", tmp / "dev_pairs.tsv")
+        inputs = [("--pairs", work / "base_pairs.tsv"), ("--dev-pairs", tmp / "dev_pairs.tsv"),
+                  ("--embeddings", work / "words.tsv")]
+        options = ["--model", "base", "--hidden", "8", "--token-embedding-dim", "6",
+                   "--max-epochs", "1"]
+        outputs = [tmp / "m.bin", tmp / "m.bin.vocab", tmp / "m.bin.chars"]
+    elif case == "generate":
+        inputs, options = [*model, ("--lexicon", work / "lex.tsv")], prune
+        outputs = [tmp / "gen.tsv"]
+    else:
+        inputs = [*model, ("--test", work / "splits" / "test.tsv")]
+        options = [*prune, "--runs", "1", "--word-scores", str(tmp / "scores.tsv")]
+        outputs = [tmp / "report.json", tmp / "scores.tsv"]
+    argv = [case, *options, *(str(arg) for pair in inputs for arg in pair)]
+    if case == "split":
+        return argv, inputs, outputs, tmp / "s" / "split.manifest.json"
+    argv += ["--output", str(outputs[0])]
+    return argv, inputs, outputs, outputs[0].with_name(outputs[0].name + ".manifest.json")
+
+
+@pytest.mark.parametrize("case", list(cli.OPTIONS))
+def test_manifest_lists_exactly_what_its_command_read_and_wrote(work, trained, tmp_path, case):
+    argv, inputs, outputs, manifest_path = _manifest_case(case, work, trained, tmp_path)
+    assert main(argv) == 0
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert manifest["command"] == case
+    assert set(manifest["inputs"]) == {str(path) for _, path in inputs}
+    assert set(manifest["outputs"]) == {str(p) for p in outputs}
+    for digest in (*manifest["inputs"].values(), *manifest["outputs"].values()):
+        assert digest.startswith("sha256:")
+
+
 def test_missing_input_exits_2_naming_path(tmp_path, capsys):
     missing = tmp_path / "nope.tsv"
     assert main(["stats", "--lexicon", str(missing)]) == 2
@@ -558,6 +617,70 @@ def test_non_integer_vocabulary_field_exits_2_naming_line(work, trained, tmp_pat
                  "--words", "cat",
                  "--output", str(tmp_path / "g.tsv")]) == 2
     assert f"{bad}:6:" in capsys.readouterr().err
+
+
+def _bad_utf8(text, dst, lineno):
+    """Write `text` to `dst` with one 0xff byte opening line `lineno`."""
+    lines = text.encode("utf-8").split(b"\n")
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+def _undecodable_input(name, work, tmp):
+    """(argv, bad file, line of the bad byte) for one input of one command."""
+    d2s = ["build-pairs", "--mode", "d2s", "--lexicon", str(work / "splits" / "train.tsv"),
+           "--senses", str(work / "senses.tsv"), "--prune-threshold", "0.05",
+           "--output", str(tmp / "pairs.tsv")]
+    if name == "stats --lexicon":
+        bad = _bad_utf8((work / "lex.tsv").read_text(encoding="utf-8"), tmp / "lex.tsv", 3)
+        return ["stats", "--lexicon", str(bad)], bad, 3
+    if name == "build-pairs --embeddings":
+        bad = _bad_utf8((work / "words.tsv").read_text(encoding="utf-8"), tmp / "words.tsv", 2)
+        return [*d2s, "--embeddings", str(bad)], bad, 2
+    if name == "build-pairs --stopwords":
+        bad = _bad_utf8("a\nthe\nof\n", tmp / "stop.txt", 2)
+        return [*d2s, "--stopwords", str(bad)], bad, 2
+    if name == "train --pairs":
+        pairs = (work / "d2s_pairs.tsv").read_text(encoding="utf-8")
+        bad = _bad_utf8(pairs, tmp / "pairs.tsv", 2)
+        return ["train", "--model", "multisense", "--pairs", str(bad),
+                "--senses", str(work / "senses.tsv"), "--prune-threshold", "0.05",
+                "--output", str(tmp / "m.bin")], bad, 2
+    if name == "tokenize --input":
+        bad = tmp / "corpus.txt"  # universal newlines: "\r\n" and "\r" end lines 1 and 2
+        bad.write_bytes(b"One line.\r\nTwo.\r\xffThree.\n")
+        return ["tokenize", "--input", str(bad), "--output", str(tmp / "t.txt")], bad, 3
+    if name == "train-embeddings --tokens":
+        bad = _bad_utf8("a b c\na b\n", tmp / "tokens.txt", 1)
+        return ["train-embeddings", "--mode", "sgns", "--tokens", str(bad),
+                "--output", str(tmp / "v.tsv")], bad, 1
+    bad = _bad_utf8('{\n  "seed": 1\n}\n', tmp / "cfg.json", 2)
+    return ["stats", "--config", str(bad), "--lexicon", str(work / "lex.tsv")], bad, 2
+
+
+@pytest.mark.parametrize("name", [
+    "stats --lexicon", "build-pairs --embeddings", "build-pairs --stopwords", "train --pairs",
+    "tokenize --input", "train-embeddings --tokens", "--config"])
+def test_undecodable_input_exits_2_naming_line(work, tmp_path, capsys, name):
+    argv, bad, lineno = _undecodable_input(name, work, tmp_path)
+    assert main(argv) == 2
+    assert f"error: {bad}:{lineno}: not valid UTF-8" in capsys.readouterr().err
+
+
+_FLOAT_OPTIONS = [(command, flag) for command, options in cli.OPTIONS.items()
+                  for flag, _, kwargs in options if kwargs.get("type") is float]
+
+
+@pytest.mark.parametrize("command, flag", _FLOAT_OPTIONS)
+def test_non_finite_float_option_exits_2(tmp_path, capsys, command, flag):
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "cfg.json"
+    for value in (float("nan"), float("inf"), float("-inf")):
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        for argv in ([command, f"{flag}={value}"], [command, "--config", str(cfg)]):
+            assert main(argv) == 2
+            assert f"config key {key} must be finite" in capsys.readouterr().err
 
 
 def test_internal_failure_exits_1(work, monkeypatch):

@@ -69,6 +69,15 @@ def test_embedding_table_roundtrip(tmp_path):
     np.testing.assert_array_equal(again.matrix, table.matrix)
 
 
+@pytest.mark.parametrize("header", ["0 -1", "0 0", "-1 3"])
+def test_embedding_table_load_rejects_bad_header_counts(tmp_path, header):
+    path = tmp_path / "emb.txt"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        EmbeddingTable.load(path)
+    assert str(exc.value).startswith(f"{path}:1: expected a count >= 0 and a dim >= 1")
+
+
 def test_embedding_table_nearest():
     table = EmbeddingTable(
         2,

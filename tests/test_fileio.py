@@ -1,4 +1,5 @@
-"""Every output file is written atomically: whole or not at all."""
+"""Every output file is written atomically: whole or not at all. Text input
+is split into lines as text-mode `open` splits it."""
 
 import os
 
@@ -8,7 +9,8 @@ import pytest
 from defmod.cli import _write_manifest, main
 from defmod.defgen import save_generated
 from defmod.embeddings import EmbeddingTable, SenseTable
-from defmod.fileio import atomic_write
+from defmod.errors import ConfigError
+from defmod.fileio import atomic_write, read_lines
 from defmod.lexicon import Lexicon, WordEntry
 from defmod.matcher import SenseDefPair, save_pairs
 from defmod.metrics import EvalReport
@@ -87,3 +89,13 @@ def test_atomic_write_failing_body_keeps_old_file(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("data", [b"", b"a", b"a\n", b"a\n\n", b"a\r\nb\rc", b"a\r", b"\r\n\r\n",
+                                  "x\x85y\u2028z\x0cw\n".encode("utf-8")])
+def test_read_lines_splits_as_text_mode_open(tmp_path, data):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as f:
+        expected = [line.removesuffix("\n") for line in f]
+    assert read_lines(path, ConfigError) == expected

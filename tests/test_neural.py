@@ -24,7 +24,6 @@ from defmod.neural import (
     init_adam,
     init_char_cnn,
     init_lstm,
-    lstm_forward,
     lstm_step,
     softmax,
     softmax_cross_entropy,
@@ -232,12 +231,30 @@ def test_grad_check_max_and_concat():
     assert err < 1e-6
 
 
+def _lstm_chain(step, params, inputs, h0, c0, layers=2):
+    """Stacked layers over every input: each step's top h, and every layer's final (h, c)."""
+    state = [(h0, c0)] * layers
+    tops = []
+    for x in inputs:
+        for layer in range(layers):
+            state[layer] = step(x, *state[layer], params[f"Wx{layer}"], params[f"Wh{layer}"],
+                                params[f"b{layer}"])
+            x = state[layer][0]
+        tops.append(x)
+    return tops, state
+
+
+def _zeros(batch, hidden):
+    zero = Tensor(np.zeros((batch, hidden)))
+    return zero, zero
+
+
 def test_lstm_zero_params_zero_outputs():
     params = init_lstm(np.random.default_rng(7), input_dim=3, hidden=4, layers=2)
     for p in params.values():
         p.data[:] = 0.0
     inputs = [Tensor(np.ones((2, 3))) for _ in range(5)]
-    outputs, state = lstm_forward(params, inputs)
+    outputs, state = _lstm_chain(lstm_step, params, inputs, *_zeros(2, 4))
     assert len(outputs) == 5
     for h in outputs:
         np.testing.assert_allclose(h.data, 0.0)
@@ -249,7 +266,8 @@ def test_lstm_zero_params_zero_outputs():
 def test_lstm_output_length_matches_input():
     params = init_lstm(np.random.default_rng(8), input_dim=2, hidden=3, layers=2)
     for steps in (1, 4, 9):
-        outputs, _ = lstm_forward(params, [Tensor(np.ones((1, 2)))] * steps)
+        outputs, _ = _lstm_chain(lstm_step, params, [Tensor(np.ones((1, 2)))] * steps,
+                                 *_zeros(1, 3))
         assert len(outputs) == steps
         assert outputs[0].shape == (1, 3)
 
@@ -265,7 +283,7 @@ def test_lstm_forget_bias_is_one():
 def test_lstm_rejects_bad_input_dim():
     params = init_lstm(np.random.default_rng(10), input_dim=3, hidden=4, layers=1)
     with pytest.raises(ShapeError):
-        lstm_forward(params, [Tensor(np.ones((1, 5)))])
+        _lstm_chain(lstm_step, params, [Tensor(np.ones((1, 5)))], *_zeros(1, 4), layers=1)
 
 
 def test_lstm_grad_check_two_layers():
@@ -276,7 +294,7 @@ def test_lstm_grad_check_two_layers():
     weights = np.arange(8.0).reshape(2, 4)
 
     def loss():
-        outputs, _ = lstm_forward(params, inputs)
+        outputs, _ = _lstm_chain(lstm_step, params, inputs, *_zeros(2, 4))
         return (concat(outputs, axis=0) * np.tile(weights, (3, 1))).sum()
 
     assert grad_check(loss, params, epsilon=1e-4) < 1e-3
@@ -296,15 +314,7 @@ def _lstm_step_by_nodes(x, h, c, Wx, Wh, b):
 
 def _lstm_chain_loss(step, params, inputs, h0, c0, weights):
     """Two stacked layers over every input; the loss reads every h and the final c."""
-    state = [(h0, c0), (h0, c0)]
-    tops = []
-    for x in inputs:
-        for layer in range(2):
-            h, c = step(x, *state[layer], params[f"Wx{layer}"], params[f"Wh{layer}"],
-                        params[f"b{layer}"])
-            state[layer] = (h, c)
-            x = h
-        tops.append(x)
+    tops, state = _lstm_chain(step, params, inputs, h0, c0)
     loss = (concat(tops, axis=0) * weights).sum()
     for _h, c in state:
         loss = loss + (c * weights[:c.shape[0]]).sum()

@@ -152,6 +152,18 @@ def test_vocab_load_rejects_bad_header(tmp_path):
         Vocabulary.load(path)
 
 
+def test_vocab_load_rejects_a_token_listed_twice(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    build_vocab(["x", "x", "y"], min_count=1).save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[5] == "x\t4\t2"
+    lines[6] = "x\t5\t1"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        Vocabulary.load(path)
+    assert str(exc.value) == f"{path}:7: token 'x' already listed at line 6"
+
+
 def test_vocab_digest_changes_with_content():
     a = build_vocab(["a"], min_count=1)
     b = build_vocab(["b"], min_count=1)
