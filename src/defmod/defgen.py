@@ -36,8 +36,6 @@ from .neural import (
     concat,
     gather,
     init_adam,
-    init_char_cnn,
-    init_lstm,
     lstm_cell,
     lstm_step,
     softmax,
@@ -54,6 +52,8 @@ CLIP_NORM = 5.0
 # can depend on which rows share a block, and outputs must depend only on the
 # inputs and the seeds.
 SAMPLE_BLOCK_ROWS = 64
+# Pairs per batch when `dataset_nll` scores a pair list.
+EVAL_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,25 +137,32 @@ def build_char_vocab(words: Iterable[str]) -> Vocabulary:
 def init_model(cfg: DefModelConfig) -> DefModel:
     """Fresh parameters, deterministic in cfg.seed.
 
-    Collection: token embeddings, character CNN, condition projection
-    (condition vector plus char features down to the token embedding width),
-    stacked LSTM, output projection.
+    Walks `parameter_shapes` in order: every matrix is drawn uniformly and
+    every vector starts at zero, except that each LSTM layer's forget-gate
+    bias (gate order [input, forget, candidate, output]) starts at +1 so
+    early training does not wash out state.
     """
     rng = np.random.default_rng(cfg.seed)
+    lstm_biases = {f"b{layer}" for layer in range(cfg.layers)}
     params: dict[str, Tensor] = {}
-    params["token_emb"] = uniform_init(rng, (len(cfg.vocab), cfg.token_embedding_dim))
-    params.update(init_char_cnn(rng, len(cfg.char_vocab)))
-    params["Wc"] = uniform_init(
-        rng, (cfg.condition_dim + CHAR_FEATURE_DIM, cfg.token_embedding_dim))
-    params["bc"] = Tensor(np.zeros(cfg.token_embedding_dim), requires_grad=True)
-    params.update(init_lstm(rng, 2 * cfg.token_embedding_dim, cfg.hidden, cfg.layers))
-    params["Wo"] = uniform_init(rng, (cfg.hidden, len(cfg.vocab)))
-    params["bo"] = Tensor(np.zeros(len(cfg.vocab)), requires_grad=True)
+    for name, shape in parameter_shapes(cfg).items():
+        if len(shape) == 2:
+            params[name] = uniform_init(rng, shape)
+        else:
+            data = np.zeros(shape)
+            if name in lstm_biases:
+                data[cfg.hidden:2 * cfg.hidden] = 1.0
+            params[name] = Tensor(data, requires_grad=True)
     return DefModel(cfg, params)
 
 
 def parameter_shapes(cfg: DefModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every parameter `init_model` creates, drawing nothing."""
+    """Name and shape of every parameter, in the order `init_model` draws them.
+
+    Token embeddings, character CNN, condition projection (condition vector
+    plus char features down to the token embedding width), stacked LSTM,
+    output projection.
+    """
     vocab, emb, hidden = len(cfg.vocab), cfg.token_embedding_dim, cfg.hidden
     shapes = {"token_emb": (vocab, emb), "char_emb": (len(cfg.char_vocab), CHAR_EMBEDDING_DIM)}
     for length, size in CNN_KERNELS:
@@ -256,11 +263,11 @@ def _restore(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -> None
         params[name].data[...] = data
 
 
-def dataset_nll(model: DefModel, pairs: list[SenseDefPair], batch_size: int = 64) -> float:
+def dataset_nll(model: DefModel, pairs: list[SenseDefPair]) -> float:
     """Mean NLL per token over a pair list, no parameter updates."""
     total, tokens = 0.0, 0
-    for start in range(0, len(pairs), batch_size):
-        loss, n = batch_nll(model, pairs[start:start + batch_size])
+    for start in range(0, len(pairs), EVAL_BATCH_SIZE):
+        loss, n = batch_nll(model, pairs[start:start + EVAL_BATCH_SIZE])
         total += loss.item() * n
         tokens += n
     return total / tokens
@@ -270,17 +277,17 @@ def train_defmodel(
     model: DefModel,
     pairs: list[SenseDefPair],
     dev_pairs: list[SenseDefPair] | None = None,
-    cfg: DefModelConfig | None = None,
 ) -> tuple[DefModel, TrainReport]:
     """Mini-batch Adam on mean NLL with best-dev retention.
 
-    Shuffling is fixed by cfg.seed. Dev NLL is evaluated every epoch (on the
-    training pairs when no dev list is given); the parameters of the best dev
-    epoch are restored before returning. Stops once `patience` epochs pass
-    without a new best, or at max_epochs. Each epoch logs one INFO line with
-    train and dev NLL, the mean gradient norm, the clip rate and tokens/s.
+    Hyperparameters come from model.config; shuffling is fixed by its seed.
+    Dev NLL is evaluated every epoch (on the training pairs when no dev list
+    is given); the parameters of the best dev epoch are restored before
+    returning. Stops once `patience` epochs pass without a new best, or at
+    max_epochs. Each epoch logs one INFO line with train and dev NLL, the mean
+    gradient norm, the clip rate and tokens/s.
     """
-    cfg = cfg or model.config
+    cfg = model.config
     if not pairs:
         raise ConfigError("train_defmodel needs at least one training pair")
     dev = dev_pairs if dev_pairs else pairs

@@ -93,10 +93,15 @@ class EmbeddingTable:
             raise ConfigError(f"{path}:1: expected a count >= 0 and a dim >= 1, "
                               f"found {count} {dim}")
         words, rows = [], []
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split(" ")
             if len(parts) != dim + 1:
                 raise ConfigError(f"{path}:{lineno}: bad row for {parts[0]!r}")
+            if parts[0] in first_line:
+                raise ConfigError(f"{path}:{lineno}: word {parts[0]!r} repeats line "
+                                  f"{first_line[parts[0]]}")
+            first_line[parts[0]] = lineno
             words.append(parts[0])
             rows.append(_parse_floats(parts[1:], path, lineno))
         if len(words) != count:
@@ -188,12 +193,17 @@ class SenseTable:
         dim, max_prototypes = _parse_ints(header[2:], path, 1)
         table = cls(dim, max_prototypes, prune_threshold)
         rows: dict[str, list[tuple[int, float, list[float]]]] = {}
+        first_line: dict[tuple[str, int], int] = {}
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ConfigError(f"{path}:{lineno}: expected 4 tab-separated fields")
             word, k, prior, vec = parts
             (k,) = _parse_ints([k], path, lineno)
+            if (word, k) in first_line:
+                raise ConfigError(f"{path}:{lineno}: prototype {k} of {word!r} repeats line "
+                                  f"{first_line[word, k]}")
+            first_line[word, k] = lineno
             prior, *vec = _parse_floats([prior, *vec.split(" ")], path, lineno)
             if len(vec) != table.dim:
                 raise ConfigError(f"{path}:{lineno}: expected {table.dim} vector components, "

@@ -76,8 +76,6 @@ class SplitLexicon:
     train: Lexicon
     dev: Lexicon
     test: Lexicon
-    seed: int
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS
 
 
 @dataclass
@@ -181,8 +179,6 @@ def split_lexicon(
         train=lex.subset(shuffled[:n_train]),
         dev=lex.subset(shuffled[n_train:n_train + n_dev]),
         test=lex.subset(shuffled[n_train + n_dev:]),
-        seed=seed,
-        ratios=ratios,
     )
 
 

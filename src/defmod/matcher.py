@@ -77,43 +77,22 @@ def embed_definition(
     return np.mean([table.vector(t) for t in chosen], axis=0)
 
 
-def match_d2s(
+def match_entry(
     entry: WordEntry,
     senses: list[tuple[np.ndarray, float]],
     table: EmbeddingTable,
     stops: StopwordSet,
-) -> list[SenseDefPair]:
-    """One pair per representable definition, joined to its nearest sense.
+    mode: MatchMode,
+) -> list[tuple[SenseDefPair, float]]:
+    """Pairs of one entry, each with its winning cosine.
 
-    Cosine ties go to the lowest sense index. Definitions with no covered
-    token are skipped with a warning; zero representable definitions yield
-    an empty list.
-    """
-    pairs = []
-    for definition in entry.definitions:
-        try:
-            emb = embed_definition(definition, table, stops)
-        except UnrepresentableDefinitionError:
-            log.warning("%s: definition %r not representable, skipped",
-                        entry.headword, " ".join(definition))
-            continue
-        sims = np.array([cosine(emb, vec) for vec, _prior in senses])
-        best = int(np.argmax(sims))
-        pairs.append(SenseDefPair(entry.headword, best, senses[best][0], definition))
-    if not pairs:
-        log.warning("%s: no representable definitions", entry.headword)
-    return pairs
-
-
-def match_s2d(
-    entry: WordEntry,
-    senses: list[tuple[np.ndarray, float]],
-    table: EmbeddingTable,
-    stops: StopwordSet,
-) -> list[SenseDefPair]:
-    """One pair per sense, joined to its nearest representable definition.
-
-    Cosine ties go to the first definition in entry order.
+    Each representable definition is embedded once, and one (definitions x
+    senses) cosine matrix is filled. D2S joins every definition to its row's
+    nearest sense; S2D joins every sense to its column's nearest definition.
+    `np.argmax` takes the first maximum, so ties go to the lowest sense index
+    (D2S) or the first definition in entry order (S2D). Definitions with no
+    covered token are skipped with a warning; zero representable definitions
+    yield an empty list.
     """
     embs, kept = [], []
     for definition in entry.definitions:
@@ -126,12 +105,14 @@ def match_s2d(
     if not kept:
         log.warning("%s: no representable definitions", entry.headword)
         return []
-    pairs = []
-    for k, (vec, _prior) in enumerate(senses):
-        sims = np.array([cosine(vec, emb) for emb in embs])
-        best = int(np.argmax(sims))
-        pairs.append(SenseDefPair(entry.headword, k, vec, kept[best]))
-    return pairs
+    sims = np.array([[cosine(emb, vec) for vec, _prior in senses] for emb in embs])
+    if mode is MatchMode.D2S:
+        best = sims.argmax(axis=1)
+        return [(SenseDefPair(entry.headword, int(k), senses[k][0], definition), sims[d, k])
+                for d, (k, definition) in enumerate(zip(best, kept))]
+    best = sims.argmax(axis=0)
+    return [(SenseDefPair(entry.headword, k, vec, kept[d]), sims[d, k])
+            for k, (d, (vec, _prior)) in enumerate(zip(best, senses))]
 
 
 def build_training_pairs(
@@ -152,7 +133,6 @@ def build_training_pairs(
     """
     if table is None:
         table = senses.dominant_table()
-    match = match_d2s if mode is MatchMode.D2S else match_s2d
     pairs: list[SenseDefPair] = []
     matched = skipped = empty = filtered = 0
     for headword in split.headwords():
@@ -160,15 +140,10 @@ def build_training_pairs(
             skipped += 1
             continue
         retained = [(vec, prior) for _k, vec, prior in senses.senses(headword)]
-        entry_pairs = match(split.entries[headword], retained, table, stops)
-        if min_similarity is not None:
-            before = len(entry_pairs)
-            entry_pairs = [
-                p for p in entry_pairs
-                if cosine(embed_definition(p.definition, table, stops),
-                          p.sense_vector) >= min_similarity
-            ]
-            filtered += before - len(entry_pairs)
+        scored = match_entry(split.entries[headword], retained, table, stops, mode)
+        entry_pairs = [p for p, sim in scored
+                       if min_similarity is None or sim >= min_similarity]
+        filtered += len(scored) - len(entry_pairs)
         if not entry_pairs:
             empty += 1
             continue

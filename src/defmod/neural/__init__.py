@@ -7,8 +7,6 @@ from .layers import (
     CNN_KERNELS,
     char_cnn_forward,
     clip_global_norm,
-    init_char_cnn,
-    init_lstm,
     lstm_cell,
     lstm_step,
     uniform_init,
@@ -29,8 +27,6 @@ __all__ = [
     "gather",
     "grad_check",
     "init_adam",
-    "init_char_cnn",
-    "init_lstm",
     "lstm_cell",
     "lstm_step",
     "softmax",

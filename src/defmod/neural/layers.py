@@ -21,22 +21,6 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float 
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
-def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, layers: int) -> dict[str, Tensor]:
-    """Stacked LSTM parameters; gate order [input, forget, candidate, output].
-
-    Forget-gate bias starts at +1 so early training does not wash out state.
-    """
-    params: dict[str, Tensor] = {}
-    for layer in range(layers):
-        dim = input_dim if layer == 0 else hidden
-        bias = np.zeros(4 * hidden)
-        bias[hidden:2 * hidden] = 1.0
-        params[f"Wx{layer}"] = uniform_init(rng, (dim, 4 * hidden))
-        params[f"Wh{layer}"] = uniform_init(rng, (hidden, 4 * hidden))
-        params[f"b{layer}"] = Tensor(bias, requires_grad=True)
-    return params
-
-
 def _gate_views(acts: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
     return tuple(acts[:, k * hidden:(k + 1) * hidden] for k in range(4))
 
@@ -103,15 +87,6 @@ def lstm_step(
     h_new._backward = h_backward
     c_new._backward = c_backward
     return h_new, c_new
-
-
-def init_char_cnn(rng: np.random.Generator, char_vocab_size: int,
-                  emb_dim: int = CHAR_EMBEDDING_DIM) -> dict[str, Tensor]:
-    params = {"char_emb": uniform_init(rng, (char_vocab_size, emb_dim))}
-    for length, size in CNN_KERNELS:
-        params[f"K{length}"] = uniform_init(rng, (length * emb_dim, size))
-        params[f"Kb{length}"] = Tensor(np.zeros(size), requires_grad=True)
-    return params
 
 
 @lru_cache(maxsize=1024)

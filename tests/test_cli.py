@@ -587,6 +587,24 @@ def test_nan_in_embedding_row_exits_2_naming_line(work, tmp_path, capsys):
     assert f"{bad}:5:" in capsys.readouterr().err
 
 
+def test_repeated_embedding_word_exits_2_naming_line(work, tmp_path, capsys):
+    repeated = (work / "words.tsv").read_text(encoding="utf-8").splitlines()[4]
+    bad = _corrupt_line(work / "words.tsv", tmp_path / "words.tsv", 6, lambda line: repeated)
+    assert main(["build-pairs", "--mode", "base",
+                 "--lexicon", str(work / "splits" / "train.tsv"),
+                 "--embeddings", str(bad),
+                 "--output", str(tmp_path / "pairs.tsv")]) == 2
+    assert f"{bad}:6: word {repeated.split()[0]!r} repeats line 5" in capsys.readouterr().err
+
+
+def test_repeated_sense_prototype_exits_2_naming_line(work, tmp_path, capsys):
+    repeated = (work / "senses.tsv").read_text(encoding="utf-8").splitlines()[2]
+    bad = _corrupt_line(work / "senses.tsv", tmp_path / "senses.tsv", 4, lambda line: repeated)
+    assert _d2s_pairs(work, tmp_path, bad) == 2
+    word, k = repeated.split("\t")[:2]
+    assert f"{bad}:4: prototype {k} of {word!r} repeats line 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model, pairs, source", [
     ("multisense", "d2s_pairs.tsv", ["--senses", "senses.tsv", "--prune-threshold", "0.05"]),
     ("base", "base_pairs.tsv", ["--embeddings", "words.tsv"]),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from defmod import matcher
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.errors import PairsFormatError, UnrepresentableDefinitionError
 from defmod.lexicon import Lexicon, WordEntry
@@ -13,8 +14,7 @@ from defmod.matcher import (
     build_training_pairs,
     embed_definition,
     load_pairs,
-    match_d2s,
-    match_s2d,
+    match_entry,
     save_pairs,
 )
 from defmod.textprep import StopwordSet
@@ -66,6 +66,11 @@ def test_embed_stopwords_excluded_when_content_remains():
         embed_definition(("the", "cat"), table, stops), [0.0, 2.0])
 
 
+def matched(entry, senses, table, mode):
+    """The pairs `match_entry` builds, without their cosines."""
+    return [p for p, _sim in match_entry(entry, senses, table, NO_STOPS, mode)]
+
+
 def two_by_two():
     table = table_of({"a": (0.9, 0.1), "b": (0.2, 0.8)})
     entry = WordEntry("w", [("a",), ("b",)])
@@ -75,19 +80,19 @@ def two_by_two():
 
 def test_match_d2s_two_by_two():
     entry, senses, table = two_by_two()
-    pairs = match_d2s(entry, senses, table, NO_STOPS)
+    pairs = matched(entry, senses, table, MatchMode.D2S)
     assert [(p.sense_index, p.definition) for p in pairs] == [(0, ("a",)), (1, ("b",))]
 
 
 def test_match_s2d_two_by_two():
     entry, senses, table = two_by_two()
-    pairs = match_s2d(entry, senses, table, NO_STOPS)
+    pairs = matched(entry, senses, table, MatchMode.S2D)
     assert [(p.sense_index, p.definition) for p in pairs] == [(0, ("a",)), (1, ("b",))]
 
 
 def test_match_d2s_single_sense_takes_all():
     entry, senses, table = two_by_two()
-    pairs = match_d2s(entry, senses[:1], table, NO_STOPS)
+    pairs = matched(entry, senses[:1], table, MatchMode.D2S)
     assert [p.sense_index for p in pairs] == [0, 0]
     assert len(pairs) == len(entry.definitions)
 
@@ -95,7 +100,7 @@ def test_match_d2s_single_sense_takes_all():
 def test_match_s2d_single_definition_takes_all():
     _, senses, table = two_by_two()
     entry = WordEntry("w", [("a",)])
-    pairs = match_s2d(entry, senses, table, NO_STOPS)
+    pairs = matched(entry, senses, table, MatchMode.S2D)
     assert [(p.sense_index, p.definition) for p in pairs] == [(0, ("a",)), (1, ("a",))]
 
 
@@ -103,7 +108,7 @@ def test_match_d2s_tie_breaks_low_index():
     table = table_of({"a": (1.0, 1.0)})
     entry = WordEntry("w", [("a",)])
     senses = [(np.array([2.0, 2.0]), 0.5), (np.array([1.0, 1.0]), 0.5)]
-    pairs = match_d2s(entry, senses, table, NO_STOPS)
+    pairs = matched(entry, senses, table, MatchMode.D2S)
     assert pairs[0].sense_index == 0
 
 
@@ -111,7 +116,7 @@ def test_match_s2d_tie_breaks_first_definition():
     table = table_of({"a": (1.0, 1.0), "b": (2.0, 2.0)})
     entry = WordEntry("w", [("a",), ("b",)])
     senses = [(np.array([3.0, 3.0]), 1.0)]
-    pairs = match_s2d(entry, senses, table, NO_STOPS)
+    pairs = matched(entry, senses, table, MatchMode.S2D)
     assert pairs[0].definition == ("a",)
 
 
@@ -119,15 +124,15 @@ def test_match_skips_unrepresentable_definitions():
     table = table_of({"a": (1.0, 0.0)})
     entry = WordEntry("w", [("a",), ("zzz",)])
     senses = [(np.array([1.0, 0.0]), 1.0)]
-    assert len(match_d2s(entry, senses, table, NO_STOPS)) == 1
+    assert len(matched(entry, senses, table, MatchMode.D2S)) == 1
 
 
 def test_match_empty_when_nothing_representable():
     table = table_of({"a": (1.0, 0.0)})
     entry = WordEntry("w", [("zzz",)])
     senses = [(np.array([1.0, 0.0]), 1.0)]
-    assert match_d2s(entry, senses, table, NO_STOPS) == []
-    assert match_s2d(entry, senses, table, NO_STOPS) == []
+    assert matched(entry, senses, table, MatchMode.D2S) == []
+    assert matched(entry, senses, table, MatchMode.S2D) == []
 
 
 def brute_cosine(u, v):
@@ -151,12 +156,13 @@ def test_match_d2s_matches_exhaustive_oracle():
         for d in defs:
             entry.add(d)
         senses = [(rng.normal(size=dim), 1.0 / n_senses) for _ in range(n_senses)]
-        pairs = match_d2s(entry, senses, table, NO_STOPS)
-        assert len(pairs) == len(entry.definitions)
-        for pair in pairs:
+        scored = match_entry(entry, senses, table, NO_STOPS, MatchMode.D2S)
+        assert len(scored) == len(entry.definitions)
+        for pair, sim in scored:
             emb = np.mean([table.vector(t) for t in pair.definition], axis=0)
             sims = [brute_cosine(emb, vec) for vec, _ in senses]
             assert pair.sense_index == int(np.argmax(sims))
+            assert sim == pytest.approx(max(sims), abs=1e-12)
 
 
 def test_match_s2d_matches_exhaustive_oracle():
@@ -172,13 +178,14 @@ def test_match_s2d_matches_exhaustive_oracle():
             size = int(rng.integers(1, 4))
             entry.add(tuple(rng.choice(words, size=size, replace=False)))
         senses = [(rng.normal(size=dim), 1.0 / n_senses) for _ in range(n_senses)]
-        pairs = match_s2d(entry, senses, table, NO_STOPS)
-        assert len(pairs) == n_senses
+        scored = match_entry(entry, senses, table, NO_STOPS, MatchMode.S2D)
+        assert len(scored) == n_senses
         embs = [np.mean([table.vector(t) for t in d], axis=0)
                 for d in entry.definitions]
-        for pair in pairs:
+        for pair, sim in scored:
             sims = [brute_cosine(pair.sense_vector, e) for e in embs]
             assert pair.definition == entry.definitions[int(np.argmax(sims))]
+            assert sim == pytest.approx(max(sims), abs=1e-12)
 
 
 def test_assignment_scale_invariance():
@@ -192,11 +199,11 @@ def test_assignment_scale_invariance():
             entry.add(tuple(rng.choice(words, size=2, replace=False)))
         senses = [(rng.normal(size=3), 0.5) for _ in range(3)]
         scaled = [(7.25 * vec, p) for vec, p in senses]
-        for match in (match_d2s, match_s2d):
+        for mode in MatchMode:
             base = [(p.sense_index, p.definition)
-                    for p in match(entry, senses, table, NO_STOPS)]
+                    for p in matched(entry, senses, table, mode)]
             big = [(p.sense_index, p.definition)
-                   for p in match(entry, scaled, table, NO_STOPS)]
+                   for p in matched(entry, scaled, table, mode)]
             assert base == big
 
 
@@ -311,6 +318,36 @@ def test_build_pairs_min_similarity_filters():
         lex, senses, table, NO_STOPS, MatchMode.D2S, min_similarity=0.999)
     assert summary.pairs_filtered > 0
     assert len(pairs) < 4
+
+
+def test_build_pairs_min_similarity_filters_s2d():
+    """S2D keeps exactly the pairs whose winning cosine reaches the threshold."""
+    lex, senses, table = cluster_setup()
+    full, _ = build_training_pairs(lex, senses, table, NO_STOPS, MatchMode.S2D)
+    sims = [brute_cosine(embed_definition(p.definition, table, NO_STOPS), p.sense_vector)
+            for p in full]
+    threshold = sorted(sims)[len(sims) // 2]
+    pairs, summary = build_training_pairs(
+        lex, senses, table, NO_STOPS, MatchMode.S2D, min_similarity=threshold)
+    expected = [(p.headword, p.sense_index, p.definition)
+                for p, sim in zip(full, sims) if sim >= threshold]
+    assert [(p.headword, p.sense_index, p.definition) for p in pairs] == expected
+    assert 0 < summary.pairs_filtered == len(full) - len(pairs)
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_build_pairs_embeds_each_definition_once(monkeypatch, mode):
+    """Filtering on the winning cosine embeds no definition a second time."""
+    lex, senses, table = cluster_setup()
+    calls = []
+
+    def counting(definition, *args):
+        calls.append(definition)
+        return embed_definition(definition, *args)
+
+    monkeypatch.setattr(matcher, "embed_definition", counting)
+    build_training_pairs(lex, senses, table, NO_STOPS, mode, min_similarity=0.0)
+    assert len(calls) == lex.definition_count()
 
 
 def test_build_base_pairs():

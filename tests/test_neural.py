@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from defmod.defgen import DefModelConfig, build_char_vocab, init_model
 from defmod.errors import ConfigError, ShapeError
 from defmod.neural import (
+    CHAR_EMBEDDING_DIM,
     CHAR_FEATURE_DIM,
     CNN_KERNELS,
     AdamState,
@@ -22,11 +24,10 @@ from defmod.neural import (
     gather,
     grad_check,
     init_adam,
-    init_char_cnn,
-    init_lstm,
     lstm_step,
     softmax,
     softmax_cross_entropy,
+    uniform_init,
 )
 from defmod.neural.optim import BLOCK_ENTRIES
 
@@ -244,13 +245,32 @@ def _lstm_chain(step, params, inputs, h0, c0, layers=2):
     return tops, state
 
 
+def lstm_params(rng, input_dim, hidden, layers):
+    """Stacked-LSTM weights and biases, every entry drawn uniformly."""
+    shapes = {}
+    for layer in range(layers):
+        shapes[f"Wx{layer}"] = (input_dim if layer == 0 else hidden, 4 * hidden)
+        shapes[f"Wh{layer}"] = (hidden, 4 * hidden)
+        shapes[f"b{layer}"] = (4 * hidden,)
+    return {name: uniform_init(rng, shape) for name, shape in shapes.items()}
+
+
+def char_cnn_params(rng, char_vocab_size):
+    """Character table, kernels and kernel biases, every entry drawn uniformly."""
+    shapes = {"char_emb": (char_vocab_size, CHAR_EMBEDDING_DIM)}
+    for length, size in CNN_KERNELS:
+        shapes[f"K{length}"] = (length * CHAR_EMBEDDING_DIM, size)
+        shapes[f"Kb{length}"] = (size,)
+    return {name: uniform_init(rng, shape) for name, shape in shapes.items()}
+
+
 def _zeros(batch, hidden):
     zero = Tensor(np.zeros((batch, hidden)))
     return zero, zero
 
 
 def test_lstm_zero_params_zero_outputs():
-    params = init_lstm(np.random.default_rng(7), input_dim=3, hidden=4, layers=2)
+    params = lstm_params(np.random.default_rng(7), input_dim=3, hidden=4, layers=2)
     for p in params.values():
         p.data[:] = 0.0
     inputs = [Tensor(np.ones((2, 3))) for _ in range(5)]
@@ -264,7 +284,7 @@ def test_lstm_zero_params_zero_outputs():
 
 
 def test_lstm_output_length_matches_input():
-    params = init_lstm(np.random.default_rng(8), input_dim=2, hidden=3, layers=2)
+    params = lstm_params(np.random.default_rng(8), input_dim=2, hidden=3, layers=2)
     for steps in (1, 4, 9):
         outputs, _ = _lstm_chain(lstm_step, params, [Tensor(np.ones((1, 2)))] * steps,
                                  *_zeros(1, 3))
@@ -273,15 +293,17 @@ def test_lstm_output_length_matches_input():
 
 
 def test_lstm_forget_bias_is_one():
-    params = init_lstm(np.random.default_rng(9), input_dim=2, hidden=3, layers=2)
+    vocab = build_char_vocab(["abcde"])
+    model = init_model(DefModelConfig(vocab, vocab, condition_dim=2, hidden=3, layers=2,
+                                      token_embedding_dim=1, seed=9))
     for layer in (0, 1):
-        b = params[f"b{layer}"].data
+        b = model.params[f"b{layer}"].data
         np.testing.assert_allclose(b[3:6], 1.0)
         np.testing.assert_allclose(np.delete(b, np.s_[3:6]), 0.0)
 
 
 def test_lstm_rejects_bad_input_dim():
-    params = init_lstm(np.random.default_rng(10), input_dim=3, hidden=4, layers=1)
+    params = lstm_params(np.random.default_rng(10), input_dim=3, hidden=4, layers=1)
     with pytest.raises(ShapeError):
         _lstm_chain(lstm_step, params, [Tensor(np.ones((1, 5)))], *_zeros(1, 4), layers=1)
 
@@ -289,7 +311,7 @@ def test_lstm_rejects_bad_input_dim():
 def test_lstm_grad_check_two_layers():
     """Full stacked-LSTM gradient vs central differences, epsilon 1e-4."""
     rng = np.random.default_rng(11)
-    params = init_lstm(rng, input_dim=3, hidden=4, layers=2)
+    params = lstm_params(rng, input_dim=3, hidden=4, layers=2)
     inputs = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
     weights = np.arange(8.0).reshape(2, 4)
 
@@ -323,7 +345,7 @@ def _lstm_chain_loss(step, params, inputs, h0, c0, weights):
 
 def test_lstm_step_matches_node_graph_bit_for_bit():
     rng = np.random.default_rng(19)
-    params = init_lstm(rng, input_dim=3, hidden=4, layers=2)
+    params = lstm_params(rng, input_dim=3, hidden=4, layers=2)
     inputs = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
     h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     c0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
@@ -345,7 +367,7 @@ def test_lstm_step_matches_node_graph_bit_for_bit():
 def test_lstm_step_rejects_overflowing_gates():
     # sigmoid and tanh map an infinite gate to a finite value, so the gates
     # must be checked first.
-    params = init_lstm(np.random.default_rng(21), input_dim=3, hidden=4, layers=1)
+    params = lstm_params(np.random.default_rng(21), input_dim=3, hidden=4, layers=1)
     params["Wx0"].data[:, 0] = 1e308
     x = Tensor(np.ones((1, 3)))
     zero = Tensor(np.zeros((1, 4)))
@@ -355,7 +377,7 @@ def test_lstm_step_rejects_overflowing_gates():
 
 def test_lstm_step_grad_check_two_steps():
     rng = np.random.default_rng(22)
-    params = init_lstm(rng, input_dim=3, hidden=4, layers=1)
+    params = lstm_params(rng, input_dim=3, hidden=4, layers=1)
     xs = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2)]
     h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     c0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
@@ -372,28 +394,28 @@ def test_lstm_step_grad_check_two_steps():
 
 
 def test_char_cnn_output_dim():
-    params = init_char_cnn(np.random.default_rng(12), char_vocab_size=10)
+    params = char_cnn_params(np.random.default_rng(12), char_vocab_size=10)
     out = char_cnn_forward(params, [4, 5, 6, 7, 8, 9], pad_id=3)
     assert out.shape == (1, CHAR_FEATURE_DIM)
     assert CHAR_FEATURE_DIM == 160
 
 
 def test_char_cnn_pads_short_words():
-    params = init_char_cnn(np.random.default_rng(13), char_vocab_size=10)
+    params = char_cnn_params(np.random.default_rng(13), char_vocab_size=10)
     out = char_cnn_forward(params, [5], pad_id=3)
     assert out.shape == (1, 160)
     assert np.all(np.isfinite(out.data))
 
 
 def test_char_cnn_rejects_empty():
-    params = init_char_cnn(np.random.default_rng(14), char_vocab_size=10)
+    params = char_cnn_params(np.random.default_rng(14), char_vocab_size=10)
     with pytest.raises(ShapeError):
         char_cnn_forward(params, [], pad_id=3)
 
 
 def test_char_cnn_grad_check():
     rng = np.random.default_rng(15)
-    params = init_char_cnn(rng, char_vocab_size=8)
+    params = char_cnn_params(rng, char_vocab_size=8)
     ids = [4, 6, 5, 7]
     weights = rng.normal(size=(1, 160))
 
@@ -404,7 +426,7 @@ def test_char_cnn_grad_check():
 
 
 def test_char_cnn_rejects_non_finite_embedding():
-    params = init_char_cnn(np.random.default_rng(16), char_vocab_size=10)
+    params = char_cnn_params(np.random.default_rng(16), char_vocab_size=10)
     params["char_emb"].data[5] = np.nan
     with pytest.raises(ValueError, match="finite"):
         char_cnn_forward(params, [4, 5, 6], pad_id=3)
@@ -412,7 +434,7 @@ def test_char_cnn_rejects_non_finite_embedding():
 
 def test_char_cnn_rejects_overflowing_scores():
     # tanh maps an infinite score to 1.0, so the scores must be checked first.
-    params = init_char_cnn(np.random.default_rng(17), char_vocab_size=10)
+    params = char_cnn_params(np.random.default_rng(17), char_vocab_size=10)
     params["char_emb"].data[:] = 1.0
     params["K2"].data[:] = 1e308
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
@@ -436,7 +458,7 @@ def test_char_cnn_matches_node_graph_bit_for_bit(ids):
     # The first id list is a one-character word already padded to the
     # longest kernel, since the reference does no padding of its own.
     rng = np.random.default_rng(18)
-    params = init_char_cnn(rng, char_vocab_size=10)
+    params = char_cnn_params(rng, char_vocab_size=10)
     weights = rng.normal(size=(1, CHAR_FEATURE_DIM))
     results = []
     for forward in (lambda: char_cnn_forward(params, ids, pad_id=3),
