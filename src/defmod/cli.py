@@ -100,14 +100,15 @@ _GLOBALS = [_opt("--seed", 0, type=int, help="random seed (default 0)")]
 _LANGUAGE = _opt("--language", "en", help="language tag (default en)")
 _LEXICON = [
     _LANGUAGE,
-    _opt("--source", "", help="source tag recorded in artifacts"),
     _opt("--max-def-tokens", DEFAULT_MAX_DEF_TOKENS, type=int,
          help=f"truncate definitions to this many tokens (default {DEFAULT_MAX_DEF_TOKENS})"),
 ]
 _MODEL_INPUTS = [_opt("--checkpoint"), _opt("--vocab"), _opt("--chars"),
                  _opt("--senses"), _opt("--embeddings")]
-_PRUNE_THRESHOLD = _opt("--prune-threshold", _ADAGRAM_DEFAULTS["prune_threshold"],
-                        type=float)
+_PRUNE_THRESHOLD = _opt(
+    "--prune-threshold", _ADAGRAM_DEFAULTS["prune_threshold"], type=float,
+    help="use only senses whose prior reaches this; a word's most probable sense "
+         f"always stays (default {_ADAGRAM_DEFAULTS['prune_threshold']})")
 _SAMPLING = [
     _opt("--temperature", _GEN_DEFAULTS["temperature"], type=float),
     _opt("--max-len", _GEN_DEFAULTS["max_len"], type=int),
@@ -142,7 +143,9 @@ OPTIONS = {
         _opt("--max-prototypes", _ADAGRAM_DEFAULTS["max_prototypes"], type=int),
         _opt("--alpha", _ADAGRAM_DEFAULTS["concentration_alpha"], type=float,
              help="stick-breaking concentration (adagram)"),
-        _PRUNE_THRESHOLD,
+        _opt(*_PRUNE_THRESHOLD[:2], type=float,
+             help="count only senses whose prior reaches this in the printed summary; "
+                  "the table keeps every prototype, so pass it where the table is read"),
     ],
     "stats": [
         *_LEXICON,
@@ -348,7 +351,6 @@ class Run:
     def lexicon(self, key: str):
         cfg = self.cfg
         return load_lexicon(self.input(key), TokenizerProfile(language_tag=cfg["language"]),
-                            source_tag=cfg["source"], language_tag=cfg["language"],
                             max_def_tokens=cfg["max_def_tokens"])
 
     def source(self):
@@ -477,7 +479,7 @@ def cmd_build_pairs(run: Run) -> None:
         senses = SenseTable.load(run.input("senses"), prune_threshold=cfg["prune_threshold"])
         table = EmbeddingTable.load(run.input("embeddings")) if cfg.get("embeddings") else None
         if cfg.get("stopwords"):
-            stops = StopwordSet.from_file(run.input("stopwords"), cfg["language"])
+            stops = StopwordSet.from_file(run.input("stopwords"))
         else:
             stops = StopwordSet.default(cfg["language"])
         pairs, summary = build_training_pairs(

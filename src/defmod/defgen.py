@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable
-from .errors import CheckpointError, ConfigError, MissingWordError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .fileio import atomic_write
 from .matcher import SenseDefPair
 from .neural import (
@@ -423,11 +423,7 @@ def _sample_block(model: DefModel, conditions: np.ndarray, words: list[str],
 
 def _sense_conditions(word: str, source: SenseTable | EmbeddingTable) -> list[np.ndarray]:
     """One condition vector per retained sense (one total for a word table)."""
-    if word not in source:
-        raise MissingWordError(word)
-    if isinstance(source, SenseTable):
-        return [vec for _k, vec, _p in source.senses(word)]
-    return [source.vector(word)]
+    return [vec for _k, vec, _p in source.senses(word)]
 
 
 def generate_for_word(

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
-from ..fileio import atomic_write, read_lines
+from ..fileio import atomic_write, numbers, read_lines
 
 DEFAULT_PRUNE_THRESHOLD = 1e-3
 
@@ -57,6 +56,10 @@ class EmbeddingTable:
         except KeyError:
             raise MissingWordError(word) from None
 
+    def senses(self, word: str) -> list[tuple[int, np.ndarray, float]]:
+        """The word's one sense, as a sense table's `senses` reports it."""
+        return [(0, self.vector(word), 1.0)]
+
     def nearest(self, vector: np.ndarray, k: int = 10, exclude: set[str] = frozenset()) -> list[str]:
         """Words of the k most cosine-similar rows; zero rows never qualify."""
         norms = np.linalg.norm(self.matrix, axis=1)
@@ -88,7 +91,7 @@ class EmbeddingTable:
         header = lines[0].split()
         if len(header) != 2:
             raise ConfigError(f"{path}: expected '<vocab_size> <dim>' header")
-        count, dim = _parse_ints(header, path, 1)
+        count, dim = numbers(header, int, path, 1, ConfigError)
         if count < 0 or dim < 1:
             raise ConfigError(f"{path}:1: expected a count >= 0 and a dim >= 1, "
                               f"found {count} {dim}")
@@ -103,7 +106,7 @@ class EmbeddingTable:
                                   f"{first_line[parts[0]]}")
             first_line[parts[0]] = lineno
             words.append(parts[0])
-            rows.append(_parse_floats(parts[1:], path, lineno))
+            rows.append(numbers(parts[1:], float, path, lineno, ConfigError))
         if len(words) != count:
             raise ConfigError(f"{path}: header promises {count} rows, found {len(words)}")
         return cls(dim, words, np.array(rows, dtype=np.float64).reshape(len(words), dim))
@@ -143,7 +146,8 @@ class SenseTable:
             raise ShapeError(f"priors shape {priors.shape} does not match {vectors.shape[0]} prototypes")
         if not (np.isfinite(vectors).all() and np.isfinite(priors).all()):
             raise ConfigError(f"sense vectors and priors for {word!r} must be finite")
-        if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-6:
+        # Bounding each prior first keeps their sum from overflowing.
+        if np.any((priors < 0) | (priors > 1)) or abs(priors.sum() - 1.0) > 1e-6:
             raise ConfigError(f"priors for {word!r} must be nonnegative and sum to 1")
         self._entries[word] = (vectors, priors)
 
@@ -186,51 +190,45 @@ class SenseTable:
     @classmethod
     def load(cls, path: str | Path,
              prune_threshold: float = DEFAULT_PRUNE_THRESHOLD) -> "SenseTable":
+        """Rows may come in any order. A bad row is rejected at its own line;
+        a word whose indices skip one, or whose priors `add` rejects, at its first."""
         lines = read_lines(path, ConfigError) or [""]
         header = lines[0].split()
         if header[:2] != ["#senses", "v1"] or len(header) != 4:
             raise ConfigError(f"{path}: expected '#senses v1 <dim> <max_prototypes>' header")
-        dim, max_prototypes = _parse_ints(header[2:], path, 1)
+        dim, max_prototypes = numbers(header[2:], int, path, 1, ConfigError)
+        if dim < 1 or max_prototypes < 1:
+            raise ConfigError(f"{path}:1: expected a dim and a max_prototypes >= 1, "
+                              f"found {dim} {max_prototypes}")
         table = cls(dim, max_prototypes, prune_threshold)
-        rows: dict[str, list[tuple[int, float, list[float]]]] = {}
-        first_line: dict[tuple[str, int], int] = {}
+        # word -> index -> (line, prior, vector), words in order of first line
+        rows: dict[str, dict[int, tuple[int, float, list[float]]]] = {}
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ConfigError(f"{path}:{lineno}: expected 4 tab-separated fields")
             word, k, prior, vec = parts
-            (k,) = _parse_ints([k], path, lineno)
-            if (word, k) in first_line:
+            (k,) = numbers([k], int, path, lineno, ConfigError)
+            if not 0 <= k < max_prototypes:
+                raise ConfigError(f"{path}:{lineno}: prototype index {k} of {word!r} is "
+                                  f"outside 0..{max_prototypes - 1}")
+            prototypes = rows.setdefault(word, {})
+            if k in prototypes:
                 raise ConfigError(f"{path}:{lineno}: prototype {k} of {word!r} repeats line "
-                                  f"{first_line[word, k]}")
-            first_line[word, k] = lineno
-            prior, *vec = _parse_floats([prior, *vec.split(" ")], path, lineno)
-            if len(vec) != table.dim:
-                raise ConfigError(f"{path}:{lineno}: expected {table.dim} vector components, "
+                                  f"{prototypes[k][0]}")
+            prior, *vec = numbers([prior, *vec.split(" ")], float, path, lineno, ConfigError)
+            if len(vec) != dim:
+                raise ConfigError(f"{path}:{lineno}: expected {dim} vector components, "
                                   f"found {len(vec)}")
-            rows.setdefault(word, []).append((k, prior, vec))
-        for word, items in rows.items():
-            items.sort()
-            if [k for k, _, _ in items] != list(range(len(items))):
-                raise ConfigError(f"{path}: prototype indices for {word!r} are not contiguous")
-            table.add(word, np.array([v for _, _, v in items]), np.array([p for _, p, _ in items]))
+            prototypes[k] = (lineno, prior, vec)
+        for word, prototypes in rows.items():
+            first, n = next(iter(prototypes.values()))[0], len(prototypes)
+            if max(prototypes) != n - 1:  # n distinct indices >= 0 fill 0..n-1 exactly
+                missing = next(k for k in range(n) if k not in prototypes)
+                raise ConfigError(f"{path}:{first}: prototype indices of {word!r} skip {missing}")
+            try:
+                table.add(word, np.array([prototypes[k][2] for k in range(n)]),
+                          np.array([prototypes[k][1] for k in range(n)]))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{first}: {exc}") from None
         return table
-
-
-def _parse_ints(fields: list[str], path, lineno: int) -> list[int]:
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: expected integers, found {fields!r}") from None
-
-
-def _parse_floats(fields: list[str], path, lineno: int) -> list[float]:
-    """Finite floats, or a ConfigError naming the file and line."""
-    try:
-        values = [float(x) for x in fields]
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if not all(math.isfinite(x) for x in values):
-        raise ConfigError(f"{path}:{lineno}: values must be finite")
-    return values
-

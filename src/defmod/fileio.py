@@ -1,8 +1,9 @@
 """File access shared by every format: atomic output, and UTF-8 input whose
-undecodable bytes are reported as `path:line`."""
+undecodable bytes and unparsable numbers are reported as `path:line`."""
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,6 +48,19 @@ def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def numbers(fields: list[str], kind: type, path: str | Path, lineno: int,
+            error: type[Exception]) -> list:
+    """`fields` as ints, or as finite floats; anything else raises `error`
+    (the format's own exit-2 error) naming `path:line`."""
+    try:
+        values = [kind(x) for x in fields]
+    except ValueError as exc:  # its message quotes the field
+        raise error(f"{path}:{lineno}: {exc}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise error(f"{path}:{lineno}: values must be finite")
+    return values
 
 
 def _split(text: str) -> list[str]:

@@ -38,10 +38,8 @@ class WordEntry:
 
 @dataclass
 class Lexicon:
-    """Headwords mapped to their definitions for one source and language."""
+    """Headwords mapped to their definitions."""
 
-    source_tag: str = ""
-    language_tag: str = ""
     entries: dict[str, WordEntry] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -57,11 +55,7 @@ class Lexicon:
         return sum(len(e.definitions) for e in self.entries.values())
 
     def subset(self, headwords) -> "Lexicon":
-        return Lexicon(
-            self.source_tag,
-            self.language_tag,
-            {w: self.entries[w] for w in sorted(headwords)},
-        )
+        return Lexicon({w: self.entries[w] for w in sorted(headwords)})
 
     def save(self, path: str | Path) -> None:
         """Write as the lexicon TSV format, sorted by headword."""
@@ -99,8 +93,6 @@ class DatasetStats:
 def load_lexicon(
     path: str | Path,
     profile: TokenizerProfile,
-    source_tag: str = "",
-    language_tag: str = "",
     max_def_tokens: int = DEFAULT_MAX_DEF_TOKENS,
 ) -> Lexicon:
     """Read a `headword<TAB>definition` TSV into a Lexicon.
@@ -110,7 +102,7 @@ def load_lexicon(
     line without a TAB raises LexiconFormatError naming the line number.
     Definitions longer than `max_def_tokens` are truncated with a warning.
     """
-    lex = Lexicon(source_tag=source_tag, language_tag=language_tag or profile.language_tag)
+    lex = Lexicon()
     truncated = 0
     for lineno, line in enumerate(read_lines(path, LexiconFormatError), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

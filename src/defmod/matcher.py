@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable, cosine
 from .errors import PairsFormatError, UnrepresentableDefinitionError
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, numbers, read_lines
 from .lexicon import Lexicon, WordEntry
 from .textprep import StopwordSet
 
@@ -197,10 +197,10 @@ def load_pairs(
 ) -> list[SenseDefPair]:
     """Read a pairs TSV, resolving condition vectors from `source`.
 
-    With a SenseTable the sense index selects one of the headword's retained
-    senses; with an EmbeddingTable the index must be 0 and the headword's own
-    vector is used. Malformed lines, and headwords `source` does not hold,
-    raise PairsFormatError with their number.
+    The sense index selects one of the headword's retained senses; a word
+    table holds one, index 0, the headword's own vector. Malformed lines,
+    headwords `source` does not hold, and indices outside the retained
+    senses raise PairsFormatError with their number.
     """
     pairs = []
     for lineno, line in enumerate(read_lines(path, PairsFormatError), start=1):
@@ -210,28 +210,17 @@ def load_pairs(
         if len(parts) != 3:
             raise PairsFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
         headword, index_text, def_text = parts
-        try:
-            sense_index = int(index_text)
-        except ValueError:
-            raise PairsFormatError(
-                f"{path}:{lineno}: sense index {index_text!r} is not an integer")
+        (sense_index,) = numbers([index_text], int, path, lineno, PairsFormatError)
         definition = tuple(def_text.split())
-        if not headword or sense_index < 0 or not definition:
+        if not headword or not definition:
             raise PairsFormatError(f"{path}:{lineno}: empty field")
         if headword not in source:
             raise PairsFormatError(
                 f"{path}:{lineno}: headword {headword!r} has no condition vector")
-        if isinstance(source, SenseTable):
-            retained = source.senses(headword)
-            if sense_index >= len(retained):
-                raise PairsFormatError(
-                    f"{path}:{lineno}: sense index {sense_index} out of range "
-                    f"({len(retained)} retained senses for {headword!r})")
-            vec = retained[sense_index][1]
-        else:
-            if sense_index != 0:
-                raise PairsFormatError(
-                    f"{path}:{lineno}: sense index must be 0 for a single-sense table")
-            vec = source.vector(headword)
-        pairs.append(SenseDefPair(headword, sense_index, vec, definition))
+        retained = source.senses(headword)
+        if not 0 <= sense_index < len(retained):
+            raise PairsFormatError(
+                f"{path}:{lineno}: sense index {sense_index} out of range "
+                f"({len(retained)} retained senses for {headword!r})")
+        pairs.append(SenseDefPair(headword, sense_index, retained[sense_index][1], definition))
     return pairs

@@ -126,17 +126,20 @@ class Vocabulary:
             if len(parts) != 3:
                 raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
             try:
-                rows.append((parts[0], int(parts[1]), int(parts[2])))
+                rows.append((parts[0], int(parts[1]), int(parts[2]), lineno))
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: expected integer id and count, found {parts[1:]!r}"
                 ) from None
         rows.sort(key=lambda r: r[1])
-        expected_ids = list(range(len(rows)))
-        if [r[1] for r in rows] != expected_ids:
-            raise ConfigError(f"{path}: vocabulary ids are not contiguous from 0")
-        if tuple(r[0] for r in rows[:4]) != SPECIALS:
-            raise ConfigError(f"{path}: first four entries must be the special tokens")
+        if [r[1] for r in rows] != list(range(len(rows))):
+            i = next(i for i, r in enumerate(rows) if r[1] != i)
+            raise ConfigError(f"{path}:{rows[i][3]}: vocabulary ids are not contiguous from 0 "
+                              f"(found id {rows[i][1]} where id {i} belongs)")
+        if tuple(r[0] for r in rows[:4]) != SPECIALS:  # a header-only file has no line to name
+            wrong = next((r for r, special in zip(rows, SPECIALS) if r[0] != special), None)
+            where = f"{path}:{wrong[3]}" if wrong else path
+            raise ConfigError(f"{where}: ids 0-3 must be the special tokens {SPECIALS}")
         vocab = cls.__new__(cls)
         vocab._id_to_token = [r[0] for r in rows]
         vocab._token_to_id = {r[0]: r[1] for r in rows}
@@ -173,35 +176,31 @@ def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:
 
 @dataclass(frozen=True)
 class StopwordSet:
-    """Exact-membership stopword list for one language."""
+    """Exact-membership stopword list."""
 
-    language_tag: str
     tokens: frozenset[str]
 
     def __contains__(self, token: str) -> bool:
         return token in self.tokens
 
     @classmethod
-    def empty(cls, language_tag: str = "") -> "StopwordSet":
-        return cls(language_tag, frozenset())
+    def empty(cls) -> "StopwordSet":
+        return cls(frozenset())
 
     @classmethod
-    def from_file(cls, path: str | Path, language_tag: str = "") -> "StopwordSet":
+    def from_file(cls, path: str | Path) -> "StopwordSet":
         """One token per line; `#` starts a comment line."""
-        tokens = (line.strip() for line in read_lines(path, ConfigError))
-        return cls(language_tag or Path(path).stem,
-                   frozenset(t for t in tokens if t and not t.startswith("#")))
+        return cls._parse(read_lines(path, ConfigError))
 
     @classmethod
     def default(cls, language_tag: str) -> "StopwordSet":
         """Small shipped list for `language_tag`; empty set if none exists."""
-        package = resources.files("defmod.data.stopwords")
-        candidate = package / f"{language_tag}.txt"
+        candidate = resources.files("defmod.data.stopwords") / f"{language_tag}.txt"
         if not candidate.is_file():
-            return cls.empty(language_tag)
-        tokens = set()
-        for line in candidate.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                tokens.add(line)
-        return cls(language_tag, frozenset(tokens))
+            return cls.empty()
+        return cls._parse(candidate.read_text(encoding="utf-8").splitlines())
+
+    @classmethod
+    def _parse(cls, lines: Iterable[str]) -> "StopwordSet":
+        tokens = (line.strip() for line in lines)
+        return cls(frozenset(t for t in tokens if t and not t.startswith("#")))

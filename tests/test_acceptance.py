@@ -270,7 +270,7 @@ def test_criterion_5_split_integrity_property():
                              for j in range(int(rng.integers(1, 4)))])
             for w in words
         }
-        lex = Lexicon("synth", "en", entries)
+        lex = Lexicon(entries)
         ratios = tuple(float(x) for x in rng.dirichlet((4.0, 1.0, 1.0)))
         seed = int(rng.integers(0, 10_000))
         parts = split_lexicon(lex, ratios=ratios, seed=seed)
@@ -364,8 +364,7 @@ def test_criterion_7_multi_sense_matching_beats_base_rbleu():
         mixture_rows.append((sense_a + sense_b) / 2.0)
     base_table = EmbeddingTable(dim, words, np.array(mixture_rows))
 
-    lex = Lexicon("synth", "en",
-                  {w: WordEntry(w, [def_a, def_b]) for w in words})
+    lex = Lexicon({w: WordEntry(w, [def_a, def_b]) for w in words})
     parts = split_lexicon(lex, ratios=(0.8, 0.1, 0.1), seed=3)
 
     stops = StopwordSet.empty()
@@ -407,8 +406,7 @@ def test_criterion_8_reported_absolutes_out_of_scope():
                if (data_dir / f"{lang}_{src}.tsv").is_file()]
     for lang, src in present:
         lex = load_lexicon(data_dir / f"{lang}_{src}.tsv",
-                           TokenizerProfile(language_tag=lang),
-                           source_tag=src, language_tag=lang)
+                           TokenizerProfile(language_tag=lang))
         stats = lexicon_stats(lex)
         expected_words, expected_ppw = REPORTED_DATASET_STATS[(lang, src)]
         assert stats.word_count == expected_words, \

@@ -351,10 +351,10 @@ def test_invalid_config_exits_2(tmp_path):
 
 def test_unknown_config_key_exits_2(work, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"bogus": 1}', encoding="utf-8")
+    cfg.write_text('{"bogus": 1, "source": "wordnet"}', encoding="utf-8")
     assert main(["stats", "--config", str(cfg),
                  "--lexicon", str(work / "lex.tsv")]) == 2
-    assert "bogus" in capsys.readouterr().err
+    assert "unknown config keys: bogus, source" in capsys.readouterr().err
 
 
 def test_config_file_type_check(work, tmp_path):
@@ -603,6 +603,55 @@ def test_repeated_sense_prototype_exits_2_naming_line(work, tmp_path, capsys):
     assert _d2s_pairs(work, tmp_path, bad) == 2
     word, k = repeated.split("\t")[:2]
     assert f"{bad}:4: prototype {k} of {word!r} repeats line 3" in capsys.readouterr().err
+
+
+# The fixture's sense table: line 1 "#senses v1 6 3", line 2 bird 0, lines 3
+# and 4 cat 0 and cat 1 (priors 0.6 and 0.4), then one row per other word.
+_BAD_SENSE_TABLES = {
+    "index gap": ({4: lambda line: _with_field(line, "\t", 1, "2")},
+                  3, "prototype indices of 'cat' skip 1"),
+    "priors sum": ({4: lambda line: _with_field(line, "\t", 2, "0.3")},
+                   3, "priors for 'cat' must be nonnegative and sum to 1"),
+    "negative prior": ({3: lambda line: _with_field(line, "\t", 2, "1.4"),
+                        4: lambda line: _with_field(line, "\t", 2, "-0.4")},
+                       3, "priors for 'cat' must be nonnegative and sum to 1"),
+    "index >= max_prototypes": ({1: lambda line: "#senses v1 6 1"},
+                                4, "prototype index 1 of 'cat' is outside 0..0"),
+    "header dim 0": ({1: lambda line: "#senses v1 0 3"},
+                     1, "expected a dim and a max_prototypes >= 1, found 0 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SENSE_TABLES))
+def test_malformed_sense_table_exits_2_naming_line(work, tmp_path, capsys, case):
+    edits, lineno, message = _BAD_SENSE_TABLES[case]
+    bad = work / "senses.tsv"
+    for edit_line, edit in edits.items():
+        bad = _corrupt_line(bad, tmp_path / "senses.tsv", edit_line, edit)
+    assert _d2s_pairs(work, tmp_path, bad) == 2
+    assert f"error: {bad}:{lineno}: {message}" in capsys.readouterr().err
+
+
+# The trained vocabulary: line 1 "#vocab v1", then ids 0, 1, ... on lines 2, 3, ...
+_BAD_VOCABULARIES = {
+    "id gap": (6, lambda line: _with_field(line, "\t", 1, "5"),
+               "vocabulary ids are not contiguous from 0 (found id 5 where id 4 belongs)"),
+    "special out of place": (3, lambda line: _with_field(line, "\t", 0, "<eos>"),
+                             "ids 0-3 must be the special tokens ('<unk>', '<bos>', "),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VOCABULARIES))
+def test_malformed_vocabulary_exits_2_naming_line(work, trained, tmp_path, capsys, case):
+    lineno, edit, message = _BAD_VOCABULARIES[case]
+    bad = _corrupt_line(work / "model.bin.vocab", tmp_path / "model.vocab", lineno, edit)
+    assert main(["generate", "--checkpoint", str(trained),
+                 "--vocab", str(bad),
+                 "--chars", str(work / "model.bin.chars"),
+                 "--senses", str(work / "senses.tsv"),
+                 "--words", "cat",
+                 "--output", str(tmp_path / "g.tsv")]) == 2
+    assert f"error: {bad}:{lineno}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model, pairs, source", [

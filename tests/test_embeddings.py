@@ -121,6 +121,8 @@ def test_sense_table_validates_priors():
     table = SenseTable(dim=1, max_prototypes=2)
     with pytest.raises(ConfigError):
         table.add("w", np.array([[1.0], [2.0]]), np.array([0.8, 0.1]))
+    with pytest.raises(ConfigError):  # and no overflow warning from their sum
+        table.add("w", np.array([[1.0], [2.0]]), np.array([1e308, 1e308]))
     with pytest.raises(ShapeError):
         table.add("w", np.array([[1.0], [2.0]]), np.array([1.0]))
 

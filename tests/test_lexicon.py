@@ -97,7 +97,7 @@ def test_word_entry_rejects_empty_and_duplicate():
 
 def make_lexicon(n_words, seed=0, max_defs=3):
     rng = np.random.default_rng(seed)
-    lex = Lexicon(source_tag="synth", language_tag="en")
+    lex = Lexicon()
     for i in range(n_words):
         word = f"word{i}"
         entry = WordEntry(word)

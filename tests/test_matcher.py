@@ -43,7 +43,7 @@ def test_embed_two_token_mean():
 def test_embed_stopword_fallback():
     """An all-stopword definition falls back to the in-vocabulary mean."""
     table = table_of({"the": (3.0, 4.0)})
-    stops = StopwordSet("en", frozenset({"the"}))
+    stops = StopwordSet(frozenset({"the"}))
     np.testing.assert_allclose(embed_definition(("the",), table, stops), [3.0, 4.0])
 
 
@@ -61,7 +61,7 @@ def test_embed_unrepresentable():
 
 def test_embed_stopwords_excluded_when_content_remains():
     table = table_of({"the": (10.0, 0.0), "cat": (0.0, 2.0)})
-    stops = StopwordSet("en", frozenset({"the"}))
+    stops = StopwordSet(frozenset({"the"}))
     np.testing.assert_allclose(
         embed_definition(("the", "cat"), table, stops), [0.0, 2.0])
 
@@ -225,7 +225,7 @@ def cluster_setup():
     senses = SenseTable(dim, 2)
     for pw in ("pw1", "pw2"):
         senses.add(pw, np.stack([axis_a, axis_b]), np.array([0.5, 0.5]))
-    lex = Lexicon("synthetic", "en")
+    lex = Lexicon()
     for pw in ("pw1", "pw2"):
         entry = WordEntry(pw, [])
         entry.add(("a0", "a1", "a2"))
@@ -251,7 +251,7 @@ def test_build_pairs_monosemous_d2s():
     words = [f"t{i}" for i in range(6)]
     table = EmbeddingTable(2, words, rng.normal(size=(6, 2)))
     senses = SenseTable(2, 1)
-    lex = Lexicon("x", "en")
+    lex = Lexicon()
     for w in ("alpha", "beta"):
         senses.add(w, rng.normal(size=(1, 2)), np.array([1.0]))
         entry = WordEntry(w, [])
@@ -270,7 +270,7 @@ def test_build_pairs_s2d_at_least_one_per_definition():
     words = [f"t{i}" for i in range(6)]
     table = EmbeddingTable(2, words, rng.normal(size=(6, 2)))
     senses = SenseTable(2, 3)
-    lex = Lexicon("x", "en")
+    lex = Lexicon()
     for w in ("alpha", "beta"):
         senses.add(w, rng.normal(size=(3, 2)), np.array([0.4, 0.3, 0.3]))
         entry = WordEntry(w, [])
@@ -353,7 +353,7 @@ def test_build_pairs_embeds_each_definition_once(monkeypatch, mode):
 def test_build_base_pairs():
     rng = np.random.default_rng(5)
     table = EmbeddingTable(2, ["alpha", "t0"], rng.normal(size=(2, 2)))
-    lex = Lexicon("x", "en")
+    lex = Lexicon()
     for w in ("alpha", "missing"):
         entry = WordEntry(w, [])
         entry.add(("t0",))
@@ -389,7 +389,7 @@ def test_pairs_roundtrip_sense_table(tmp_path):
 def test_pairs_roundtrip_embedding_table(tmp_path):
     rng = np.random.default_rng(6)
     table = EmbeddingTable(2, ["alpha"], rng.normal(size=(1, 2)))
-    lex = Lexicon("x", "en")
+    lex = Lexicon()
     entry = WordEntry("alpha", [])
     entry.add(("alpha",))
     lex.entries["alpha"] = entry

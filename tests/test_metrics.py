@@ -228,7 +228,7 @@ def memorizing_setup():
     pairs = [SenseDefPair("cat", 0, condition, definition)]
     model, _ = train_defmodel(init_model(cfg), pairs)
     table = EmbeddingTable(3, ["cat"], condition[None, :])
-    lex = Lexicon("toy", "en")
+    lex = Lexicon()
     entry = WordEntry("cat", [])
     entry.add(definition)
     lex.entries["cat"] = entry
@@ -251,7 +251,7 @@ def test_evaluate_deterministic(memorizing_setup):
 
 def test_evaluate_skips_words_without_conditions(memorizing_setup):
     model, lex, table = memorizing_setup
-    bigger = Lexicon("toy", "en")
+    bigger = Lexicon()
     bigger.entries = dict(lex.entries)
     extra = WordEntry("orphan", [])
     extra.add(("a", "pet"))
@@ -299,7 +299,7 @@ def test_evaluate_report_spanning_two_blocks_is_byte_identical(memorizing_setup,
     words = [f"cat{i}" for i in range(35)]
     rng = np.random.default_rng(6)
     table = EmbeddingTable(3, words, rng.normal(size=(35, 3)))
-    big = Lexicon("toy", "en")
+    big = Lexicon()
     for word in words:
         big.entries[word] = WordEntry(word, [])
         big.entries[word].add(("a", "furry", "pet"))

@@ -174,7 +174,7 @@ def test_vocab_digest_changes_with_content():
 def test_stopword_file_roundtrip(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# comment\nthe\na\n\nan\n", encoding="utf-8")
-    stops = StopwordSet.from_file(path, "en")
+    stops = StopwordSet.from_file(path)
     assert stops.tokens == frozenset({"the", "a", "an"})
 
 
