@@ -37,11 +37,13 @@ from .neural import (
     gather,
     init_adam,
     lstm_cell,
-    lstm_step,
     softmax,
     softmax_cross_entropy,
     uniform_init,
 )
+# perfbench's tracer wraps the layer op where `batch_nll` looks it up, as
+# `defgen.lstm_step`, so it keeps that name here.
+from .neural import lstm_layer as lstm_step
 from .textprep import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary, count_tokens
 
 log = logging.getLogger(__name__)
@@ -199,8 +201,10 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     """Teacher-forced mean NLL per token over a batch of pairs.
 
     Definitions are BOS-prefixed and EOS-terminated; shorter sequences are
-    padded and their padded steps masked out of the mean. Returns the scalar
-    loss and the number of real target tokens it averages.
+    padded. Rows are time-major (step t holds rows t*B .. t*B + B - 1), each
+    LSTM layer is one graph node over every step, and the loss is taken on
+    the real (non-PAD) target rows only. Returns the scalar loss
+    and the number of real target tokens it averages.
     """
     if not pairs:
         raise ConfigError("batch_nll needs at least one pair")
@@ -215,28 +219,20 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
         inputs[i, 1:len(ids) + 1] = ids
         targets[i, :len(ids)] = ids
         targets[i, len(ids)] = EOS_ID
-    mask = (targets != PAD_ID).astype(np.float64)
 
     conditions = np.stack([p.sense_vector for p in pairs])
     cond = _condition_block(model, conditions, [p.headword for p in pairs])
-    steps = [concat([gather(model.params["token_emb"], inputs[:, t]), cond], axis=1)
-             for t in range(T)]
-    zero = Tensor(np.zeros((batch, cfg.hidden)))
-    state = [(zero, zero)] * cfg.layers
-    tops = []
-    for x in steps:
-        for layer in range(cfg.layers):
-            state[layer] = lstm_step(x, *state[layer], model.params[f"Wx{layer}"],
-                                     model.params[f"Wh{layer}"], model.params[f"b{layer}"])
-            x = state[layer][0]
-        tops.append(x)
-    flat_targets = targets.T.reshape(-1)  # time-major to match the concat
-    losses = softmax_cross_entropy(concat(tops, axis=0), model.params["Wo"],
-                                   model.params["bo"], flat_targets)
-    flat_mask = mask.T.reshape(-1)
-    n_tokens = int(flat_mask.sum())
-    loss = (losses * Tensor(flat_mask)).sum() / float(n_tokens)
-    return loss, n_tokens
+    x = concat([gather(model.params["token_emb"], inputs.T.reshape(-1)),
+                gather(cond, np.tile(np.arange(batch), T))], axis=1)
+    for layer in range(cfg.layers):
+        x = lstm_step(x, model.params[f"Wx{layer}"], model.params[f"Wh{layer}"],
+                      model.params[f"b{layer}"], T)
+    flat_targets = targets.T.reshape(-1)
+    real = np.flatnonzero(flat_targets != PAD_ID)
+    losses = softmax_cross_entropy(gather(x, real), model.params["Wo"],
+                                   model.params["bo"], flat_targets[real])
+    n_tokens = len(real)
+    return losses.sum() / float(n_tokens), n_tokens
 
 
 def sequence_nll(model: DefModel, condition: np.ndarray, target_word: str,
@@ -393,7 +389,7 @@ def _sample_block(model: DefModel, conditions: np.ndarray, words: list[str],
         x = np.concatenate([P["token_emb"][prev], cond[active]], axis=1)
         for layer in range(mcfg.layers):
             hs[layer], cs[layer], _acts, _tanh_c = lstm_cell(
-                x, hs[layer], cs[layer], P[f"Wx{layer}"], P[f"Wh{layer}"], P[f"b{layer}"])
+                x @ P[f"Wx{layer}"], hs[layer], cs[layer], P[f"Wh{layer}"], P[f"b{layer}"])
             x = hs[layer]
         logits = x @ P["Wo"]
         logits += P["bo"]

@@ -1,4 +1,4 @@
-"""Minimal differentiable substrate: tensors, layers, Adam, gradient checks."""
+"""Minimal differentiable substrate: tensors, layers, Adam."""
 
 from .tensor import Tensor, concat, gather, softmax, softmax_cross_entropy, stable_sigmoid
 from .layers import (
@@ -8,11 +8,10 @@ from .layers import (
     char_cnn_forward,
     clip_global_norm,
     lstm_cell,
-    lstm_step,
+    lstm_layer,
     uniform_init,
 )
 from .optim import AdamState, adam_step, init_adam
-from .gradcheck import grad_check
 
 __all__ = [
     "AdamState",
@@ -25,10 +24,9 @@ __all__ = [
     "clip_global_norm",
     "concat",
     "gather",
-    "grad_check",
     "init_adam",
     "lstm_cell",
-    "lstm_step",
+    "lstm_layer",
     "softmax",
     "softmax_cross_entropy",
     "stable_sigmoid",

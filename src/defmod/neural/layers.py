@@ -22,20 +22,22 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float 
 
 
 def _gate_views(acts: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
-    return tuple(acts[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    return tuple(acts[..., k * hidden:(k + 1) * hidden] for k in range(4))
 
 
-def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, Wx: np.ndarray,
-              Wh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One LSTM cell update on plain arrays: (h_new, c_new, acts, tanh(c_new)).
+def lstm_cell(xw: np.ndarray, h: np.ndarray, c: np.ndarray, Wh: np.ndarray,
+              b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM cell update on plain arrays, given the input product
+    `xw = x @ Wx`: (h_new, c_new, acts, tanh(c_new)).
 
+    The gate pre-activations are `xw + h @ Wh + b`, added in that order.
     `acts` holds the gate activations side by side in the order
-    [input, forget, candidate, output]. The gate pre-activations are checked
+    [input, forget, candidate, output]. The pre-activations are checked
     for finiteness first, since sigmoid and tanh would map an infinite value
     to a finite one.
     """
     hidden = Wh.shape[0]
-    gates = _as_array(x @ Wx + h @ Wh + b)
+    gates = _as_array(xw + h @ Wh + b)
     acts = stable_sigmoid(gates)
     acts[:, 2 * hidden:3 * hidden] = np.tanh(gates[:, 2 * hidden:3 * hidden])
     i, f, g, o = _gate_views(acts, hidden)
@@ -44,49 +46,70 @@ def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, Wx: np.ndarray,
     return o * tanh_c, c_new, acts, tanh_c
 
 
-def lstm_step(
-    x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor
-) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update for a (batch, dim) input, as two graph nodes.
+def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, steps: int) -> Tensor:
+    """One LSTM layer over a whole sequence, from a zero state, as one graph node.
 
-    The c_new node owns the cell; the h_new node's backward only adds its
-    share to c_new's gradient, so when the cell's backward runs it finds
-    both output gradients complete. Every gradient takes the same operations
-    in the same order as a graph of slice, sigmoid, tanh and mul nodes, so
-    the two agree bit for bit.
+    X holds `steps` blocks of batch rows, time-major: rows t*B .. t*B + B - 1
+    are step t. Returns every step's h in the same (steps * B, hidden)
+    layout. The forward computes X @ Wx for all steps in one product, so
+    only h @ Wh runs inside the recurrence. The backward runs
+    backpropagation through time into one (steps, B, 4 * hidden) buffer of
+    gate gradients, then takes the gradients of X, Wx, Wh and b with one
+    product or sum each over all rows.
     """
-    if x.shape[1] != Wx.shape[0]:
-        raise ShapeError(f"lstm input dim {x.shape[1]} does not match weights {Wx.shape[0]}")
-    h_data, c_data, acts, tanh_c = lstm_cell(x.data, h.data, c.data, Wx.data, Wh.data, b.data)
-    i, f, g, o = _gate_views(acts, Wh.shape[0])
-    c_new = Tensor(c_data, parents=(x, h, c, Wx, Wh, b))
-    h_new = Tensor(h_data, parents=(c_new,))
+    if X.ndim != 2 or X.shape[1] != Wx.shape[0]:
+        raise ShapeError(f"lstm input shape {X.shape} does not match weights {Wx.shape[0]}")
+    if steps < 1 or X.shape[0] % steps:
+        raise ShapeError(f"{X.shape[0]} input rows do not split into {steps} steps")
+    batch, hidden = X.shape[0] // steps, Wh.shape[0]
+    xw = (X.data @ Wx.data).reshape(steps, batch, 4 * hidden)
+    acts = np.empty((steps, batch, 4 * hidden))
+    cs = np.empty((steps, batch, hidden))
+    tanh_cs = np.empty((steps, batch, hidden))
+    hs = np.empty((steps, batch, hidden))
+    h = c = np.zeros((batch, hidden))
+    for t in range(steps):
+        h, c, acts[t], tanh_cs[t] = lstm_cell(xw[t], h, c, Wh.data, b.data)
+        hs[t], cs[t] = h, c
+    out = Tensor(hs.reshape(steps * batch, hidden), parents=(X, Wx, Wh, b))
 
-    # Every gradient below is a fresh array, handed over without a copy.
-    def h_backward(dh):
-        c_new._accumulate(dh * o * (1.0 - tanh_c * tanh_c), owned=True)
-
-    def c_backward(dc):
-        d_out = np.zeros_like(o) if h_new.grad is None else h_new.grad * tanh_c * o * (1.0 - o)
-        d_gates = np.concatenate(
-            [dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f), dc * i * (1.0 - g * g), d_out],
-            axis=1)
+    def backward(g):
+        g = g.reshape(steps, batch, hidden)
+        i, f, cand, o = _gate_views(acts, hidden)
+        # Each gate's local derivative for every step at once; the
+        # recurrence below then multiplies each by dc or dh.
+        to_c = o * (1.0 - tanh_cs * tanh_cs)
+        by_i = cand * i * (1.0 - i)
+        by_cand = i * (1.0 - cand * cand)
+        by_o = tanh_cs * o * (1.0 - o)
+        by_f = np.zeros_like(cs)  # the cell state before step 0 is zero
+        by_f[1:] = cs[:-1] * f[1:] * (1.0 - f[1:])
+        d_gates = np.empty((steps, batch, 4 * hidden))
+        d_i, d_f, d_cand, d_o = _gate_views(d_gates, hidden)
+        dh = g[-1]
+        dc = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            dc = dc + dh * to_c[t]
+            np.multiply(dc, by_i[t], out=d_i[t])
+            np.multiply(dc, by_f[t], out=d_f[t])
+            np.multiply(dc, by_cand[t], out=d_cand[t])
+            np.multiply(dh, by_o[t], out=d_o[t])
+            if t:
+                dh = g[t - 1] + d_gates[t] @ Wh.data.T
+                dc = dc * f[t]
+        flat = d_gates.reshape(steps * batch, 4 * hidden)
         if b.requires_grad:
-            b._accumulate(d_gates.sum(axis=0), owned=True)
-        if x.requires_grad:
-            x._accumulate(d_gates @ Wx.data.T, owned=True)
+            b._accumulate(flat.sum(axis=0), owned=True)
         if Wx.requires_grad:
-            Wx._accumulate(x.data.T @ d_gates, owned=True)
-        if h.requires_grad:
-            h._accumulate(d_gates @ Wh.data.T, owned=True)
+            Wx._accumulate(X.data.T @ flat, owned=True)
         if Wh.requires_grad:
-            Wh._accumulate(h.data.T @ d_gates, owned=True)
-        if c.requires_grad:
-            c._accumulate(dc * f, owned=True)
+            # h before step t is hs[t - 1], and zero before step 0.
+            Wh._accumulate(hs[:-1].reshape(-1, hidden).T @ flat[batch:], owned=True)
+        if X.requires_grad:
+            X._accumulate(flat @ Wx.data.T, owned=True)
 
-    h_new._backward = h_backward
-    c_new._backward = c_backward
-    return h_new, c_new
+    out._backward = backward
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -166,7 +189,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dic
     The arrays are scaled in place and the same dict is returned, with the
     norm before clipping.
     """
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    # A dot product per array: no squared copy of any gradient.
+    total = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values())))
     if total <= max_norm or total == 0.0:
         return grads, total
     scale = max_norm / total

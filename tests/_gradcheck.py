@@ -1,4 +1,7 @@
-"""Central finite-difference verification of backpropagated gradients."""
+"""Central finite-difference verification of backpropagated gradients.
+
+The package never checks its own gradients, so only the tests carry this.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor
+from defmod.neural import Tensor
 
 
 def grad_check(

@@ -40,10 +40,11 @@ from defmod.matcher import (
     build_training_pairs,
 )
 from defmod.metrics import BleuConfig, bleu, evaluate, fbleu
-from defmod.neural.gradcheck import grad_check
 from defmod.neural.layers import char_cnn_forward
 from defmod.textprep import StopwordSet, TokenizerProfile, build_vocab
 from defmod.defgen import word_char_ids
+
+from _gradcheck import grad_check
 
 # Reported score triples (BLEU, rBLEU, fBLEU) from the source evaluation,
 # one row per language/dataset/model variant. Used only to verify the

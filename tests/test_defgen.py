@@ -37,10 +37,11 @@ from defmod.defgen import (
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.errors import CheckpointError, ConfigError, MissingWordError, ShapeError
 from defmod.matcher import SenseDefPair
-from defmod.neural import Tensor, grad_check
+from defmod.neural import Tensor
 from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
-from _reference_ops import ref_sample_definition
+from _gradcheck import grad_check
+from _reference_ops import ref_batch_nll, ref_sample_definition
 
 
 def tiny_config(**overrides):
@@ -212,13 +213,38 @@ def test_batch_nll_graph_size_and_char_cnn_calls(monkeypatch):
     ]
     loss, _ = batch_nll(model, pairs)
     assert len(calls) == 2
-    steps, layers = 4, 2
-    leaves = len(model.params) + 4      # plus conditions, zero state, mask, 1/n
+    leaves = len(model.params) + 2      # plus conditions, 1/n
     condition = 2 + 2 + 3               # char-CNN per headword, concat, gather; concat, @Wc, +bc
-    per_step = 2 + 2 * layers           # gather, concat; c and h of every cell
-    output = 5                          # concat, fused @Wo +bo cross-entropy, *mask, sum, *1/n
-    expected = leaves + condition + steps * per_step + output
-    assert _reachable_nodes(loss) == expected == 62
+    inputs = 3                          # gather tokens, gather condition rows, concat
+    lstm = 2                            # one node per layer
+    output = 4                          # gather real rows, fused cross-entropy, sum, *1/n
+    expected = leaves + condition + inputs + lstm + output
+    assert _reachable_nodes(loss) == expected == 40
+
+
+def test_batch_nll_matches_per_step_oracle_graph():
+    """Loss and every parameter gradient of a ragged batch agree with the
+    per-step graph (one two-node cell per step and layer, masked mean) to
+    1e-12 relative; only the GEMM grouping differs."""
+    model = init_model(tiny_config(seed=6))
+    pairs = [
+        pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal", "dog")),
+        pair("dog", [-0.2, 0.1, 0.3, -0.3], ("a",)),
+        pair("cat", [0.0, -0.1, 0.2, 0.1], ("dog", "cat")),
+    ]
+    results = []
+    for nll in (batch_nll, ref_batch_nll):
+        for p in model.params.values():
+            p.zero_grad()
+        loss, n_tokens = nll(model, pairs)
+        loss.backward()
+        results.append((loss.item(), n_tokens, {k: p.grad for k, p in model.params.items()}))
+    (loss, n, grads), (ref_loss, ref_n, ref_grads) = results
+    assert n == ref_n == 10
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
 
 
 def overfit_two_senses():
@@ -360,8 +386,18 @@ def test_sample_deterministic_given_seed():
 
 
 @pytest.mark.parametrize("mask_unk", [True, False])
-def test_sampler_matches_single_row_oracle_at_batch_1(mask_unk):
-    """At batch 1 the batched sampler takes the old single-row sampler's draws."""
+def test_sampler_matches_single_row_oracle_at_batch_1(mask_unk, monkeypatch):
+    """At batch 1 the batched sampler takes the old single-row sampler's
+    draws, from logits equal to the oracle's bit for bit."""
+    import defmod.defgen as defgen
+    import _reference_ops
+
+    logits = {"ours": [], "theirs": []}
+    for module, side in ((defgen, "ours"), (_reference_ops, "theirs")):
+        def recording(values, temperature, side=side, original=module.softmax):
+            logits[side].append(np.asarray(values).tobytes())
+            return original(values, temperature)
+        monkeypatch.setattr(module, "softmax", recording)
     model = init_model(tiny_config(hidden=7))
     rng = np.random.default_rng(5)
     emitted = set()
@@ -378,6 +414,29 @@ def test_sampler_matches_single_row_oracle_at_batch_1(mask_unk):
             assert ours.bit_generator.state == theirs.bit_generator.state
             emitted.update(want)
     assert ("<unk>" in emitted) is not mask_unk
+    assert logits["ours"] and logits["ours"] == logits["theirs"]
+
+
+def test_sampler_output_on_a_fixed_model_is_pinned():
+    """Rows sampled together from a model with unit-scale weights, whose
+    draws depend on the weights: a change to the cell arithmetic that moves
+    a draw shows here."""
+    model = init_model(tiny_config(hidden=7))
+    rng = np.random.default_rng(17)
+    for p in model.params.values():
+        p.data[...] = rng.normal(size=p.shape)
+    conditions = rng.normal(size=(6, 4))
+    words = ["cat", "dog", "cat", "cog", "dog", "cat"]
+    outs = sample_definition(model, conditions, words, GenConfig(temperature=1.0, max_len=8),
+                             [np.random.default_rng([3, i]) for i in range(6)])
+    assert outs == [
+        ("a", "cat", "dog", "cat", "a", "cat", "cat", "cat"),
+        ("a", "a", "cat", "cat", "cat", "animal", "cat", "cat"),
+        (),
+        (),
+        ("dog", "cat"),
+        ("a", "animal", "animal", "cat", "dog", "cat", "cat", "animal"),
+    ]
 
 
 @pytest.mark.parametrize("param, index, value", [

@@ -22,16 +22,24 @@ from defmod.neural import (
     clip_global_norm,
     concat,
     gather,
-    grad_check,
     init_adam,
-    lstm_step,
+    lstm_layer,
     softmax,
     softmax_cross_entropy,
     uniform_init,
 )
 from defmod.neural.optim import BLOCK_ENTRIES
 
-from _reference_ops import getitem, ref_softmax_cross_entropy, reshape, sigmoid, tanh, tensor_max
+from _gradcheck import grad_check
+from _reference_ops import (
+    getitem,
+    lstm_step,
+    ref_softmax_cross_entropy,
+    reshape,
+    sigmoid,
+    tanh,
+    tensor_max,
+)
 
 
 def cross_entropy_on_logits(logits, targets) -> Tensor:
@@ -306,6 +314,10 @@ def test_lstm_rejects_bad_input_dim():
     params = lstm_params(np.random.default_rng(10), input_dim=3, hidden=4, layers=1)
     with pytest.raises(ShapeError):
         _lstm_chain(lstm_step, params, [Tensor(np.ones((1, 5)))], *_zeros(1, 4), layers=1)
+    with pytest.raises(ShapeError, match="does not match"):
+        lstm_layer(Tensor(np.ones((4, 5))), params["Wx0"], params["Wh0"], params["b0"], 2)
+    with pytest.raises(ShapeError, match="steps"):
+        lstm_layer(Tensor(np.ones((5, 3))), params["Wx0"], params["Wh0"], params["b0"], 2)
 
 
 def test_lstm_grad_check_two_layers():
@@ -391,6 +403,71 @@ def test_lstm_step_grad_check_two_steps():
 
     leaves = {**params, "h0": h0, "c0": c0, "x0": xs[0], "x1": xs[1]}
     assert grad_check(loss, leaves, epsilon=1e-4) < 1e-3
+
+
+def _layer_stack(params, X, steps, layers=2):
+    for layer in range(layers):
+        X = lstm_layer(X, params[f"Wx{layer}"], params[f"Wh{layer}"], params[f"b{layer}"], steps)
+    return X
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_lstm_layer_matches_oracle_step_chain(steps):
+    """Top outputs and every gradient of two stacked layers agree with a
+    chain of two-node oracle steps from a zero state to 1e-12 relative;
+    only the grouping of the GEMMs differs."""
+    rng = np.random.default_rng(31)
+    batch, hidden = 3, 4
+    params = lstm_params(rng, input_dim=3, hidden=hidden, layers=2)
+    xs = [Tensor(rng.normal(size=(batch, 3)), requires_grad=True) for _ in range(steps)]
+    weights = rng.normal(size=(steps * batch, hidden))
+    leaves = {**params, **{f"x{t}": x for t, x in enumerate(xs)}}
+    results = []
+    for by_layer in (True, False):
+        for p in leaves.values():
+            p.zero_grad()
+        if by_layer:
+            top = _layer_stack(params, concat(xs, axis=0), steps)
+        else:
+            tops, _ = _lstm_chain(lstm_step, params, xs, *_zeros(batch, hidden))
+            top = concat(tops, axis=0)
+        (top * weights).sum().backward()
+        results.append((top.data, {name: p.grad for name, p in leaves.items()}))
+    (out, grads), (ref_out, ref_grads) = results
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12 * np.abs(ref_out).max())
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+def test_lstm_layer_grad_check_two_layers_three_steps():
+    rng = np.random.default_rng(32)
+    params = lstm_params(rng, input_dim=3, hidden=4, layers=2)
+    X = Tensor(rng.normal(size=(3 * 2, 3)), requires_grad=True)
+    weights = rng.normal(size=(3 * 2, 4))
+
+    def loss():
+        return (_layer_stack(params, X, steps=3) * weights).sum()
+
+    assert grad_check(loss, {**params, "X": X}, epsilon=1e-4) < 1e-3
+
+
+@pytest.mark.parametrize("step", [0, 1, 2, "recurrent"])
+def test_lstm_layer_rejects_overflowing_gates_at_any_step(step):
+    # sigmoid and tanh map an infinite gate to a finite value, so every
+    # step's gates must be checked first.
+    params = lstm_params(np.random.default_rng(21), input_dim=3, hidden=4, layers=1)
+    X = np.zeros((3 * 2, 3))
+    if step == "recurrent":
+        # Saturated gates give h = tanh(1) per unit at step 0; step 1's
+        # h @ Wh then overflows.
+        params["b0"].data[:] = 10.0
+        params["Wh0"].data[:, 0] = 1e308
+    else:
+        params["Wx0"].data[:, 0] = 1e308
+        X[2 * step:2 * step + 2] = 1.0
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        lstm_layer(Tensor(X), params["Wx0"], params["Wh0"], params["b0"], 3)
 
 
 def test_char_cnn_output_dim():
@@ -612,7 +689,7 @@ def test_clip_global_norm_scales_in_place_bit_for_bit():
     grads = {"a": rng.normal(size=(7, 5)), "b": rng.normal(size=11), "c": np.array([-0.0, 3.0])}
     before = {name: g.copy() for name, g in grads.items()}
     arrays = dict(grads)
-    norm_expected = float(np.sqrt(sum(float((g * g).sum()) for g in before.values())))
+    norm_expected = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in before.values())))
     clipped, norm = clip_global_norm(grads, 1.0)
     assert norm == norm_expected
     scale = 1.0 / norm_expected
@@ -620,6 +697,20 @@ def test_clip_global_norm_scales_in_place_bit_for_bit():
     for name, g in before.items():
         assert clipped[name] is arrays[name]
         assert clipped[name].tobytes() == (g * scale).tobytes()
+
+
+def test_clip_global_norm_allocates_no_gradient_sized_temporaries():
+    rng = np.random.default_rng(24)
+    grads = {"w": rng.normal(size=(2000, 500)), "b": rng.normal(size=500)}
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        clip_global_norm(grads, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < grads["w"].nbytes / 8
 
 
 def test_cross_entropy_matches_dense_softmax_formula_bit_for_bit():
