@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _as_array, stable_sigmoid
+from .tensor import RowGrad, Tensor, _as_array, add_rows, stable_sigmoid
 
 # (kernel length, number of filters); concatenated output dim is 160.
 CNN_KERNELS = ((2, 10), (3, 30), (4, 40), (5, 40), (6, 40))
@@ -174,26 +174,26 @@ def char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Tensor
             # slice-and-concat graph that tests compare against bit for bit.
             for offset in range(length):
                 d_emb[offset:offset + d_win.shape[0]] += d_win[:, offset]
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, d_emb)
+        add_rows(table, ids, d_emb)
 
     out._backward = backward
     return out
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
+def clip_global_norm(grads: dict[str, np.ndarray | RowGrad],
+                     max_norm: float) -> tuple[dict[str, np.ndarray | RowGrad], float]:
     """Scale all gradients together so their joint L2 norm is at most max_norm.
 
-    The arrays are scaled in place and the same dict is returned, with the
-    norm before clipping.
+    A row-form gradient counts and scales its row values only: its other
+    rows are zero. The arrays are scaled in place and the same dict is
+    returned, with the norm before clipping.
     """
+    arrays = [g.values if isinstance(g, RowGrad) else g for g in grads.values()]
     # A dot product per array: no squared copy of any gradient.
-    total = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values())))
+    total = float(np.sqrt(sum(float(np.dot(a.ravel(), a.ravel())) for a in arrays)))
     if total <= max_norm or total == 0.0:
         return grads, total
     scale = max_norm / total
-    for g in grads.values():
-        g *= scale
+    for a in arrays:
+        a *= scale
     return grads, total

@@ -30,17 +30,61 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class RowGrad:
+    """A gradient that is zero outside a few rows of its parameter.
+
+    `rows` holds the distinct row ids in ascending order and `values` their
+    gradients, summed over repeated ids. The sums are taken by `np.add.at`
+    into zeros, in the order of `ids`, as the dense scatter-add into a
+    zero-filled gradient takes them, so `dense` returns that array bit for bit.
+    """
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, ids, grads: np.ndarray):
+        ids = np.asarray(ids, dtype=np.int64)
+        grads = np.asarray(grads, dtype=np.float64)
+        self.rows, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+        self.values = np.zeros((len(self.rows), *grads.shape[ids.ndim:]))
+        np.add.at(self.values, inverse.reshape(-1),
+                  grads.reshape(ids.size, *grads.shape[ids.ndim:]))
+
+    def dense(self, shape: tuple[int, ...]) -> np.ndarray:
+        out = np.zeros(shape)
+        out[self.rows] = self.values
+        return out
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self.grad = None
+        self._grad = None
         self._parents = tuple(parents)
         self._backward = backward
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient as a dense array; a row-form gradient is densified
+        here, once, and kept dense from then on."""
+        if isinstance(self._grad, RowGrad):
+            self._grad = self._grad.dense(self.data.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+
+    @property
+    def stored_grad(self) -> np.ndarray | RowGrad | None:
+        """The gradient as backward left it: a RowGrad when one `add_rows`
+        call (a `gather` or a char-CNN word) reached this leaf and nothing
+        else did, else the dense array or None."""
+        return self._grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,7 +105,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self._grad = None
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add `grad` into this tensor's gradient.
@@ -158,16 +202,12 @@ class Tensor:
         out._backward = backward
         return out
 
-    def sum(self, axis=None) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis), parents=(self,))
+    def sum(self) -> "Tensor":
+        out = Tensor(self.data.sum(), parents=(self,))
 
         def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
+            if self.requires_grad:
                 self._accumulate(np.full_like(self.data, float(g)))
-            else:
-                self._accumulate(np.broadcast_to(np.expand_dims(g, axis), self.shape).copy())
 
         out._backward = backward
         return out
@@ -197,18 +237,28 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def add_rows(table: Tensor, ids, grads: np.ndarray) -> None:
+    """Scatter-add `grads` into the rows `ids` of `table`'s gradient.
+
+    The first gradient of a leaf is kept in row form (RowGrad), so an
+    optimizer need not touch the rows no id reached. A leaf that already
+    holds a gradient, and any interior node, get the dense scatter-add.
+    """
+    if not table.requires_grad:
+        return
+    if table._grad is None and not table._parents:
+        table._grad = RowGrad(ids, grads)
+        return
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    np.add.at(table.grad, ids, grads)
+
+
 def gather(table: Tensor, ids) -> Tensor:
     """Select rows of an embedding table by integer id."""
     ids = np.asarray(ids, dtype=np.int64)
     out = Tensor(table.data[ids], parents=(table,))
-
-    def backward(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
-
-    out._backward = backward
+    out._backward = lambda g: add_rows(table, ids, g)
     return out
 
 

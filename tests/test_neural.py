@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defmod.defgen import DefModelConfig, build_char_vocab, init_model
+from defmod.defgen import DefModelConfig, batch_nll, build_char_vocab, init_model
 from defmod.errors import ConfigError, ShapeError
 from defmod.neural import (
     CHAR_EMBEDDING_DIM,
@@ -28,7 +28,10 @@ from defmod.neural import (
     softmax_cross_entropy,
     uniform_init,
 )
+from defmod.matcher import SenseDefPair
 from defmod.neural.optim import BLOCK_ENTRIES
+from defmod.neural.tensor import RowGrad
+from defmod.textprep import Vocabulary
 
 from _gradcheck import grad_check
 from _reference_ops import (
@@ -105,6 +108,41 @@ def test_gather_accumulates_repeats():
     table = Tensor(np.eye(3), requires_grad=True)
     gather(table, [0, 0, 2]).sum().backward()
     np.testing.assert_allclose(table.grad, np.diag([2.0, 2.0, 1.0]) @ np.ones((3, 3)) * 0 + [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
+
+    # The row form densifies to a zero-fill plus np.add.at, byte for byte.
+    rng = np.random.default_rng(29)
+    ids = np.array([4, 1, 4, 6, 1, 4, 2])
+    upstream = rng.normal(size=(len(ids), 5)) * 10.0 ** rng.integers(-8, 8, size=(len(ids), 1))
+    upstream[3] = -0.0                      # row 6 gets only -0.0
+    upstream[1, ::2] = -0.0
+    table = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    (gather(table, ids) * Tensor(upstream)).sum().backward()
+    assert isinstance(table.stored_grad, RowGrad)
+    want = np.zeros((8, 5))
+    np.add.at(want, ids, upstream)
+    assert table.grad.tobytes() == want.tobytes()
+
+    # A leaf that `@` reaches as well keeps the dense scatter-add.
+    def dense_gather(t, rows):
+        out = Tensor(t.data[rows], parents=(t,))
+
+        def backward(g):
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            np.add.at(t.grad, rows, g)
+
+        out._backward = backward
+        return out
+
+    x = rng.normal(size=(2, 8))
+    results = []
+    for op in (gather, dense_gather):
+        shared = Tensor(table.data, requires_grad=True)
+        loss = (op(shared, ids) * Tensor(upstream)).sum() + ((Tensor(x) @ shared) * Tensor(x @ table.data)).sum()
+        loss.backward()
+        results.append(shared.stored_grad)
+    assert isinstance(results[0], np.ndarray)
+    assert results[0].tobytes() == results[1].tobytes()
 
 
 def test_concat_grad_splits():
@@ -573,6 +611,14 @@ def test_adam_shape_mismatch():
     state = init_adam(params)
     with pytest.raises(ShapeError):
         adam_step(params, {"w": np.zeros(3)}, state)
+    table = {"t": Tensor(np.zeros((4, 3)), requires_grad=True)}
+    state = init_adam(table)
+    for ids, values in (([0, 2], np.ones((2, 2))),    # rows too narrow
+                        ([1, 4], np.ones((2, 3))),    # row 4 is past the end
+                        ([-1, 2], np.ones((2, 3)))):  # a negative row
+        with pytest.raises(ShapeError):
+            adam_step(table, {"t": RowGrad(ids, values)}, state)
+    assert state.step == 0 and not state.live["t"].any()
 
 
 def test_adam_minimizes_quadratic():
@@ -632,25 +678,55 @@ def test_adam_matches_whole_array_update_bit_for_bit():
         "scalar": (),
         "single": (1,),
     }
+    # Row-form gradients (ids, values). "sparse": rows 3, 10 and 400 are
+    # first live at step 1, 11 and 450 at step 2, 0 and 999 at step 3, so the
+    # walk has spans with never-live rows inside (1, 2, 4-9, 401-449) and
+    # gaps between them; row 200 is never live. "all_live": step 1 reaches
+    # every row, and the two blocks of its one span get rows of steps 2, 3.
+    row_shapes = {"sparse": (1000, 7), "all_live": (BLOCK_ENTRIES // 7 + 300, 7)}
+    row_ids = [
+        {"sparse": [3, 3, 10, 400, 3], "all_live": np.r_[np.arange(row_shapes["all_live"][0]), 5, 5]},
+        {"sparse": [10, 11, 3, 450, 11], "all_live": [0, 4900, 4900, 17]},
+        {"sparse": [999, 0, 0, 400], "all_live": [4681, 4680]},
+    ]
+    shapes.update(row_shapes)
     data = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     data["fortran"] = np.asfortranarray(data["fortran"])
     data["matrix"][5] = -0.0
+    data["sparse"][[1, 200]] = -0.0
     grad_steps = []
     for step in range(3):
-        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items() if name not in row_shapes}
         if step > 0:
             grads["matrix"][10:20] = 0.0          # rows with no gradient still move
         grads["matrix"][30, ::2] = -0.0
         grads["flat"][:100] = -0.0
         grads["single"][0] = -0.0
+        for name, ids in row_ids[step].items():
+            values = rng.normal(size=(len(ids), 7))
+            values[1] = -0.0                      # a repeated id's -0.0 and a -0.0 row
+            values[-1, ::3] = -0.0
+            grads[name] = (np.asarray(ids), values)
         grad_steps.append(grads)
+
+    def feed(grads, rows_as):
+        return {k: rows_as(k, *g) if k in row_shapes else g.copy() for k, g in grads.items()}
+
+    def as_rows(_name, ids, values):
+        return RowGrad(ids, values)
+
+    def densified(name, ids, values):
+        dense = np.zeros(row_shapes[name])
+        np.add.at(dense, ids, values)
+        return dense
+
     results = []
-    for step_fn in (adam_step, _reference_adam_step):
+    for step_fn, rows_as in ((adam_step, as_rows), (_reference_adam_step, densified)):
         params = {name: Tensor(arr.copy(order="K"), requires_grad=True)
                   for name, arr in data.items()}
         state = init_adam(params, lr=0.01)
         for grads in grad_steps:
-            step_fn(params, {k: g.copy() for k, g in grads.items()}, state)
+            step_fn(params, feed(grads, rows_as), state)
         results.append((params, state))
     (blocked, b_state), (whole, w_state) = results
     assert b_state.step == w_state.step == 3
@@ -658,12 +734,16 @@ def test_adam_matches_whole_array_update_bit_for_bit():
         assert blocked[name].data.tobytes() == whole[name].data.tobytes(), name
         assert b_state.first_moment[name].tobytes() == w_state.first_moment[name].tobytes()
         assert b_state.second_moment[name].tobytes() == w_state.second_moment[name].tobytes()
+    assert b_state.live["sparse"].sum() == 7 and not b_state.live["sparse"][200]
+    assert b_state.live["all_live"].all()
     # The rows with no gradient in the last step moved: dense Adam, not lazy.
     previous = {name: Tensor(arr.copy(order="K"), requires_grad=True) for name, arr in data.items()}
     state = init_adam(previous, lr=0.01)
     for grads in grad_steps[:2]:
-        adam_step(previous, {k: g.copy() for k, g in grads.items()}, state)
+        adam_step(previous, feed(grads, as_rows), state)
     assert (blocked["matrix"].data[10:20] != previous["matrix"].data[10:20]).all()
+    assert (blocked["sparse"].data[[3, 10, 450]] != previous["sparse"].data[[3, 10, 450]]).all()
+    assert (blocked["all_live"].data[2:4] != previous["all_live"].data[2:4]).all()
     assert blocked["fortran"].data.flags.f_contiguous
 
 
@@ -682,6 +762,31 @@ def test_adam_allocates_no_parameter_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak - base < params["w"].data.nbytes / 8
+
+
+def test_token_rows_cost_no_table_sized_memory_in_a_training_step():
+    vocab = Vocabulary({f"w{i}": 1 for i in range(20_000 - 4)})
+    chars = build_char_vocab(["abcde"])
+    model = init_model(DefModelConfig(vocab, chars, condition_dim=4, hidden=8, layers=2,
+                                      token_embedding_dim=300, seed=30))
+    table = model.params["token_emb"].data
+    assert table.shape == (20_000, 300)
+    pair = SenseDefPair("abc", 0, np.ones(4), ("w7", "w19000"))
+    state = init_adam(model.params)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss, _ = batch_nll(model, [pair])
+        loss.backward()
+        grads = {name: p.stored_grad for name, p in model.params.items()
+                 if p.stored_grad is not None}
+        clip_global_norm(grads, 5.0)
+        adam_step(model.params, grads, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < table.nbytes / 8
 
 
 def test_clip_global_norm_scales_in_place_bit_for_bit():
