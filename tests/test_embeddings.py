@@ -19,6 +19,7 @@ from defmod.embeddings import (
 )
 from defmod.embeddings.adagram import _train_span, expected_log_pi, expected_pi
 from defmod.embeddings import corpus as corpus_mod
+from defmod.embeddings import sgns as sgns_mod
 from defmod.embeddings.corpus import linear_lr, scatter_add, window_contexts
 from defmod.errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
 from defmod.textprep import build_vocab
@@ -472,6 +473,52 @@ def test_adagram_chunk_update_matches_reference():
     for got, want, before in zip((In, Out, counts), ref, start):
         assert np.abs(want - before).max() > 1e-3
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def _reference_sgns_chunk(ids, W_in, W_out, sampler, cfg, rng, lr_total):
+    """One SGNS chunk update in its first form (per-pair gradients, a division
+    per occurrence and np.add.at): the reference _train_span must match on
+    one chunk."""
+    ctx, mask = window_contexts(ids, 0, ids.size, cfg.window, rng)
+    contexts = ctx.T[mask.T]
+    centers = np.broadcast_to(ids, mask.T.shape)[mask.T]
+    lr = linear_lr(cfg.initial_lr, 0, lr_total)
+    negatives = sampler.sample(rng, (centers.size, cfg.negatives))
+    out_ids = np.concatenate([contexts[:, None], negatives], axis=1)
+    labels = np.zeros(out_ids.shape)
+    labels[:, 0] = 1.0
+    center_vecs = W_in[centers]
+    out_vecs = W_out[out_ids]
+    scores = np.einsum("pjd,pd->pj", out_vecs, center_vecs)
+    coef = (labels - 1.0 / (1.0 + np.exp(-scores))) * lr
+    grad_in = np.einsum("pj,pjd->pd", coef, out_vecs)
+    grad_out = np.einsum("pj,pd->pjd", coef, center_vecs).reshape(-1, cfg.dim)
+    V = W_in.shape[0]
+    center_counts = np.bincount(centers, minlength=V)
+    np.add.at(W_in, centers, grad_in / center_counts[centers][:, None])
+    flat_out = out_ids.reshape(-1)
+    out_counts = np.bincount(flat_out, minlength=V)
+    np.add.at(W_out, flat_out, grad_out / out_counts[flat_out][:, None])
+
+
+def test_sgns_chunk_update_matches_reference():
+    cfg = SgnsConfig(dim=6, window=2, negatives=3, epochs=1, initial_lr=0.5, min_count=1)
+    rng = np.random.default_rng(20)
+    vocab = build_vocab([f"w{i}" for i in rng.integers(0, 12, size=400)], min_count=1)
+    sampler = NoiseSampler(vocab)
+    V = len(vocab)
+    ids = rng.integers(4, V, size=300)
+    assert ids.size <= sgns_mod.CHUNK
+    W_in = rng.normal(scale=0.5, size=(V, cfg.dim))
+    W_out = rng.normal(scale=0.5, size=(V, cfg.dim))
+    start = [W_in.copy(), W_out.copy()]
+    ref = [a.copy() for a in start]
+    _reference_sgns_chunk(ids, *ref, sampler, cfg, np.random.default_rng(21), ids.size)
+    sgns_mod._train_span(ids, (0, ids.size), W_in, W_out, sampler, cfg,
+                         np.random.default_rng(21), 0, ids.size)
+    for got, want, before in zip((W_in, W_out), ref, start):
+        assert np.abs(want - before).max() > 1e-3
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_adagram_empty_corpus_rejected():
