@@ -7,11 +7,22 @@ with the context log-likelihood; gradient updates and prototype counts
 are weighted by those responsibilities.
 
 The context likelihood is an exact softmax over the output vocabulary,
-O(V) per unique center, which is the right trade-off at desk scale.
-A chunk's U unique centers (at most min(V, CHUNK)) share one normalizer
-pass: a (U*K x dim) by (dim x V) BLAS matmul gives every score, and two
-more of the same size give the expected output vectors and the output
-matrix gradient.
+O(V) per unique center, which is the right trade-off at desk scale. A
+chunk's U unique centers (at most min(V, CHUNK)) are scored in blocks of
+whole centers, about BLOCK of their U*K sense rows at a time, in one
+reused (rows, V) buffer: a BLAS matmul gives a block's scores, and two
+more give its expected output vectors and its share of the output matrix
+gradient. A chunk still takes O(CHUNK * V) time, but only O(BLOCK * V)
+memory.
+
+Everything else is a product with a sparse co-occurrence matrix over the
+chunk's distinct words (corpus.incidence). C, (occurrences x distinct
+context words), counts each context word in each window: C @ Out gives
+every occurrence's summed context vector, whose dot with a sense vector
+is that sense's summed context score, and C.T carries the positive
+output gradient back. The sense vectors' gradient and the prototype
+counts are sums over each center's occurrences, weighted by the
+responsibilities.
 """
 
 from __future__ import annotations
@@ -23,10 +34,12 @@ from scipy.special import digamma
 
 from ..errors import ConfigError
 from ..textprep import Vocabulary
-from .corpus import chunk_ranges, linear_lr, prepare_corpus, run_epochs, scatter_add, window_contexts
+from .corpus import chunk_ranges, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import DEFAULT_PRUNE_THRESHOLD, SenseTable
 
 CHUNK = 1024
+# Sense rows of the softmax buffer per block, rounded down to whole centers.
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -101,55 +114,75 @@ def _train_span(
 ) -> None:
     K = cfg.max_prototypes
     dim = cfg.dim
+    per_block = max(1, BLOCK // K)
+    buf = np.empty((per_block * K, Out.shape[0]))
+    neg = np.empty_like(Out)
+    part = np.empty_like(Out)
     for start, stop in chunk_ranges(span[1] - span[0], CHUNK):
         lo = span[0] + start
         hi = span[0] + stop
         n = hi - lo
-        centers = ids[lo:hi]
         ctx, mask = window_contexts(ids, lo, hi, cfg.window, rng)
         lr = linear_lr(cfg.initial_lr, lr_offset + lo, lr_total)
 
-        uniq, inv = np.unique(centers, return_inverse=True)
-        in_u = In[uniq]
-        in_flat = in_u.reshape(-1, dim)
-        # Exact softmax over the output vocabulary in one (U*K, V) buffer:
-        # the scores, shifted in place to their exponentials. The products
-        # below divide by the normalizer on their (U*K, dim) side, which is
-        # cheaper than normalizing the buffer.
-        expo = in_flat @ Out.T
-        top = expo.max(axis=1, keepdims=True)
-        expo -= top
-        np.exp(expo, out=expo)
-        norm = expo.sum(axis=1, keepdims=True)
-        lse = (top + np.log(norm)).reshape(len(uniq), K)
-        prior = expected_log_pi(counts[uniq], cfg.concentration_alpha)
-
-        in_n = in_u[inv]
-        ctx_vecs = Out[ctx]
-        dots = in_n @ ctx_vecs.transpose(0, 2, 1)
-        loglik = ((dots - lse[inv][:, :, None]) * mask[:, None, :]).sum(axis=2)
-        scores = prior[inv] + loglik
-        scores -= scores.max(axis=1, keepdims=True)
-        resp = np.exp(scores)
-        resp /= resp.sum(axis=1, keepdims=True)
-
-        # One mini-batch step: the mean occurrence gradient keeps the
-        # per-row movement bounded regardless of chunk size and vocabulary.
-        step = lr / n
+        # Occurrences sorted stably by center: center u owns the rows
+        # seg[u]:seg[u + 1] in corpus order, and row i of the (n, K) arrays
+        # below belongs to sense rows sense[i] of in_flat.
+        order = np.argsort(ids[lo:hi], kind="stable")
+        uniq, seg, occ = np.unique(ids[lo:hi][order], return_index=True, return_counts=True)
+        seg = np.append(seg, n)
+        owner = np.repeat(np.arange(len(uniq)), occ)
+        sense = owner[:, None] * K + np.arange(K)
+        ctx, mask = ctx[order], mask[order]
         n_ctx = mask.sum(axis=1)
-        sum_ctx = (mask[:, None, :] @ ctx_vecs)[:, 0]
-        expected_out = (expo @ Out / norm).reshape(len(uniq), K, dim)
-        grad_in = step * resp[:, :, None] * (sum_ctx[:, None, :] - n_ctx[:, None, None] * expected_out[inv])
-        scatter_add(In, centers, grad_in)
+        # C counts each distinct context word uc[j] in occurrence i's
+        # window, so the summed context dots of a sense are in . sum_ctx.
+        uc, _, C = incidence(np.repeat(np.arange(n), n_ctx), n, ctx[mask])
+        sum_ctx = C @ Out[uc]
+        in_flat = In[uniq].reshape(-1, dim)
+        fit = (in_flat[sense] @ sum_ctx[:, :, None])[:, :, 0]
+        fit += expected_log_pi(counts[uniq], cfg.concentration_alpha)[owner]
 
-        resp_in = (resp[:, None, :] @ in_n)[:, 0]
-        pos_coef = step * mask
-        scatter_add(Out, ctx, pos_coef[:, :, None] * resp_in[:, None, :])
-        weight = np.zeros((len(uniq), K))
-        scatter_add(weight, inv, resp * n_ctx[:, None])
-        Out -= step * (expo.T @ (in_flat * (weight.reshape(-1, 1) / norm)))
+        # Exact softmax over the output vocabulary, whole centers at a time
+        # in one reused (rows, V) buffer: the scores, shifted in place to
+        # their exponentials. The products divide by the normalizer on
+        # their (rows, dim) side, which is cheaper than normalizing the
+        # buffer. Each block takes its occurrences' responsibilities and
+        # its share of the negative Out gradient before the next block
+        # overwrites the buffer.
+        resp = np.empty((n, K))
+        weight = np.empty((len(uniq), K))
+        expected_out = np.empty_like(in_flat)
+        neg.fill(0.0)
+        for u0 in range(0, len(uniq), per_block):
+            u1 = min(u0 + per_block, len(uniq))
+            r0, r1, o0, o1 = u0 * K, u1 * K, seg[u0], seg[u1]
+            expo = np.matmul(in_flat[r0:r1], Out.T, out=buf[: r1 - r0])
+            top = expo.max(axis=1, keepdims=True)
+            expo -= top
+            np.exp(expo, out=expo)
+            norm = expo.sum(axis=1, keepdims=True)
+            lse = (top + np.log(norm)).reshape(-1, K)
+            expected_out[r0:r1] = expo @ Out / norm
+            scores = fit[o0:o1] - n_ctx[o0:o1, None] * lse[owner[o0:o1] - u0]
+            scores -= scores.max(axis=1, keepdims=True)
+            block = np.exp(scores)
+            block /= block.sum(axis=1, keepdims=True)
+            resp[o0:o1] = block
+            weight[u0:u1] = np.add.reduceat(block * n_ctx[o0:o1, None], seg[u0:u1] - o0)
+            neg += np.matmul(expo.T, in_flat[r0:r1] * (weight[u0:u1].reshape(-1, 1) / norm), out=part)
 
-        scatter_add(counts, centers, resp)
+        # One mini-batch step from the chunk-start parameters: the mean
+        # occurrence gradient keeps the per-row movement bounded regardless
+        # of chunk size and vocabulary. R, (n, U*K), is the center incidence
+        # weighted by the responsibilities: R[i, sense[i, k]] = resp[i, k].
+        step = lr / n
+        _, _, R = incidence(np.repeat(np.arange(n), K), n, sense, resp)
+        In[uniq] += (step * (R.T @ sum_ctx - weight.reshape(-1, 1) * expected_out)).reshape(-1, K, dim)
+        Out[uc] += C.T @ (step * (R @ in_flat))
+        neg *= step
+        Out -= neg
+        counts[uniq] += np.add.reduceat(resp, seg[:-1])
 
 
 def train_adagram(corpus, cfg: AdagramConfig, vocab: Vocabulary | None = None) -> SenseTable:

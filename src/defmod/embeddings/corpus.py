@@ -47,11 +47,12 @@ class NoiseSampler:
 
     def __init__(self, vocab: Vocabulary):
         counts = np.array([vocab.count(w) for w in vocab.words()], dtype=np.float64)
-        weights = counts ** NOISE_POWER
-        total = weights.sum()
-        if total == 0:
+        self._cdf = np.cumsum(counts ** NOISE_POWER)
+        if self._cdf[-1] == 0:
             raise ConfigError("noise distribution needs at least one counted token")
-        self._cdf = np.cumsum(weights / total)
+        # Normalised by its own last entry, so it ends at exactly 1.0 and no
+        # draw from [0, 1) lands past the last word.
+        self._cdf /= self._cdf[-1]
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         return np.searchsorted(self._cdf, rng.random(shape), side="right")
@@ -79,25 +80,24 @@ def window_contexts(
     return ctx, mask
 
 
-def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """In place, table[rows[i]] += values[i] for every i; repeated rows sum.
+def incidence(rows: np.ndarray, n_rows: int, ids: np.ndarray, values=None):
+    """(distinct ids, their counts, M) for entries i given as (rows[i], ids[i]).
 
-    rows index the first axis of a table of any rank that reshapes to 2-D
-    without a copy (a C-contiguous one does; otherwise this raises), and
-    values holds one table row per entry of rows. Only the distinct rows are
-    read and written: the sums are one product with a sparse one-hot matrix
-    of shape (distinct rows, n), built in CSC form (column i holds a single 1
-    at the position of rows[i] among the distinct rows), so the cost is
-    O(n log n + n * row size) whatever the table's length.
+    M is a sparse COO array of shape (n_rows, distinct ids) whose entry
+    [r, j] sums values[i] (1 when values is None) over the entries with
+    rows[i] == r and ids[i] == distinct[j]; its products with dense arrays
+    add the entries in their given order. The trainers read the distinct
+    rows of a table once, multiply them through M or M.T, and write the
+    sums back to those rows only. ids are nonnegative; with no entries M
+    has zero columns.
     """
-    rows = np.asarray(rows).reshape(-1)
-    n = rows.size
-    flat = table.reshape(table.shape[0], -1)
-    if flat.size and not np.may_share_memory(flat, table):
-        raise ValueError("scatter_add needs a table that reshapes to 2-D without a copy")
-    touched, inverse = np.unique(rows, return_inverse=True)
-    onehot = sparse.csc_array((np.ones(n), inverse.reshape(-1), np.arange(n + 1)), shape=(touched.size, n))
-    flat[touched] += onehot @ np.reshape(values, (n, flat.shape[1]))
+    ids = np.reshape(ids, -1)
+    counts = np.bincount(ids)
+    distinct = np.flatnonzero(counts)
+    cols = np.cumsum(counts > 0)[ids] - 1
+    values = np.ones(ids.size) if values is None else np.reshape(values, -1)
+    matrix = sparse.coo_array((values, (np.reshape(rows, -1), cols)), shape=(n_rows, distinct.size))
+    return distinct, counts[distinct], matrix
 
 
 def linear_lr(initial_lr: float, processed: int, total: int) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..neural import stable_sigmoid
 from ..textprep import Vocabulary
-from .corpus import NoiseSampler, chunk_ranges, linear_lr, prepare_corpus, run_epochs, scatter_add, window_contexts
+from .corpus import NoiseSampler, chunk_ranges, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import EmbeddingTable
 
 # Centers per vectorized update; small enough to keep batches near-online.
@@ -55,29 +55,23 @@ def _train_span(
         ctx, mask = window_contexts(ids, lo, hi, cfg.window, rng)
         # Column by column: pairs ordered by offset, then by position.
         contexts = ctx.T[mask.T]
-        if contexts.size == 0:
-            continue
         centers = np.broadcast_to(ids[lo:hi], mask.T.shape)[mask.T]
         lr = linear_lr(cfg.initial_lr, lr_offset + lo, lr_total)
         negatives = sampler.sample(rng, (centers.size, cfg.negatives))
         out_ids = np.concatenate([contexts[:, None], negatives], axis=1)
         labels = np.zeros((centers.size, 1 + cfg.negatives))
         labels[:, 0] = 1.0
-        center_vecs = W_in[centers]
-        out_vecs = W_out[out_ids]
-        scores = (out_vecs @ center_vecs[:, :, None])[:, :, 0]
+        scores = (W_out[out_ids] @ W_in[centers][:, :, None])[:, :, 0]
         coef = (labels - stable_sigmoid(scores)) * lr
-        grad_in = (coef[:, None, :] @ out_vecs)[:, 0]
-        grad_out = coef[:, :, None] * center_vecs[:, None, :]
-        # Updates inside a chunk share stale vectors; averaging each row's
+        # G sums the coefficients of each (center, output) pair, so both
+        # gradients are one product with the chunk-start vectors. Updates
+        # inside a chunk share those stale vectors; averaging each row's
         # gradient over its in-chunk occurrences keeps the step bounded.
-        V = W_in.shape[0]
-        center_counts = np.bincount(centers, minlength=V)
-        scatter_add(W_in, centers, grad_in / center_counts[centers][:, None])
-        flat_out = out_ids.reshape(-1)
-        out_counts = np.bincount(flat_out, minlength=V)
-        grad_out = grad_out.reshape(-1, W_out.shape[1]) / out_counts[flat_out][:, None]
-        scatter_add(W_out, flat_out, grad_out)
+        uc, inv, center_counts = np.unique(centers, return_inverse=True, return_counts=True)
+        uo, out_counts, G = incidence(np.repeat(inv, out_ids.shape[1]), uc.size, out_ids, coef)
+        vin, vout = W_in[uc], W_out[uo]
+        W_in[uc] += (G @ vout) / center_counts[:, None]
+        W_out[uo] += (G.T @ vin) / out_counts[:, None]
 
 
 def train_sgns(corpus, cfg: SgnsConfig, vocab: Vocabulary | None = None) -> EmbeddingTable:

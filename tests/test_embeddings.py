@@ -1,6 +1,7 @@
 """Tests for embedding tables, cosine, and the two corpus trainers."""
 
 import itertools
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -18,11 +19,12 @@ from defmod.embeddings import (
     train_sgns,
 )
 from defmod.embeddings.adagram import _train_span, expected_log_pi, expected_pi
+from defmod.embeddings import adagram as adagram_mod
 from defmod.embeddings import corpus as corpus_mod
 from defmod.embeddings import sgns as sgns_mod
-from defmod.embeddings.corpus import linear_lr, scatter_add, window_contexts
+from defmod.embeddings.corpus import incidence, linear_lr, window_contexts
 from defmod.errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
-from defmod.textprep import build_vocab
+from defmod.textprep import Vocabulary, build_vocab
 
 
 def test_cosine_identity_orthogonal_analytic():
@@ -210,6 +212,25 @@ def test_noise_sampler_follows_power_law():
     assert freq[:4].sum() == 0.0
 
 
+
+class _TopDraw:
+    """Stands in for a Generator whose every draw is the largest double
+    below 1.0."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+def test_noise_sampler_never_draws_past_the_last_word():
+    vocab = Vocabulary({"a": 46, "b": 33, "c": 27, "d": 18, "e": 4})
+    weights = np.array([vocab.count(w) for w in vocab.words()], dtype=np.float64) ** 0.75
+    # Normalised entry by entry, this distribution's cumulative sum ends
+    # below 1.0, so a draw this high once mapped to id len(vocab).
+    assert np.cumsum(weights / weights.sum())[-1] < 1.0
+    draws = NoiseSampler(vocab).sample(_TopDraw(), (3, 2))
+    np.testing.assert_array_equal(draws, np.full((3, 2), vocab.id("e")))
+    assert vocab.id("e") == len(vocab) - 1
+
 def topic_corpus(rng, n_blocks=250, block=40, n_words=20, pseudo=None):
     topic_a = [f"alpha{i}" for i in range(n_words)]
     topic_b = [f"beta{i}" for i in range(n_words)]
@@ -290,30 +311,45 @@ def test_sgns_threads_run():
     ((5, 3, 4), [4, 1, 1, 0, 4]),
     ((5, 3, 4), []),
 ], ids=["repeated-rows-2d", "table-3d", "no-rows"])
-def test_scatter_add_matches_add_at(shape, rows):
+def test_incidence_matches_add_at(shape, rows):
     rng = np.random.default_rng(14)
     rows = np.asarray(rows, dtype=np.int64)
     values = rng.normal(size=(rows.size, *shape[1:]))
     table = rng.normal(size=shape)
     expected = table.copy()
     np.add.at(expected, rows, values)
-    scatter_add(table, rows, values)
+    distinct, counts, onehot = incidence(np.arange(rows.size), rows.size, rows)
+    assert onehot.shape == (rows.size, distinct.size)
+    np.testing.assert_array_equal(counts, np.bincount(rows)[distinct])
+    flat = table.reshape(shape[0], -1)
+    flat[distinct] += onehot.T @ values.reshape(rows.size, flat.shape[1])
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
-def test_scatter_add_leaves_other_rows_unwritten():
+def test_incidence_leaves_other_rows_unwritten():
     # Adding even 0.0 to a -0.0 entry would clear its sign bit.
     table = np.full((50, 3), -0.0)
-    scatter_add(table, np.array([7, 7, 30]), np.ones((3, 3)))
+    distinct, _, onehot = incidence(np.arange(3), 3, np.array([7, 7, 30]))
+    table[distinct] += onehot.T @ np.ones((3, 3))
     untouched = np.delete(np.arange(50), [7, 30])
     assert np.signbit(table[untouched]).all()
     np.testing.assert_array_equal(table[[7, 30]], [[2.0] * 3, [1.0] * 3])
 
 
-def test_scatter_add_rejects_a_table_it_would_copy():
-    table = np.zeros((5, 4, 3))[:, ::2]
-    with pytest.raises(ValueError, match="without a copy"):
-        scatter_add(table, np.array([1]), np.ones((1, 2, 3)))
+def test_incidence_sums_weights_of_repeated_pairs():
+    rows = np.array([[2, 0], [2, 1], [0, 2]])
+    ids = np.array([[9, 4], [9, 9], [4, 6]])
+    values = np.array([[0.5, 1.0], [2.0, -3.0], [4.0, 8.0]])
+    distinct, counts, matrix = incidence(rows, 3, ids, values)
+    np.testing.assert_array_equal(distinct, [4, 6, 9])
+    np.testing.assert_array_equal(counts, [2, 1, 3])
+    want = np.zeros((3, 3))
+    for r, i, v in zip(rows.ravel(), ids.ravel(), values.ravel()):
+        want[r, list(distinct).index(i)] += v
+    np.testing.assert_array_equal(matrix.toarray(), want)
+    empty = incidence(np.zeros(0, dtype=np.int64), 4, np.zeros(0, dtype=np.int64))[2]
+    assert empty.shape == (4, 0)
+    assert (empty @ np.ones((0, 2))).shape == (4, 2)
 
 
 def _pairs_oracle(ids, start, stop, window, rng):
@@ -520,6 +556,83 @@ def test_sgns_chunk_update_matches_reference():
         assert np.abs(want - before).max() > 1e-3
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+
+
+def _masked_out(ids, start, stop, window, rng):
+    """window_contexts with every slot masked, as if no context were valid."""
+    ctx, mask = window_contexts(ids, start, stop, window, rng)
+    return ctx, np.zeros_like(mask)
+
+
+@pytest.mark.parametrize("case", ["one-token", "all-masked"])
+def test_adagram_chunk_without_context_moves_only_counts(monkeypatch, case):
+    cfg = AdagramConfig(dim=6, window=2, epochs=1, initial_lr=0.5, min_count=1,
+                        max_prototypes=3, concentration_alpha=0.5)
+    rng = np.random.default_rng(24)
+    V = 12
+    ids = rng.integers(4, V, size=1 if case == "one-token" else 300)
+    if case == "all-masked":
+        monkeypatch.setattr(adagram_mod, "window_contexts", _masked_out)
+    In = rng.normal(scale=0.5, size=(V, cfg.max_prototypes, cfg.dim))
+    Out = rng.normal(scale=0.5, size=(V, cfg.dim))
+    counts = rng.uniform(0, 5, size=(V, cfg.max_prototypes))
+    start = [In.copy(), Out.copy(), counts.copy()]
+    _train_span(ids, (0, ids.size), In, Out, counts, cfg, np.random.default_rng(25), 0, ids.size)
+    np.testing.assert_array_equal(In, start[0])
+    np.testing.assert_array_equal(Out, start[1])
+    added = counts - start[2]
+    assert (added >= 0).all()
+    np.testing.assert_allclose(added.sum(axis=1), np.bincount(ids, minlength=V), rtol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["one-token", "all-masked"])
+def test_sgns_chunk_without_context_changes_nothing(monkeypatch, case):
+    cfg = SgnsConfig(dim=6, window=2, negatives=3, epochs=1, initial_lr=0.5, min_count=1)
+    rng = np.random.default_rng(26)
+    vocab = build_vocab([f"w{i}" for i in rng.integers(0, 12, size=400)], min_count=1)
+    V = len(vocab)
+    ids = rng.integers(4, V, size=1 if case == "one-token" else 300)
+    if case == "all-masked":
+        monkeypatch.setattr(sgns_mod, "window_contexts", _masked_out)
+    W_in = rng.normal(scale=0.5, size=(V, cfg.dim))
+    W_out = rng.normal(scale=0.5, size=(V, cfg.dim))
+    start = [W_in.copy(), W_out.copy()]
+    sgns_mod._train_span(ids, (0, ids.size), W_in, W_out, NoiseSampler(vocab), cfg,
+                         np.random.default_rng(27), 0, ids.size)
+    np.testing.assert_array_equal(W_in, start[0])
+    np.testing.assert_array_equal(W_out, start[1])
+
+
+@pytest.mark.parametrize("train, cfg", [
+    (train_sgns, SgnsConfig(dim=4, window=2, negatives=2, epochs=2, min_count=1)),
+    (train_adagram, AdagramConfig(dim=4, window=2, epochs=2, min_count=1, max_prototypes=2)),
+], ids=["sgns", "adagram"])
+def test_trainers_run_on_a_one_token_corpus(train, cfg):
+    table = train(["solo"], cfg)
+    assert table.words() == ["solo"]
+
+
+def test_adagram_chunk_memory_stays_far_below_one_vocabulary_wide_softmax():
+    """One chunk of 1,024 distinct centers at V = 2,000 and K = 5: a single
+    (U*K, V) score buffer would take 82 MB."""
+    cfg = AdagramConfig(dim=8, window=2, epochs=1, min_count=1, max_prototypes=5)
+    rng = np.random.default_rng(28)
+    V = 2000
+    ids = rng.permutation(V)[:adagram_mod.CHUNK]
+    assert np.unique(ids).size == 1024
+    In = rng.normal(scale=0.1, size=(V, cfg.max_prototypes, cfg.dim))
+    Out = rng.normal(scale=0.1, size=(V, cfg.dim))
+    counts = np.zeros((V, cfg.max_prototypes))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _train_span(ids, (0, ids.size), In, Out, counts, cfg, np.random.default_rng(29), 0, ids.size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8_000_000
+    assert np.isfinite(Out).all() and counts.sum() == pytest.approx(ids.size)
 
 def test_adagram_empty_corpus_rejected():
     with pytest.raises(ConfigError):
