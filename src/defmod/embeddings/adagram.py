@@ -15,14 +15,10 @@ more give its expected output vectors and its share of the output matrix
 gradient. A chunk still takes O(CHUNK * V) time, but only O(BLOCK * V)
 memory.
 
-Everything else is a product with a sparse co-occurrence matrix over the
-chunk's distinct words (corpus.incidence). C, (occurrences x distinct
-context words), counts each context word in each window: C @ Out gives
-every occurrence's summed context vector, whose dot with a sense vector
-is that sense's summed context score, and C.T carries the positive
-output gradient back. The sense vectors' gradient and the prototype
-counts are sums over each center's occurrences, weighted by the
-responsibilities.
+The context side is one product with C, a sparse (occurrences x distinct
+context words) count matrix from corpus.incidence: C @ Out sums each
+occurrence's context vectors, and C.T carries the positive output
+gradient back to those words' rows.
 """
 
 from __future__ import annotations

@@ -88,8 +88,8 @@ def incidence(rows: np.ndarray, n_rows: int, ids: np.ndarray, values=None):
     rows[i] == r and ids[i] == distinct[j]; its products with dense arrays
     add the entries in their given order. The trainers read the distinct
     rows of a table once, multiply them through M or M.T, and write the
-    sums back to those rows only. ids are nonnegative; with no entries M
-    has zero columns.
+    sums back to those rows only. ids are nonnegative, and the cost is
+    O(entries + largest id); with no entries M has zero columns.
     """
     ids = np.reshape(ids, -1)
     counts = np.bincount(ids)

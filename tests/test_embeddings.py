@@ -212,7 +212,6 @@ def test_noise_sampler_follows_power_law():
     assert freq[:4].sum() == 0.0
 
 
-
 class _TopDraw:
     """Stands in for a Generator whose every draw is the largest double
     below 1.0."""
@@ -225,11 +224,12 @@ def test_noise_sampler_never_draws_past_the_last_word():
     vocab = Vocabulary({"a": 46, "b": 33, "c": 27, "d": 18, "e": 4})
     weights = np.array([vocab.count(w) for w in vocab.words()], dtype=np.float64) ** 0.75
     # Normalised entry by entry, this distribution's cumulative sum ends
-    # below 1.0, so a draw this high once mapped to id len(vocab).
+    # below 1.0, where a draw this high would land past the last word.
     assert np.cumsum(weights / weights.sum())[-1] < 1.0
     draws = NoiseSampler(vocab).sample(_TopDraw(), (3, 2))
     np.testing.assert_array_equal(draws, np.full((3, 2), vocab.id("e")))
     assert vocab.id("e") == len(vocab) - 1
+
 
 def topic_corpus(rng, n_blocks=250, block=40, n_words=20, pseudo=None):
     topic_a = [f"alpha{i}" for i in range(n_words)]
@@ -557,7 +557,6 @@ def test_sgns_chunk_update_matches_reference():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-
 def _masked_out(ids, start, stop, window, rng):
     """window_contexts with every slot masked, as if no context were valid."""
     ctx, mask = window_contexts(ids, start, stop, window, rng)
@@ -633,6 +632,7 @@ def test_adagram_chunk_memory_stays_far_below_one_vocabulary_wide_softmax():
         tracemalloc.stop()
     assert peak - base < 8_000_000
     assert np.isfinite(Out).all() and counts.sum() == pytest.approx(ids.size)
+
 
 def test_adagram_empty_corpus_rejected():
     with pytest.raises(ConfigError):
