@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline driver."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 
 import defmod.cli as cli
 from defmod.cli import main
-from defmod.embeddings import EmbeddingTable, SenseTable
+from defmod.defgen import DefModelConfig, GenConfig, build_char_vocab
+from defmod.embeddings import AdagramConfig, EmbeddingTable, SenseTable, SgnsConfig
 from defmod.lexicon import load_lexicon
 from defmod.matcher import load_pairs
+from defmod.metrics import BleuConfig, Smoothing
 from defmod.textprep import TokenizerProfile, Vocabulary, build_vocab
 
 WORDS = ["bird", "cat", "dog", "fish", "mat", "rock", "sky", "sun", "tree", "pond"]
@@ -332,6 +335,106 @@ def test_manifest_lists_exactly_what_its_command_read_and_wrote(work, trained, t
     assert set(manifest["outputs"]) == {str(p) for p in outputs}
     for digest in (*manifest["inputs"].values(), *manifest["outputs"].values()):
         assert digest.startswith("sha256:")
+
+
+def _capture(monkeypatch, name):
+    """Record the arguments of every call to `cli.<name>`, then make the call."""
+    calls = []
+    real = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def _field_values(config):
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+
+
+def _assert_no_default(config):
+    """Every field that has a default was set to something else."""
+    for f in dataclasses.fields(config):
+        assert getattr(config, f.name) != f.default, f.name
+
+
+@pytest.mark.parametrize("mode", ["sgns", "adagram"])
+def test_train_embeddings_settings_reach_the_library_config(tmp_path, monkeypatch, mode):
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("a b c a b c a b\n" * 3, encoding="utf-8")
+    calls = _capture(monkeypatch, f"train_{mode}")
+    assert main(["train-embeddings", "--mode", mode, "--tokens", str(tokens),
+                 "--output", str(tmp_path / "v.tsv"), "--dim", "3", "--window", "2",
+                 "--negatives", "3", "--epochs", "2", "--lr", "0.05", "--min-count", "2",
+                 "--seed", "9", "--threads", "2", "--max-prototypes", "3",
+                 "--alpha", "0.2", "--prune-threshold", "0.2"]) == 0
+    if mode == "sgns":
+        expected = SgnsConfig(dim=3, window=2, negatives=3, epochs=2, initial_lr=0.05,
+                              min_count=2, seed=9, threads=2)
+    else:
+        expected = AdagramConfig(dim=3, window=2, epochs=2, initial_lr=0.05, min_count=2,
+                                 seed=9, max_prototypes=3, concentration_alpha=0.2,
+                                 prune_threshold=0.2, threads=2)
+    _assert_no_default(expected)
+    [(args, _)] = calls
+    assert args[1] == expected
+
+
+def test_train_settings_reach_the_model_config(work, tmp_path, monkeypatch):
+    calls = _capture(monkeypatch, "init_model")
+    assert main(["train", "--model", "base", "--pairs", str(work / "base_pairs.tsv"),
+                 "--embeddings", str(work / "words.tsv"), "--output", str(tmp_path / "m.bin"),
+                 "--hidden", "7", "--layers", "1", "--token-embedding-dim", "5",
+                 "--max-def-len", "9", "--lr", "0.002", "--batch-size", "3",
+                 "--max-epochs", "1", "--patience", "2", "--seed", "4",
+                 "--min-count", "2"]) == 0
+    [((config,), _)] = calls
+    pairs = load_pairs(work / "base_pairs.tsv", EmbeddingTable.load(work / "words.tsv"))
+    assert config.vocab.digest() == build_vocab(
+        (tok for p in pairs for tok in p.definition), min_count=2).digest()
+    assert config.char_vocab.digest() == build_char_vocab(p.headword for p in pairs).digest()
+    expected = DefModelConfig(config.vocab, config.char_vocab, condition_dim=6, hidden=7,
+                              layers=1, token_embedding_dim=5, max_def_len=9, lr=0.002,
+                              batch_size=3, max_epochs=1, patience=2, seed=4)
+    _assert_no_default(expected)
+    # DefModelConfig compares by identity, so compare its fields.
+    assert _field_values(config) == _field_values(expected)
+
+
+_SAMPLING_FLAGS = ["--temperature", "0.5", "--max-len", "7", "--allow-unk", "--seed", "5"]
+_SAMPLING_CONFIG = GenConfig(temperature=0.5, max_len=7, mask_unk=False)
+
+
+def test_generate_settings_reach_the_sampling_config(work, trained, tmp_path, monkeypatch):
+    calls = _capture(monkeypatch, "generate_seeded")
+    assert main(["generate", "--checkpoint", str(trained),
+                 "--vocab", str(work / "model.bin.vocab"),
+                 "--chars", str(work / "model.bin.chars"),
+                 "--senses", str(work / "senses.tsv"), "--prune-threshold", "0.05",
+                 "--words", "cat", "--output", str(tmp_path / "g.tsv"),
+                 *_SAMPLING_FLAGS]) == 0
+    _assert_no_default(_SAMPLING_CONFIG)
+    [((_, words, _, config, seeds), _)] = calls
+    assert (words, config, seeds) == (["cat"], _SAMPLING_CONFIG, [5])
+
+
+def test_evaluate_settings_reach_the_sampling_and_bleu_configs(work, trained, tmp_path,
+                                                               monkeypatch):
+    calls = _capture(monkeypatch, "evaluate")
+    assert main(["evaluate", "--checkpoint", str(trained),
+                 "--vocab", str(work / "model.bin.vocab"),
+                 "--chars", str(work / "model.bin.chars"),
+                 "--senses", str(work / "senses.tsv"), "--prune-threshold", "0.05",
+                 "--test", str(work / "splits" / "test.tsv"),
+                 "--output", str(tmp_path / "r.json"), "--runs", "2", "--max-n", "3",
+                 "--smoothing", "none", *_SAMPLING_FLAGS]) == 0
+    expected_bleu = BleuConfig(max_n=3, smoothing=Smoothing.NONE)
+    _assert_no_default(expected_bleu)
+    [((_, _, _, config), kwargs)] = calls
+    assert config == _SAMPLING_CONFIG
+    assert kwargs == {"runs": 2, "base_seed": 5, "bleu_cfg": expected_bleu}
 
 
 def test_missing_input_exits_2_naming_path(tmp_path, capsys):
