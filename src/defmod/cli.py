@@ -310,30 +310,31 @@ def _sha256(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _write_manifest(manifest_path: Path, command: str, cfg: dict,
-                    inputs: list, outputs: list) -> None:
-    payload = {
-        "command": command,
-        "config": cfg,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
-        "completed_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    with atomic_write(manifest_path) as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+# Settings whose flag is shorter than the library config field they feed.
+_FIELD_KEYS = {"initial_lr": "lr", "concentration_alpha": "alpha"}
+
+
+def _library_config(cls, cfg: dict, **given):
+    """`cls` built from `given`, and every other field read off the merged settings."""
+    return cls(**given, **{f.name: cfg[_FIELD_KEYS.get(f.name, f.name)]
+                           for f in dataclasses.fields(cls) if f.name not in given})
 
 
 class Run:
-    """One command's run: its name, its merged config, and the files it read.
+    """One command's run: its name, its merged config, and the files it
+    read and wrote.
 
-    Every input is opened through `input`, which records it, so the manifest
-    lists exactly what the command read.
+    Every input is opened through `input` and every output named through
+    `output`, which record them, so the manifest that `main` writes once the
+    command succeeds lists exactly what the command read and wrote.
     """
 
     def __init__(self, command: str, cfg: dict):
         self.command = command
         self.cfg = cfg
         self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+        self.manifest_path: Path | None = None
 
     def require(self, *keys: str, context: str = "") -> None:
         for key in keys:
@@ -369,18 +370,32 @@ class Run:
         chars = Vocabulary.load(self.input("chars"))
         return load_checkpoint(self.input("checkpoint"), vocab, chars)
 
-    def manifest(self, primary: Path, outputs: list) -> None:
-        """Write `<primary>.manifest.json` for the inputs read so far."""
-        _write_manifest(primary.with_name(primary.name + ".manifest.json"),
-                        self.command, self.cfg, self.inputs, outputs)
+    def output(self, path) -> Path:
+        """Record a file the command writes; unless the command has named
+        its manifest already, the first one names it `<path>.manifest.json`."""
+        path = Path(path)
+        if self.manifest_path is None:
+            self.manifest_path = path.with_name(path.name + ".manifest.json")
+        self.outputs.append(path)
+        return path
+
+    def manifest(self) -> None:
+        """Write the manifest, if the command named one."""
+        if self.manifest_path is None:
+            return
+        payload = {
+            "command": self.command,
+            "config": self.cfg,
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": {str(p): _sha256(p) for p in self.outputs},
+            "completed_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        }
+        with atomic_write(self.manifest_path) as f:
+            f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _gen_config(cfg: dict) -> GenConfig:
-    return GenConfig(**{key: cfg[key] for key in _GEN_DEFAULTS})
-
-
-# One function per subcommand. `main` resolves the config and maps errors
-# to exit codes.
+# One function per subcommand. `main` resolves the config, writes the
+# manifest and maps errors to exit codes.
 
 def cmd_tokenize(run: Run) -> None:
     cfg = run.cfg
@@ -391,7 +406,7 @@ def cmd_tokenize(run: Run) -> None:
         lowercase=cfg["lowercase"],
         punctuation_policy=cfg["punctuation"],
     )
-    out = Path(cfg["output"])
+    out = run.output(cfg["output"])
     n_tokens = 0
     with atomic_write(out) as fout:
         for line in lines:
@@ -399,7 +414,6 @@ def cmd_tokenize(run: Run) -> None:
             n_tokens += len(tokens)
             if tokens:
                 fout.write(" ".join(tokens) + "\n")
-    run.manifest(out, [out])
     print(f"wrote {n_tokens} tokens to {out}")
 
 
@@ -410,29 +424,15 @@ def cmd_train_embeddings(run: Run) -> None:
         cfg["threads"] = 1
     tokens = [tok for line in read_lines(run.input("tokens"), ConfigError)
               for tok in line.split()]
-    out = Path(cfg["output"])
+    out = run.output(cfg["output"])
     if cfg["mode"] == "sgns":
-        table = train_sgns(tokens, SgnsConfig(
-            dim=cfg["dim"], window=cfg["window"], negatives=cfg["negatives"],
-            epochs=cfg["epochs"], initial_lr=cfg["lr"],
-            min_count=cfg["min_count"], seed=cfg["seed"],
-            threads=cfg["threads"],
-        ))
+        table = train_sgns(tokens, _library_config(SgnsConfig, cfg))
         kind = f"{len(table.words())} word vectors"
     else:
-        table = train_adagram(tokens, AdagramConfig(
-            dim=cfg["dim"], window=cfg["window"],
-            epochs=cfg["epochs"], initial_lr=cfg["lr"],
-            min_count=cfg["min_count"], seed=cfg["seed"],
-            max_prototypes=cfg["max_prototypes"],
-            concentration_alpha=cfg["alpha"],
-            prune_threshold=cfg["prune_threshold"],
-            threads=cfg["threads"],
-        ))
+        table = train_adagram(tokens, _library_config(AdagramConfig, cfg))
         n_senses = sum(len(table.senses(w)) for w in table.words())
         kind = f"{n_senses} sense vectors over {len(table.words())} words"
     table.save(out)
-    run.manifest(out, [out])
     print(f"wrote {kind} to {out}")
 
 
@@ -441,10 +441,8 @@ def cmd_stats(run: Run) -> None:
     payload = lexicon_stats(run.lexicon("lexicon")).to_json()
     print(payload)
     if run.cfg.get("output"):
-        out = Path(run.cfg["output"])
-        with atomic_write(out) as f:
+        with atomic_write(run.output(run.cfg["output"])) as f:
             f.write(payload + "\n")
-        run.manifest(out, [out])
 
 
 def cmd_split(run: Run) -> None:
@@ -457,14 +455,11 @@ def cmd_split(run: Run) -> None:
     parts = split_lexicon(run.lexicon("lexicon"), ratios=ratios, seed=cfg["seed"])
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    run.manifest_path = out_dir / "split.manifest.json"
     for name, part in (("train", parts.train), ("dev", parts.dev),
                        ("test", parts.test)):
-        path = out_dir / f"{name}.tsv"
-        part.save(path)
-        outputs.append(path)
+        part.save(run.output(out_dir / f"{name}.tsv"))
         print(f"{name}: {len(part)} words, {part.definition_count()} definitions")
-    run.manifest(out_dir / "split", outputs)
 
 
 def cmd_build_pairs(run: Run) -> None:
@@ -486,9 +481,8 @@ def cmd_build_pairs(run: Run) -> None:
             lex, senses, table, stops, MatchMode(cfg["mode"]),
             min_similarity=cfg.get("min_similarity"),
         )
-    out = Path(cfg["output"])
+    out = run.output(cfg["output"])
     save_pairs(pairs, out)
-    run.manifest(out, [out])
     print(f"matched {summary.entries_matched} entries "
           f"({summary.entries_skipped} skipped), "
           f"wrote {summary.pairs_built} pairs to {out}")
@@ -510,16 +504,13 @@ def cmd_train(run: Run) -> None:
         min_count=cfg["min_count"],
     )
     char_vocab = build_char_vocab(p.headword for p in pairs)
-    model_cfg = DefModelConfig(vocab, char_vocab, pairs[0].sense_vector.size,
-                               **{key: cfg[key] for key in _MODEL_DEFAULTS})
+    model_cfg = _library_config(DefModelConfig, cfg, vocab=vocab, char_vocab=char_vocab,
+                                condition_dim=pairs[0].sense_vector.size)
     model, report = train_defmodel(init_model(model_cfg), pairs, dev_pairs)
-    out = Path(cfg["output"])
-    vocab_out = out.with_name(out.name + ".vocab")
-    chars_out = out.with_name(out.name + ".chars")
+    out = run.output(cfg["output"])
     save_checkpoint(model, out)
-    vocab.save(vocab_out)
-    char_vocab.save(chars_out)
-    run.manifest(out, [out, vocab_out, chars_out])
+    vocab.save(run.output(out.with_name(out.name + ".vocab")))
+    char_vocab.save(run.output(out.with_name(out.name + ".chars")))
     print(f"best dev loss {min(report.dev_losses):.4f} "
           f"at epoch {report.best_epoch + 1}/{len(report.train_losses)}, "
           f"wrote {out}")
@@ -533,13 +524,13 @@ def cmd_generate(run: Run) -> None:
     model = run.model()
     source = run.source()
     words = list(cfg["words"]) if cfg.get("words") else run.lexicon("lexicon").headwords()
-    generated = generate_seeded(model, words, source, _gen_config(cfg), [cfg["seed"]])[0]
+    generated = generate_seeded(model, words, source, _library_config(GenConfig, cfg),
+                                [cfg["seed"]])[0]
     rows = [(word, sense_index, tokens)
             for word, definitions in zip(words, generated)
             for sense_index, tokens in enumerate(definitions)]
-    out = Path(cfg["output"])
+    out = run.output(cfg["output"])
     save_generated(rows, out)
-    run.manifest(out, [out])
     print(f"wrote {len(rows)} definitions for {len(words)} words to {out}")
 
 
@@ -549,16 +540,12 @@ def cmd_evaluate(run: Run) -> None:
     model = run.model()
     source = run.source()
     test = run.lexicon("test")
-    bleu_cfg = BleuConfig(max_n=cfg["max_n"], smoothing=Smoothing(cfg["smoothing"]))
-    report = evaluate(model, test, source, _gen_config(cfg), runs=cfg["runs"],
+    bleu_cfg = _library_config(BleuConfig, cfg, smoothing=Smoothing(cfg["smoothing"]))
+    report = evaluate(model, test, source, _library_config(GenConfig, cfg), runs=cfg["runs"],
                       base_seed=cfg["seed"], bleu_cfg=bleu_cfg)
-    out = Path(cfg["output"])
-    report.save(out)
-    outputs = [out]
+    report.save(run.output(cfg["output"]))
     if cfg.get("word_scores"):
-        outputs.append(Path(cfg["word_scores"]))
-        report.save_word_scores(outputs[-1])
-    run.manifest(out, outputs)
+        report.save_word_scores(run.output(cfg["word_scores"]))
     print(f"bleu {report.bleu_mean:.2f}  rbleu {report.rbleu_mean:.2f}  "
           f"fbleu {report.fbleu_mean:.2f}  "
           f"({report.scored_words} words, {report.runs} runs)")
@@ -598,7 +585,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(Run(args.command, _resolve(args, args.command)))
+        run = Run(args.command, _resolve(args, args.command))
+        args.func(run)
+        run.manifest()
         return 0
     except FileNotFoundError as exc:
         path = getattr(exc, "filename", None) or str(exc)

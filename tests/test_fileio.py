@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from defmod.cli import _write_manifest, main
+from defmod.cli import Run, main
 from defmod.defgen import save_generated
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.errors import ConfigError, LexiconFormatError, PairsFormatError
@@ -36,6 +36,12 @@ def _run(path, *argv):
         raise OSError(f"{argv[0]} failed")
 
 
+def _manifest(path):
+    run = Run("stats", {"seed": 0})
+    run.manifest_path = path
+    run.manifest()
+
+
 def _tokenize(path):
     src = path.with_name("corpus.txt")
     src.write_text("A cat.\n", encoding="utf-8")
@@ -57,7 +63,7 @@ WRITERS = {
     "generated": lambda path: save_generated([("cat", 0, ("a", "pet"))], path),
     "report": lambda path: _report().save(path),
     "word scores": lambda path: _report().save_word_scores(path),
-    "manifest": lambda path: _write_manifest(path, "stats", {"seed": 0}, [], []),
+    "manifest": _manifest,
     "tokenized corpus": _tokenize,
     "stats": _stats,
 }
