@@ -100,8 +100,11 @@ def load_lexicon(
     Lines are grouped by headword, definitions tokenized with `profile`
     and deduplicated. `#` comment lines and blank lines are skipped; a
     line without a TAB raises LexiconFormatError naming the line number.
-    Definitions longer than `max_def_tokens` are truncated with a warning.
+    Definitions longer than `max_def_tokens`, which must be at least 1, are
+    truncated with a warning.
     """
+    if max_def_tokens < 1:
+        raise ConfigError(f"max_def_tokens must be at least 1, got {max_def_tokens}")
     lex = Lexicon()
     truncated = 0
     for lineno, line in enumerate(read_lines(path, LexiconFormatError), start=1):

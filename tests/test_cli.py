@@ -143,6 +143,17 @@ def test_split_reruns_are_byte_identical(work, tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("max_def_tokens", ["0", "-2"])
+def test_split_token_limit_below_one_exits_2_writing_nothing(work, tmp_path, capsys,
+                                                             max_def_tokens):
+    out_dir = tmp_path / "s"
+    assert main(["split", "--lexicon", str(work / "lex.tsv"), "--output-dir", str(out_dir),
+                 "--max-def-tokens", max_def_tokens]) == 2
+    assert f"error: max_def_tokens must be at least 1, got {max_def_tokens}" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_split_is_headword_disjoint(work):
     profile = TokenizerProfile()
     parts = [load_lexicon(work / "splits" / name, profile)

@@ -70,6 +70,13 @@ def test_load_truncates_long_definitions(tmp_path):
     assert len(lex.entries["cat"].definitions[0]) == 60
 
 
+@pytest.mark.parametrize("max_def_tokens", [0, -2])
+def test_load_rejects_a_token_limit_below_one(tmp_path, max_def_tokens):
+    path = write_lexicon(tmp_path, ["cat\ta small animal"])
+    with pytest.raises(ConfigError, match=f"max_def_tokens must be at least 1, got {max_def_tokens}"):
+        load_lexicon(path, PROFILE, max_def_tokens=max_def_tokens)
+
+
 def test_load_tokenizes_definitions(tmp_path):
     path = write_lexicon(tmp_path, ["cat\tA small animal."])
     lex = load_lexicon(path, PROFILE)
