@@ -235,21 +235,6 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     return losses.sum() / float(n_tokens), n_tokens
 
 
-def sequence_nll(model: DefModel, condition: np.ndarray, target_word: str,
-                 definition: tuple[str, ...]) -> Tensor:
-    """Mean NLL per token of one definition under one condition vector."""
-    condition = np.asarray(condition, dtype=np.float64)
-    if condition.shape != (model.config.condition_dim,):
-        raise ShapeError(f"condition shape {condition.shape} does not match config")
-    if not definition:
-        raise ConfigError("definition must be nonempty")
-    if len(definition) > model.config.max_def_len:
-        raise ConfigError("definition longer than max_def_len")
-    pair = SenseDefPair(target_word, 0, condition, tuple(definition))
-    loss, _ = batch_nll(model, [pair])
-    return loss
-
-
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in params.items()}
 

@@ -17,11 +17,11 @@ import pytest
 from defmod.defgen import (
     DefModelConfig,
     GenConfig,
+    batch_nll,
     build_char_vocab,
     dataset_nll,
     init_model,
     sample_definition,
-    sequence_nll,
     train_defmodel,
 )
 from defmod.embeddings import AdagramConfig, EmbeddingTable, SenseTable, train_adagram
@@ -194,7 +194,7 @@ def test_criterion_3_finite_difference_gradients():
     checked = set(through_loss)
 
     def loss():
-        return sequence_nll(model, condition, "blue", ("red", "sun", "red"))
+        return batch_nll(model, [SenseDefPair("blue", 0, condition, ("red", "sun", "red"))])[0]
 
     err_loss = grad_check(loss, through_loss, epsilon=1e-4)
 

@@ -29,7 +29,6 @@ from defmod.defgen import (
     sample_definition,
     save_checkpoint,
     save_generated,
-    sequence_nll,
     train_defmodel,
     word_char_ids,
     _config_payload,
@@ -97,7 +96,7 @@ def test_sequence_nll_factorizes_over_steps():
     cfg = model.config
     definition = ("a", "small", "animal")
     condition = np.linspace(-0.2, 0.2, 4)
-    nll = sequence_nll(model, condition, "cat", definition).item()
+    nll = batch_nll(model, [pair("cat", condition, definition)])[0].item()
 
     from defmod.defgen import _condition_block
     from defmod.neural import stable_sigmoid as _np_sigmoid
@@ -131,17 +130,19 @@ def test_sequence_nll_factorizes_over_steps():
 def test_sequence_nll_is_order_sensitive():
     model = init_model(tiny_config())
     condition = np.linspace(-0.2, 0.2, 4)
-    fwd = sequence_nll(model, condition, "cat", ("a", "small", "animal")).item()
-    rev = sequence_nll(model, condition, "cat", ("animal", "small", "a")).item()
+    fwd = batch_nll(model, [pair("cat", condition, ("a", "small", "animal"))])[0].item()
+    rev = batch_nll(model, [pair("cat", condition, ("animal", "small", "a"))])[0].item()
     assert fwd != rev
 
 
-def test_sequence_nll_contract_errors():
+def test_one_pair_nll_rejects_empty_and_truncates_long_definitions():
     model = init_model(tiny_config())
-    with pytest.raises(ConfigError):
-        sequence_nll(model, np.zeros(4), "cat", ())
-    with pytest.raises(ConfigError):
-        sequence_nll(model, np.zeros(4), "cat", ("a",) * 61)
+    with pytest.raises(ValueError, match="definition must be nonempty"):
+        pair("cat", np.zeros(4), ())
+    long_loss, n_tokens = batch_nll(model, [pair("cat", np.zeros(4), ("a",) * 61)])
+    cut_loss, _ = batch_nll(model, [pair("cat", np.zeros(4), ("a",) * 60)])
+    assert n_tokens == 61  # 60 tokens and EOS
+    assert long_loss.item() == cut_loss.item()
 
 
 def test_gradients_match_finite_differences():
@@ -157,7 +158,7 @@ def test_gradients_match_finite_differences():
                if not name.startswith(("K", "Kb"))}
 
     def loss():
-        return sequence_nll(model, condition, "cat", ("small", "dog"))
+        return batch_nll(model, [pair("cat", condition, ("small", "dog"))])[0]
 
     err = grad_check(loss, checked, epsilon=1e-4)
     assert err < 1e-3
@@ -176,7 +177,7 @@ def test_batch_matches_single_pair_losses():
     count = 0
     for p in pairs:
         t = len(p.definition) + 1
-        total += sequence_nll(model, p.sense_vector, p.headword, p.definition).item() * t
+        total += batch_nll(model, [p])[0].item() * t
         count += t
     assert n_tokens == count
     np.testing.assert_allclose(batched.item(), total / count, rtol=1e-12)
@@ -570,8 +571,8 @@ def test_checkpoint_roundtrip(tmp_path):
         {name: getattr(cfg, name) for name in HYPERPARAMETERS}
     cond = np.linspace(-0.1, 0.1, 4)
     np.testing.assert_allclose(
-        sequence_nll(again, cond, "cat", ("a", "animal")).item(),
-        sequence_nll(model, cond, "cat", ("a", "animal")).item())
+        batch_nll(again, [pair("cat", cond, ("a", "animal"))])[0].item(),
+        batch_nll(model, [pair("cat", cond, ("a", "animal"))])[0].item())
 
 
 # The config echo of a tiny_config() checkpoint, byte for byte. Every saved
