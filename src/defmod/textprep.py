@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, numbers, read_lines
 
 UNK = "<unk>"
 BOS = "<bos>"
@@ -118,19 +118,18 @@ class Vocabulary:
         header = lines[0]
         if header != "#vocab v1":
             raise ConfigError(f"{path}: not a vocabulary file (header {header!r})")
-        rows = []
+        rows, first_line, repeat = [], {}, None
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                rows.append((parts[0], int(parts[1]), int(parts[2]), lineno))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected integer id and count, found {parts[1:]!r}"
-                ) from None
+            rows.append((parts[0], *numbers(parts[1:], int, path, lineno, ConfigError), lineno))
+            if parts[0] in first_line and repeat is None:  # reported after the id checks
+                repeat = (f"{path}:{lineno}: token {parts[0]!r} already listed "
+                          f"at line {first_line[parts[0]]}")
+            first_line.setdefault(parts[0], lineno)
         rows.sort(key=lambda r: r[1])
         if [r[1] for r in rows] != list(range(len(rows))):
             i = next(i for i, r in enumerate(rows) if r[1] != i)
@@ -140,17 +139,11 @@ class Vocabulary:
             wrong = next((r for r, special in zip(rows, SPECIALS) if r[0] != special), None)
             where = f"{path}:{wrong[3]}" if wrong else path
             raise ConfigError(f"{where}: ids 0-3 must be the special tokens {SPECIALS}")
+        if repeat:
+            raise ConfigError(repeat)
         vocab = cls.__new__(cls)
         vocab._id_to_token = [r[0] for r in rows]
         vocab._token_to_id = {r[0]: r[1] for r in rows}
-        if len(vocab._token_to_id) < len(rows):  # a token is listed twice; find where
-            first_line = {}
-            for lineno, line in enumerate(lines[1:], start=2):
-                token = line.split("\t")[0]
-                if line and token in first_line:
-                    raise ConfigError(f"{path}:{lineno}: token {token!r} already listed "
-                                      f"at line {first_line[token]}")
-                first_line[token] = lineno
         vocab._counts = {r[0]: r[2] for r in rows}
         return vocab
 
