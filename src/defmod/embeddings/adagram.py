@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import digamma
 
 from ..errors import ConfigError
+from ..neural import softmax
 from ..textprep import Vocabulary
 from .corpus import chunk_ranges, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import DEFAULT_PRUNE_THRESHOLD, SenseTable
@@ -61,34 +62,32 @@ class AdagramConfig:
             raise ConfigError("initial_lr and concentration_alpha must be positive")
 
 
-def expected_log_pi(counts: np.ndarray, alpha: float) -> np.ndarray:
-    """E[log pi_k] under truncated stick-breaking Beta posteriors.
-
-    counts has shape (..., K); stick k has posterior Beta(1 + n_k,
-    alpha + sum_{j>k} n_j) and the last stick takes the remainder.
-    """
+def _stick_posteriors(counts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the Beta posteriors: counts has shape (..., K), and stick k
+    has posterior Beta(1 + n_k, alpha + sum_{j>k} n_j)."""
     counts = np.asarray(counts, dtype=np.float64)
-    K = counts.shape[-1]
     tail = np.flip(np.cumsum(np.flip(counts, -1), -1), -1) - counts
-    a = 1.0 + counts
-    b = alpha + tail
+    return 1.0 + counts, alpha + tail
+
+
+def expected_log_pi(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """E[log pi_k] under truncated stick-breaking Beta posteriors; the last
+    stick takes the remainder."""
+    a, b = _stick_posteriors(counts, alpha)
     e_log_beta = digamma(a) - digamma(a + b)
     e_log_rest = digamma(b) - digamma(a + b)
     prefix = np.concatenate(
         [np.zeros_like(e_log_rest[..., :1]), np.cumsum(e_log_rest[..., :-1], -1)], axis=-1
     )
     out = e_log_beta + prefix
-    out[..., K - 1] = prefix[..., K - 1]
+    out[..., -1] = prefix[..., -1]
     return out
 
 
 def expected_pi(counts: np.ndarray, alpha: float) -> np.ndarray:
     """Expected prototype priors; the last stick absorbs the remainder so
     every row sums to exactly 1."""
-    counts = np.asarray(counts, dtype=np.float64)
-    tail = np.flip(np.cumsum(np.flip(counts, -1), -1), -1) - counts
-    a = 1.0 + counts
-    b = alpha + tail
+    a, b = _stick_posteriors(counts, alpha)
     beta = a / (a + b)
     beta[..., -1] = 1.0
     rest = np.cumprod(1.0 - beta[..., :-1], axis=-1)
@@ -160,10 +159,7 @@ def _train_span(
             norm = expo.sum(axis=1, keepdims=True)
             lse = (top + np.log(norm)).reshape(-1, K)
             expected_out[r0:r1] = expo @ Out / norm
-            scores = fit[o0:o1] - n_ctx[o0:o1, None] * lse[owner[o0:o1] - u0]
-            scores -= scores.max(axis=1, keepdims=True)
-            block = np.exp(scores)
-            block /= block.sum(axis=1, keepdims=True)
+            block = softmax(fit[o0:o1] - n_ctx[o0:o1, None] * lse[owner[o0:o1] - u0])
             resp[o0:o1] = block
             weight[u0:u1] = np.add.reduceat(block * n_ctx[o0:o1, None], seg[u0:u1] - o0)
             neg += np.matmul(expo.T, in_flat[r0:r1] * (weight[u0:u1].reshape(-1, 1) / norm), out=part)
