@@ -82,12 +82,16 @@ log = logging.getLogger(__name__)
 # the parser, each command's defaults, the config keys, their types and
 # their allowed values are all read off these. Defaults that the library
 # owns are read off its dataclasses, so the CLI never drifts from it.
-_SGNS_DEFAULTS = dataclasses.asdict(SgnsConfig())
-_ADAGRAM_DEFAULTS = dataclasses.asdict(AdagramConfig())
-_GEN_DEFAULTS = dataclasses.asdict(GenConfig())
-_TOKENIZER_DEFAULTS = dataclasses.asdict(TokenizerProfile())
-_MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DefModelConfig)
-                   if f.default is not dataclasses.MISSING}
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+_SGNS_DEFAULTS = _defaults(SgnsConfig)
+_ADAGRAM_DEFAULTS = _defaults(AdagramConfig)
+_GEN_DEFAULTS = _defaults(GenConfig)
+_TOKENIZER_DEFAULTS = _defaults(TokenizerProfile)
+_MODEL_DEFAULTS = _defaults(DefModelConfig)
 _VOCAB_MIN_COUNT = inspect.signature(build_vocab).parameters["min_count"].default
 _EVALUATE_RUNS = inspect.signature(evaluate).parameters["runs"].default
 
