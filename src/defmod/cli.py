@@ -130,10 +130,6 @@ OPTIONS = {
              choices=("split_off", "drop")),
     ],
     "train-embeddings": [
-        _opt("--threads", _SGNS_DEFAULTS["threads"], type=int,
-             help=f"worker threads (default {_SGNS_DEFAULTS['threads']})"),
-        _opt("--deterministic", False, action="store_true",
-             help="force single-threaded, bit-reproducible runs"),
         _opt("--mode", choices=("sgns", "adagram")),
         _opt("--tokens", help="tokenized corpus file"),
         _opt("--output", help="vector table file"),
@@ -369,6 +365,13 @@ class Run:
             return EmbeddingTable.load(self.input("embeddings"))
         raise ConfigError(f"{self.command} requires --senses or --embeddings")
 
+    def pairs(self, key: str, source, kind: str):
+        """The pairs in the file `key` names; a file that holds none is an error."""
+        pairs = load_pairs(self.input(key), source)
+        if not pairs:
+            raise ConfigError(f"{self.cfg[key]}: no {kind} pairs")
+        return pairs
+
     def model(self):
         vocab = Vocabulary.load(self.input("vocab"))
         chars = Vocabulary.load(self.input("chars"))
@@ -424,8 +427,6 @@ def cmd_tokenize(run: Run) -> None:
 def cmd_train_embeddings(run: Run) -> None:
     cfg = run.cfg
     run.require("mode", "tokens", "output")
-    if cfg["deterministic"]:
-        cfg["threads"] = 1
     tokens = [tok for line in read_lines(run.input("tokens"), ConfigError)
               for tok in line.split()]
     out = run.output(cfg["output"])
@@ -498,10 +499,8 @@ def cmd_train(run: Run) -> None:
     run.require("embeddings" if cfg["model"] == "base" else "senses",
                 context=f" --model {cfg['model']}")
     source = run.source()
-    pairs = load_pairs(run.input("pairs"), source)
-    if not pairs:
-        raise ConfigError(f"{cfg['pairs']}: no training pairs")
-    dev_pairs = load_pairs(run.input("dev_pairs"), source) if cfg.get("dev_pairs") else None
+    pairs = run.pairs("pairs", source, "training")
+    dev_pairs = run.pairs("dev_pairs", source, "dev") if cfg.get("dev_pairs") else None
 
     vocab = build_vocab(
         (tok for p in pairs for tok in p.definition),

@@ -31,7 +31,7 @@ from scipy.special import digamma
 from ..errors import ConfigError
 from ..neural import softmax
 from ..textprep import Vocabulary
-from .corpus import chunk_ranges, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
+from .corpus import incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import DEFAULT_PRUNE_THRESHOLD, SenseTable
 
 CHUNK = 1024
@@ -50,10 +50,9 @@ class AdagramConfig:
     max_prototypes: int = 5
     concentration_alpha: float = 0.1
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD
-    threads: int = 1
 
     def __post_init__(self):
-        for name in ("dim", "window", "min_count", "max_prototypes", "threads"):
+        for name in ("dim", "window", "min_count", "max_prototypes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.epochs < 0:
@@ -98,7 +97,6 @@ def expected_pi(counts: np.ndarray, alpha: float) -> np.ndarray:
 
 def _train_span(
     ids: np.ndarray,
-    span: tuple[int, int],
     In: np.ndarray,
     Out: np.ndarray,
     counts: np.ndarray,
@@ -113,9 +111,8 @@ def _train_span(
     buf = np.empty((per_block * K, Out.shape[0]))
     neg = np.empty_like(Out)
     part = np.empty_like(Out)
-    for start, stop in chunk_ranges(span[1] - span[0], CHUNK):
-        lo = span[0] + start
-        hi = span[0] + stop
+    for lo in range(0, ids.size, CHUNK):
+        hi = min(lo + CHUNK, ids.size)
         n = hi - lo
         ctx, mask = window_contexts(ids, lo, hi, cfg.window, rng)
         lr = linear_lr(cfg.initial_lr, lr_offset + lo, lr_total)
@@ -178,16 +175,15 @@ def _train_span(
 
 
 def train_adagram(corpus, cfg: AdagramConfig, vocab: Vocabulary | None = None) -> SenseTable:
-    """Train multi-sense embeddings; epochs, threads and seeding follow
-    corpus.run_epochs."""
+    """Train multi-sense embeddings; epochs and seeding follow corpus.run_epochs."""
     vocab, words, ids = prepare_corpus(corpus, cfg.min_count, vocab)
     rng = np.random.default_rng(cfg.seed)
     V = len(vocab)
     In = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(V, cfg.max_prototypes, cfg.dim))
     Out = np.zeros((V, cfg.dim))
     counts = np.zeros((V, cfg.max_prototypes))
-    run_epochs(ids, cfg, rng, lambda span, r, offset, total: _train_span(
-        ids, span, In, Out, counts, cfg, r, offset, total), "adagram")
+    run_epochs(ids, cfg, lambda offset, total: _train_span(
+        ids, In, Out, counts, cfg, rng, offset, total), "adagram")
     table = SenseTable(cfg.dim, cfg.max_prototypes, cfg.prune_threshold)
     word_ids = [vocab.id(word) for word in words]
     priors = expected_pi(counts[word_ids], cfg.concentration_alpha)

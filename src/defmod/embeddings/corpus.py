@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -106,35 +104,14 @@ def linear_lr(initial_lr: float, processed: int, total: int) -> float:
     return max(initial_lr * (1.0 - frac), initial_lr * LR_FLOOR_RATIO)
 
 
-def chunk_ranges(n: int, chunk: int):
-    for start in range(0, n, chunk):
-        yield start, min(start + chunk, n)
+def run_epochs(ids: np.ndarray, cfg, train_epoch, name: str) -> None:
+    """Run cfg.epochs passes of train_epoch(lr_offset, lr_total), logging each.
 
-
-def run_epochs(ids: np.ndarray, cfg, rng: np.random.Generator, train_span, name: str) -> None:
-    """Run cfg.epochs passes of train_span(span, rng, lr_offset, lr_total).
-
-    The learning rate decays linearly over all epochs' tokens. One thread
-    streams the whole corpus through rng, so runs are bit-reproducible for
-    a fixed seed. With threads > 1 the corpus is cut into at most
-    min(threads, os.cpu_count()) shards, each drawing from its own
-    (seed, epoch, shard) stream, and one worker per shard updates the shared
-    weights without locks: races are tolerated, which trades
-    reproducibility for speed.
+    The learning rate decays linearly over all epochs' tokens. Each pass
+    streams the whole corpus through the trainer's one rng, so runs are
+    bit-reproducible for a fixed seed.
     """
     total = max(cfg.epochs * ids.size, 1)
     for epoch in range(cfg.epochs):
-        offset = epoch * ids.size
-        if cfg.threads == 1:
-            train_span((0, ids.size), rng, offset, total)
-        else:
-            bounds = np.linspace(0, ids.size, min(cfg.threads, os.cpu_count() or 1) + 1).astype(np.int64)
-            spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-            with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-                futures = [
-                    pool.submit(train_span, span, np.random.default_rng([cfg.seed, epoch, i]), offset, total)
-                    for i, span in enumerate(spans)
-                ]
-                for fut in futures:
-                    fut.result()
+        train_epoch(epoch * ids.size, total)
         log.info("%s epoch %d/%d done", name, epoch + 1, cfg.epochs)

@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..neural import stable_sigmoid
 from ..textprep import Vocabulary
-from .corpus import NoiseSampler, chunk_ranges, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
+from .corpus import NoiseSampler, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import EmbeddingTable
 
 # Centers per vectorized update; small enough to keep batches near-online.
@@ -25,10 +25,9 @@ class SgnsConfig:
     initial_lr: float = 0.025
     min_count: int = 5
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
-        for name in ("dim", "window", "negatives", "min_count", "threads"):
+        for name in ("dim", "window", "negatives", "min_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.epochs < 0:
@@ -39,7 +38,6 @@ class SgnsConfig:
 
 def _train_span(
     ids: np.ndarray,
-    span: tuple[int, int],
     W_in: np.ndarray,
     W_out: np.ndarray,
     sampler: NoiseSampler,
@@ -48,10 +46,9 @@ def _train_span(
     lr_offset: int,
     lr_total: int,
 ) -> None:
-    """Run one epoch's updates over a contiguous span of center positions."""
-    for start, stop in chunk_ranges(span[1] - span[0], CHUNK):
-        lo = span[0] + start
-        hi = span[0] + stop
+    """Run one epoch's updates over the corpus, CHUNK centers at a time."""
+    for lo in range(0, ids.size, CHUNK):
+        hi = min(lo + CHUNK, ids.size)
         ctx, mask = window_contexts(ids, lo, hi, cfg.window, rng)
         # Column by column: pairs ordered by offset, then by position.
         contexts = ctx.T[mask.T]
@@ -77,7 +74,7 @@ def _train_span(
 def train_sgns(corpus, cfg: SgnsConfig, vocab: Vocabulary | None = None) -> EmbeddingTable:
     """Train single-sense embeddings; returns one vector per retained word.
 
-    Epochs, threads and seeding follow corpus.run_epochs.
+    Epochs and seeding follow corpus.run_epochs.
     """
     vocab, words, ids = prepare_corpus(corpus, cfg.min_count, vocab)
     rng = np.random.default_rng(cfg.seed)
@@ -85,7 +82,7 @@ def train_sgns(corpus, cfg: SgnsConfig, vocab: Vocabulary | None = None) -> Embe
     W_in = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(V, cfg.dim))
     W_out = np.zeros((V, cfg.dim))
     sampler = NoiseSampler(vocab)
-    run_epochs(ids, cfg, rng, lambda span, r, offset, total: _train_span(
-        ids, span, W_in, W_out, sampler, cfg, r, offset, total), "sgns")
+    run_epochs(ids, cfg, lambda offset, total: _train_span(
+        ids, W_in, W_out, sampler, cfg, rng, offset, total), "sgns")
     keep = [vocab.id(w) for w in words]
     return EmbeddingTable(cfg.dim, words, W_in[keep])

@@ -127,7 +127,6 @@ def load_lexicon(
         if entry is None:
             entry = lex.entries[headword] = WordEntry(headword)
         entry.add(definition)
-    lex.entries = {w: e for w, e in lex.entries.items() if e.definitions}
     if truncated:
         log.warning("%s: truncated %d definitions to %d tokens", path, truncated, max_def_tokens)
     if not lex.entries:

@@ -197,13 +197,19 @@ def load_pairs(
 ) -> list[SenseDefPair]:
     """Read a pairs TSV, resolving condition vectors from `source`.
 
+    Line 1 must be the `#pairs v1` header; later `#` lines are comments.
     The sense index selects one of the headword's retained senses; a word
-    table holds one, index 0, the headword's own vector. Malformed lines,
-    headwords `source` does not hold, and indices outside the retained
-    senses raise PairsFormatError with their number.
+    table holds one, index 0, the headword's own vector. A missing header,
+    malformed lines, headwords `source` does not hold, and indices outside
+    the retained senses raise PairsFormatError with their number.
     """
+    lines = read_lines(path, PairsFormatError)
+    header = lines[0] if lines else ""
+    if header != "#pairs v1":
+        raise PairsFormatError(f"{path}:1: not a pairs file (header {header!r}, "
+                               "expected '#pairs v1')")
     pairs = []
-    for lineno, line in enumerate(read_lines(path, PairsFormatError), start=1):
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")

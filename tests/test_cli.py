@@ -234,6 +234,35 @@ def test_generate_writes_one_row_per_retained_sense(work, trained, tmp_path):
         ("cat", "0"), ("cat", "1"), ("dog", "0")]
 
 
+@pytest.mark.parametrize("flag, kind", [("--pairs", "training"), ("--dev-pairs", "dev")])
+def test_train_with_an_empty_pairs_file_exits_2(work, tmp_path, capsys, flag, kind):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("#pairs v1\n", encoding="utf-8")
+    files = {"--pairs": work / "base_pairs.tsv", "--dev-pairs": work / "base_pairs.tsv", flag: empty}
+    assert main(["train", "--model", "base", *(str(a) for item in files.items() for a in item),
+                 "--embeddings", str(work / "words.tsv"), "--output", str(tmp_path / "m.bin"),
+                 "--hidden", "8", "--token-embedding-dim", "6", "--max-epochs", "1"]) == 2
+    assert f"error: {empty}: no {kind} pairs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [empty]
+
+
+def test_train_refuses_generated_definitions_as_pairs(work, trained, tmp_path, capsys):
+    """generate writes the pairs' three columns without their header."""
+    gen = tmp_path / "gen.tsv"
+    model = ["--checkpoint", str(trained), "--vocab", str(work / "model.bin.vocab"),
+             "--chars", str(work / "model.bin.chars")]
+    assert main(["generate", *model, "--senses", str(work / "senses.tsv"),
+                 "--prune-threshold", "0.05", "--words", "cat", "dog",
+                 "--output", str(gen)]) == 0
+    out = tmp_path / "m.bin"
+    assert main(["train", "--model", "multisense", "--pairs", str(gen),
+                 "--senses", str(work / "senses.tsv"), "--prune-threshold", "0.05",
+                 "--output", str(out), "--max-epochs", "1"]) == 2
+    assert f"error: {gen}:1: not a pairs file" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_name("m.bin.manifest.json").exists()
+
+
 def test_generate_is_seed_deterministic(work, trained, tmp_path):
     outs = []
     for name in ("g1.tsv", "g2.tsv"):
@@ -379,15 +408,15 @@ def test_train_embeddings_settings_reach_the_library_config(tmp_path, monkeypatc
     assert main(["train-embeddings", "--mode", mode, "--tokens", str(tokens),
                  "--output", str(tmp_path / "v.tsv"), "--dim", "3", "--window", "2",
                  "--negatives", "3", "--epochs", "2", "--lr", "0.05", "--min-count", "2",
-                 "--seed", "9", "--threads", "2", "--max-prototypes", "3",
+                 "--seed", "9", "--max-prototypes", "3",
                  "--alpha", "0.2", "--prune-threshold", "0.2"]) == 0
     if mode == "sgns":
         expected = SgnsConfig(dim=3, window=2, negatives=3, epochs=2, initial_lr=0.05,
-                              min_count=2, seed=9, threads=2)
+                              min_count=2, seed=9)
     else:
         expected = AdagramConfig(dim=3, window=2, epochs=2, initial_lr=0.05, min_count=2,
                                  seed=9, max_prototypes=3, concentration_alpha=0.2,
-                                 prune_threshold=0.2, threads=2)
+                                 prune_threshold=0.2)
     _assert_no_default(expected)
     [(args, _)] = calls
     assert args[1] == expected
@@ -465,10 +494,11 @@ def test_invalid_config_exits_2(tmp_path):
 
 def test_unknown_config_key_exits_2(work, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"bogus": 1, "source": "wordnet"}', encoding="utf-8")
+    cfg.write_text('{"bogus": 1, "source": "wordnet", "threads": 2, "deterministic": true}',
+                   encoding="utf-8")
     assert main(["stats", "--config", str(cfg),
                  "--lexicon", str(work / "lex.tsv")]) == 2
-    assert "unknown config keys: bogus, source" in capsys.readouterr().err
+    assert "unknown config keys: bogus, deterministic, source, threads" in capsys.readouterr().err
 
 
 def test_config_file_type_check(work, tmp_path):
@@ -513,35 +543,45 @@ def test_declared_defaults_pass_their_own_type_check(command, tmp_path):
     assert cli._resolve(parser.parse_args([command, "--config", str(cfg)]), command) == plain
 
 
-@pytest.mark.parametrize("command", [c for c in cli.OPTIONS if c != "train-embeddings"])
-def test_threads_is_only_a_train_embeddings_flag(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--threads", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --threads" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, threads", [(["--threads", "2"], 2),
-                                            (["--threads", "2", "--deterministic"], 1)])
-def test_train_embeddings_takes_threads(tmp_path, flags, threads):
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--deterministic"]],
+                         ids=["threads", "deterministic"])
+def test_train_embeddings_has_no_thread_flags(tmp_path, capsys, flag):
     src = tmp_path / "t.txt"
     src.write_text("a b c a b c a b\n", encoding="utf-8")
     out = tmp_path / "v.tsv"
-    assert main(["train-embeddings", "--mode", "sgns", "--tokens", str(src),
-                 "--output", str(out), "--dim", "4", "--epochs", "1",
-                 "--min-count", "1", *flags]) == 0
-    manifest = json.loads(out.with_name("v.tsv.manifest.json").read_text(encoding="utf-8"))
-    assert manifest["config"]["threads"] == threads
+    with pytest.raises(SystemExit) as exc:
+        main(["train-embeddings", "--mode", "sgns", "--tokens", str(src),
+              "--output", str(out), "--min-count", "1", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_shared_config_with_threads_serves_stats(work, tmp_path, capsys):
+@pytest.mark.parametrize("mode, flags", [("sgns", ["--negatives", "2"]),
+                                         ("adagram", ["--max-prototypes", "2", "--lr", "0.5"])])
+def test_train_embeddings_is_bit_reproducible(tmp_path, mode, flags):
+    src = tmp_path / "t.txt"
+    src.write_text("the bank by the river the bank of the loan\n" * 30, encoding="utf-8")
+    tables = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.tsv"
+        assert main(["train-embeddings", "--mode", mode, "--tokens", str(src),
+                     "--output", str(out), "--dim", "6", "--window", "2", "--epochs", "2",
+                     "--min-count", "1", "--seed", "5", *flags]) == 0
+        tables.append(out.read_bytes())
+        manifest = json.loads(out.with_name(f"{run}.tsv.manifest.json").read_text(encoding="utf-8"))
+        assert not {"threads", "deterministic"} & set(manifest["config"])
+    assert tables[0] == tables[1]
+
+
+def test_shared_config_with_negatives_serves_stats(work, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"threads": 2, "seed": 3}', encoding="utf-8")
+    cfg.write_text('{"negatives": 2, "seed": 3}', encoding="utf-8")
     assert main(["stats", "--config", str(cfg), "--lexicon", str(work / "lex.tsv")]) == 0
     assert json.loads(capsys.readouterr().out)["word_count"] == 10
 
 
-@pytest.mark.parametrize("payload, key", [({"threads": "two", "mode": "bogus"}, "threads"),
+@pytest.mark.parametrize("payload, key", [({"negatives": "two", "mode": "bogus"}, "negatives"),
                                           ({"mode": "bogus"}, "mode"),
                                           ({"smoothing": "x", "seed": 3}, "smoothing")])
 def test_shared_config_bad_value_for_another_stage_exits_2(work, tmp_path, capsys, payload, key):
@@ -556,7 +596,7 @@ def test_shared_config_bad_value_for_another_stage_exits_2(work, tmp_path, capsy
 
 def test_shared_config_with_another_stages_choice_serves_stats(work, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"mode": "adagram", "threads": 2}', encoding="utf-8")
+    cfg.write_text('{"mode": "adagram", "negatives": 2}', encoding="utf-8")
     assert main(["stats", "--config", str(cfg), "--lexicon", str(work / "lex.tsv")]) == 0
     assert json.loads(capsys.readouterr().out)["word_count"] == 10
 

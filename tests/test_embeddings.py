@@ -2,7 +2,6 @@
 
 import itertools
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from defmod.embeddings import (
 )
 from defmod.embeddings.adagram import _train_span, expected_log_pi, expected_pi
 from defmod.embeddings import adagram as adagram_mod
-from defmod.embeddings import corpus as corpus_mod
 from defmod.embeddings import sgns as sgns_mod
 from defmod.embeddings.corpus import incidence, linear_lr, window_contexts
 from defmod.errors import ConfigError, MissingWordError, ShapeError, ZeroVectorError
@@ -298,14 +296,6 @@ def test_sgns_seed_determinism():
     np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
-def test_sgns_threads_run():
-    rng = np.random.default_rng(9)
-    corpus, _, _ = topic_corpus(rng, n_blocks=40)
-    cfg = SgnsConfig(dim=12, window=2, negatives=3, epochs=2, min_count=5, seed=4, threads=2)
-    table = train_sgns(corpus, cfg)
-    assert np.all(np.isfinite(table.matrix))
-
-
 @pytest.mark.parametrize("shape, rows", [
     ((6, 4), [2, 0, 2, 5, 2, 0]),
     ((5, 3, 4), [4, 1, 1, 0, 4]),
@@ -410,53 +400,6 @@ def test_window_contexts_match_both_first_samplers(window, start, stop):
     assert state == rng_pairs.bit_generator.state == rng_grouped.bit_generator.state
 
 
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: records its size and runs every
-    submitted shard at once in the caller, so no thread starts."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.spans = []
-        _InlinePool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, span, *args):
-        self.spans.append(span)
-        fut = Future()
-        fut.set_result(fn(span, *args))
-        return fut
-
-
-@pytest.mark.parametrize("threads, cpus, tokens, shards", [
-    (64, 2, 300, 2), (3, 8, 300, 3), (64, 128, 5, 5),
-], ids=["capped-by-cpus", "under-cpus", "capped-by-tokens"])
-@pytest.mark.parametrize("train, make_cfg", [
-    (train_sgns, lambda threads: SgnsConfig(dim=4, window=2, negatives=2, epochs=2,
-                                            min_count=1, threads=threads)),
-    (train_adagram, lambda threads: AdagramConfig(dim=4, window=2, epochs=2, min_count=1,
-                                                  max_prototypes=2, threads=threads)),
-], ids=["sgns", "adagram"])
-def test_sharded_epochs_start_at_most_one_worker_per_cpu(
-        monkeypatch, train, make_cfg, threads, cpus, tokens, shards):
-    monkeypatch.setattr(corpus_mod, "ThreadPoolExecutor", _InlinePool)
-    monkeypatch.setattr(corpus_mod.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_InlinePool, "made", [])
-    corpus = [f"w{i}" for i in np.random.default_rng(19).integers(0, 12, size=tokens)]
-    train(corpus, make_cfg(threads))
-    assert [pool.max_workers for pool in _InlinePool.made] == [shards, shards]
-    for pool in _InlinePool.made:
-        assert len(pool.spans) == shards
-        assert [lo for lo, _ in pool.spans] == [0] + [hi for _, hi in pool.spans[:-1]]
-        assert pool.spans[-1][1] == tokens
-
-
 def _reference_adagram_chunk(ids, In, Out, counts, cfg, rng, lr_total):
     """One AdaGram chunk update in its first form (einsum, logaddexp.reduce
     and np.add.at): the reference _train_span must match on one chunk."""
@@ -505,7 +448,7 @@ def test_adagram_chunk_update_matches_reference():
     start = [In.copy(), Out.copy(), counts.copy()]
     ref = [a.copy() for a in start]
     _reference_adagram_chunk(ids, *ref, cfg, np.random.default_rng(16), ids.size)
-    _train_span(ids, (0, ids.size), In, Out, counts, cfg, np.random.default_rng(16), 0, ids.size)
+    _train_span(ids, In, Out, counts, cfg, np.random.default_rng(16), 0, ids.size)
     for got, want, before in zip((In, Out, counts), ref, start):
         assert np.abs(want - before).max() > 1e-3
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -550,7 +493,7 @@ def test_sgns_chunk_update_matches_reference():
     start = [W_in.copy(), W_out.copy()]
     ref = [a.copy() for a in start]
     _reference_sgns_chunk(ids, *ref, sampler, cfg, np.random.default_rng(21), ids.size)
-    sgns_mod._train_span(ids, (0, ids.size), W_in, W_out, sampler, cfg,
+    sgns_mod._train_span(ids, W_in, W_out, sampler, cfg,
                          np.random.default_rng(21), 0, ids.size)
     for got, want, before in zip((W_in, W_out), ref, start):
         assert np.abs(want - before).max() > 1e-3
@@ -576,7 +519,7 @@ def test_adagram_chunk_without_context_moves_only_counts(monkeypatch, case):
     Out = rng.normal(scale=0.5, size=(V, cfg.dim))
     counts = rng.uniform(0, 5, size=(V, cfg.max_prototypes))
     start = [In.copy(), Out.copy(), counts.copy()]
-    _train_span(ids, (0, ids.size), In, Out, counts, cfg, np.random.default_rng(25), 0, ids.size)
+    _train_span(ids, In, Out, counts, cfg, np.random.default_rng(25), 0, ids.size)
     np.testing.assert_array_equal(In, start[0])
     np.testing.assert_array_equal(Out, start[1])
     added = counts - start[2]
@@ -596,7 +539,7 @@ def test_sgns_chunk_without_context_changes_nothing(monkeypatch, case):
     W_in = rng.normal(scale=0.5, size=(V, cfg.dim))
     W_out = rng.normal(scale=0.5, size=(V, cfg.dim))
     start = [W_in.copy(), W_out.copy()]
-    sgns_mod._train_span(ids, (0, ids.size), W_in, W_out, NoiseSampler(vocab), cfg,
+    sgns_mod._train_span(ids, W_in, W_out, NoiseSampler(vocab), cfg,
                          np.random.default_rng(27), 0, ids.size)
     np.testing.assert_array_equal(W_in, start[0])
     np.testing.assert_array_equal(W_out, start[1])
@@ -626,7 +569,7 @@ def test_adagram_chunk_memory_stays_far_below_one_vocabulary_wide_softmax():
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        _train_span(ids, (0, ids.size), In, Out, counts, cfg, np.random.default_rng(29), 0, ids.size)
+        _train_span(ids, In, Out, counts, cfg, np.random.default_rng(29), 0, ids.size)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -664,18 +607,6 @@ def test_adagram_seed_determinism():
         vb, pb = b.prototypes(word)
         np.testing.assert_array_equal(va, vb)
         np.testing.assert_array_equal(pa, pb)
-
-
-def test_adagram_threads_run():
-    rng = np.random.default_rng(17)
-    corpus, _, _ = topic_corpus(rng, n_blocks=60)
-    cfg = AdagramConfig(dim=10, window=2, epochs=2, initial_lr=0.3, min_count=5,
-                        seed=3, max_prototypes=3, threads=2)
-    table = train_adagram(corpus, cfg)
-    for word in table.words():
-        vectors, priors = table.prototypes(word)
-        assert np.all(np.isfinite(vectors))
-        assert abs(priors.sum() - 1.0) < 1e-12
 
 
 def test_adagram_splits_pseudoword_senses():

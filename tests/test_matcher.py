@@ -421,6 +421,28 @@ def test_load_pairs_rejects_out_of_range_sense(tmp_path):
     senses = SenseTable(2, 2)
     senses.add("alpha", np.ones((2, 2)), np.array([0.9995, 0.0005]))
     path = tmp_path / "pairs.tsv"
-    path.write_text("alpha\t1\tthe def\n", encoding="utf-8")
-    with pytest.raises(PairsFormatError):
+    path.write_text("#pairs v1\nalpha\t1\tthe def\n", encoding="utf-8")
+    with pytest.raises(PairsFormatError) as exc:
         load_pairs(path, senses)  # prototype 1 pruned, only 1 retained sense
+    assert str(exc.value).startswith(f"{path}:2: sense index 1 out of range")
+
+
+@pytest.mark.parametrize("text", ["alpha\t0\tthe def\n", "# comment\n#pairs v1\n", ""],
+                         ids=["no-header", "comment-first", "empty"])
+def test_load_pairs_requires_its_header_on_line_1(tmp_path, text):
+    """A headerless three-column file, such as generated definitions, is not
+    read as pairs."""
+    table = EmbeddingTable(2, ["alpha"], np.ones((1, 2)))
+    path = tmp_path / "pairs.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PairsFormatError) as exc:
+        load_pairs(path, table)
+    assert str(exc.value).startswith(f"{path}:1: not a pairs file")
+
+
+def test_load_pairs_skips_comments_after_the_header(tmp_path):
+    table = EmbeddingTable(2, ["alpha"], np.ones((1, 2)))
+    path = tmp_path / "pairs.tsv"
+    path.write_text("#pairs v1\n# built by hand\nalpha\t0\tthe def\n", encoding="utf-8")
+    [pair] = load_pairs(path, table)
+    assert (pair.headword, pair.sense_index, pair.definition) == ("alpha", 0, ("the", "def"))
