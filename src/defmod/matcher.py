@@ -22,6 +22,8 @@ from .textprep import StopwordSet
 
 log = logging.getLogger(__name__)
 
+PAIRS_HEADER = "#pairs v1"
+
 
 class MatchMode(enum.Enum):
     """Direction of the sense-definition assignment."""
@@ -186,7 +188,7 @@ def build_base_pairs(
 def save_pairs(pairs: list[SenseDefPair], path: str | Path) -> None:
     """Write pairs as TSV: headword, sense index, space-joined definition."""
     with atomic_write(path) as f:
-        f.write("#pairs v1\n")
+        f.write(PAIRS_HEADER + "\n")
         for p in pairs:
             f.write(f"{p.headword}\t{p.sense_index}\t{' '.join(p.definition)}\n")
 
@@ -203,11 +205,10 @@ def load_pairs(
     malformed lines, headwords `source` does not hold, and indices outside
     the retained senses raise PairsFormatError with their number.
     """
-    lines = read_lines(path, PairsFormatError)
-    header = lines[0] if lines else ""
-    if header != "#pairs v1":
-        raise PairsFormatError(f"{path}:1: not a pairs file (header {header!r}, "
-                               "expected '#pairs v1')")
+    lines = read_lines(path, PairsFormatError) or [""]
+    if lines[0] != PAIRS_HEADER:
+        raise PairsFormatError(f"{path}:1: not a pairs file (header {lines[0]!r}, "
+                               f"expected {PAIRS_HEADER!r})")
     pairs = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
