@@ -296,8 +296,7 @@ def train_defmodel(
             loss.backward()
             # The token table's gradient stays in row form: clip and Adam
             # touch only the rows that a step or an earlier one reached.
-            grads = {name: p.stored_grad for name, p in model.params.items()
-                     if p.stored_grad is not None}
+            grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
             grads, norm = clip_global_norm(grads, CLIP_NORM)
             adam_step(model.params, grads, state)
             norms.append(norm)

@@ -98,15 +98,11 @@ def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, steps: int) -> Tens
                 dh = g[t - 1] + d_gates[t] @ Wh.data.T
                 dc = dc * f[t]
         flat = d_gates.reshape(steps * batch, 4 * hidden)
-        if b.requires_grad:
-            b._accumulate(flat.sum(axis=0), owned=True)
-        if Wx.requires_grad:
-            Wx._accumulate(X.data.T @ flat, owned=True)
-        if Wh.requires_grad:
-            # h before step t is hs[t - 1], and zero before step 0.
-            Wh._accumulate(hs[:-1].reshape(-1, hidden).T @ flat[batch:], owned=True)
-        if X.requires_grad:
-            X._accumulate(flat @ Wx.data.T, owned=True)
+        b._accumulate(flat.sum(axis=0), owned=True)
+        Wx._accumulate(X.data.T @ flat, owned=True)
+        # h before step t is hs[t - 1], and zero before step 0.
+        Wh._accumulate(hs[:-1].reshape(-1, hidden).T @ flat[batch:], owned=True)
+        X._accumulate(flat @ Wx.data.T, owned=True)
 
     out._backward = backward
     return out
@@ -165,10 +161,8 @@ def char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Tensor
             d_scores = np.zeros((win.shape[0], size))
             d_scores[first, np.arange(size)] = d_pooled[start:start + size]
             start += size
-            if Kb.requires_grad:
-                Kb._accumulate(d_scores.sum(axis=0))
-            if K.requires_grad:
-                K._accumulate(win.T @ d_scores)
+            Kb._accumulate(d_scores.sum(axis=0))
+            K._accumulate(win.T @ d_scores)
             d_win = (d_scores @ K.data.T).reshape(-1, length, width)
             # Kernel by kernel, offsets ascending: the summation order of the
             # slice-and-concat graph that tests compare against bit for bit.

@@ -58,33 +58,17 @@ class RowGrad:
 class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
+    def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._grad = None
+        # What backward left here: a dense array, a RowGrad when one
+        # `add_rows` call (a `gather` or a char-CNN word) reached this leaf
+        # and nothing else did, or None.
+        self.grad: np.ndarray | RowGrad | None = None
         self._parents = tuple(parents)
-        self._backward = backward
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        """The gradient as a dense array; a row-form gradient is densified
-        here, once, and kept dense from then on."""
-        if isinstance(self._grad, RowGrad):
-            self._grad = self._grad.dense(self.data.shape)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self._grad = value
-
-    @property
-    def stored_grad(self) -> np.ndarray | RowGrad | None:
-        """The gradient as backward left it: a RowGrad when one `add_rows`
-        call (a `gather` or a char-CNN word) reached this leaf and nothing
-        else did, else the dense array or None."""
-        return self._grad
+        self._backward = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,7 +89,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self._grad = None
+        self.grad = None
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add `grad` into this tensor's gradient.
@@ -114,8 +98,14 @@ class Tensor:
         parents (`+` hands the same g to both), and each adds into its own
         grad in place. A caller that has just built `grad`, with this
         tensor's shape, and holds no other reference to it passes
-        `owned=True`, and the array itself becomes the gradient.
+        `owned=True`, and the array itself becomes the gradient. A tensor
+        that needs no gradient ignores the call, and a row-form gradient is
+        made dense before `grad` is added.
         """
+        if not self.requires_grad:
+            return
+        if isinstance(self.grad, RowGrad):
+            self.grad = self.grad.dense(self.shape)
         if self.grad is not None:
             self.grad += grad
         elif owned:
@@ -155,10 +145,8 @@ class Tensor:
         out = Tensor(self.data + other.data, parents=(self, other))
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
+            self._accumulate(_unbroadcast(g, self.shape))
+            other._accumulate(_unbroadcast(g, other.shape))
 
         out._backward = backward
         return out
@@ -170,10 +158,8 @@ class Tensor:
         out = Tensor(self.data * other.data, parents=(self, other))
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+            self._accumulate(_unbroadcast(g * other.data, self.shape))
+            other._accumulate(_unbroadcast(g * self.data, other.shape))
 
         out._backward = backward
         return out
@@ -194,10 +180,8 @@ class Tensor:
         out = Tensor(self.data @ other.data, parents=(self, other))
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g @ other.data.T, owned=True)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ g, owned=True)
+            self._accumulate(g @ other.data.T, owned=True)
+            other._accumulate(self.data.T @ g, owned=True)
 
         out._backward = backward
         return out
@@ -205,11 +189,7 @@ class Tensor:
     def sum(self) -> "Tensor":
         out = Tensor(self.data.sum(), parents=(self,))
 
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(np.full_like(self.data, float(g)))
-
-        out._backward = backward
+        out._backward = lambda g: self._accumulate(np.full_like(self.data, float(g)))
         return out
 
 
@@ -230,8 +210,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
+            t._accumulate(piece)
 
     out._backward = backward
     return out
@@ -246,10 +225,12 @@ def add_rows(table: Tensor, ids, grads: np.ndarray) -> None:
     """
     if not table.requires_grad:
         return
-    if table._grad is None and not table._parents:
-        table._grad = RowGrad(ids, grads)
+    if table.grad is None and not table._parents:
+        table.grad = RowGrad(ids, grads)
         return
-    if table.grad is None:
+    if isinstance(table.grad, RowGrad):
+        table.grad = table.grad.dense(table.shape)
+    elif table.grad is None:
         table.grad = np.zeros_like(table.data)
     np.add.at(table.grad, ids, grads)
 
@@ -309,12 +290,9 @@ def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tens
         dlogits = exp / sums
         dlogits[rows, targets] -= 1.0
         dlogits *= g[:, None]
-        if b.requires_grad:
-            b._accumulate(dlogits.sum(axis=0), owned=True)
-        if W.requires_grad:
-            W._accumulate(hidden.data.T @ dlogits, owned=True)
-        if hidden.requires_grad:
-            hidden._accumulate(dlogits @ W.data.T, owned=True)
+        b._accumulate(dlogits.sum(axis=0), owned=True)
+        W._accumulate(hidden.data.T @ dlogits, owned=True)
+        hidden._accumulate(dlogits @ W.data.T, owned=True)
 
     out._backward = backward
     return out

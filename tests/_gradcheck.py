@@ -10,6 +10,12 @@ from typing import Callable
 import numpy as np
 
 from defmod.neural import Tensor
+from defmod.neural.tensor import RowGrad
+
+
+def dense_grad(t: Tensor) -> np.ndarray | None:
+    """`t.grad` as a dense array; a row-form gradient is expanded, None stays None."""
+    return t.grad.dense(t.shape) if isinstance(t.grad, RowGrad) else t.grad
 
 
 def grad_check(
@@ -27,7 +33,7 @@ def grad_check(
     for p in tensors:
         p.zero_grad()
     fn().backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in tensors]
+    analytic = [np.zeros_like(p.data) if p.grad is None else dense_grad(p).copy() for p in tensors]
     worst = 0.0
     for p, a in zip(tensors, analytic):
         flat = p.data.reshape(-1)

@@ -33,7 +33,7 @@ from defmod.neural.optim import BLOCK_ENTRIES
 from defmod.neural.tensor import RowGrad
 from defmod.textprep import Vocabulary
 
-from _gradcheck import grad_check
+from _gradcheck import dense_grad, grad_check
 from _reference_ops import (
     getitem,
     lstm_step,
@@ -107,7 +107,7 @@ def test_getitem_grad_and_restriction():
 def test_gather_accumulates_repeats():
     table = Tensor(np.eye(3), requires_grad=True)
     gather(table, [0, 0, 2]).sum().backward()
-    np.testing.assert_allclose(table.grad, np.diag([2.0, 2.0, 1.0]) @ np.ones((3, 3)) * 0 + [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
+    np.testing.assert_allclose(dense_grad(table), np.diag([2.0, 2.0, 1.0]) @ np.ones((3, 3)) * 0 + [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
     # The row form densifies to a zero-fill plus np.add.at, byte for byte.
     rng = np.random.default_rng(29)
@@ -117,10 +117,10 @@ def test_gather_accumulates_repeats():
     upstream[1, ::2] = -0.0
     table = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
     (gather(table, ids) * Tensor(upstream)).sum().backward()
-    assert isinstance(table.stored_grad, RowGrad)
+    assert isinstance(table.grad, RowGrad)
     want = np.zeros((8, 5))
     np.add.at(want, ids, upstream)
-    assert table.grad.tobytes() == want.tobytes()
+    assert table.grad.dense(table.shape).tobytes() == want.tobytes()
 
     # A leaf that `@` reaches as well keeps the dense scatter-add.
     def dense_gather(t, rows):
@@ -140,7 +140,7 @@ def test_gather_accumulates_repeats():
         shared = Tensor(table.data, requires_grad=True)
         loss = (op(shared, ids) * Tensor(upstream)).sum() + ((Tensor(x) @ shared) * Tensor(x @ table.data)).sum()
         loss.backward()
-        results.append(shared.stored_grad)
+        results.append(shared.grad)
     assert isinstance(results[0], np.ndarray)
     assert results[0].tobytes() == results[1].tobytes()
 
@@ -582,7 +582,7 @@ def test_char_cnn_matches_node_graph_bit_for_bit(ids):
             p.zero_grad()
         out = forward()
         (out * weights).sum().backward()
-        results.append((out.data, {name: p.grad for name, p in params.items()}))
+        results.append((out.data, {name: dense_grad(p) for name, p in params.items()}))
     (fused, fused_grads), (nodes, node_grads) = results
     np.testing.assert_array_equal(fused, nodes)
     for name in params:
@@ -779,8 +779,7 @@ def test_token_rows_cost_no_table_sized_memory_in_a_training_step():
         tracemalloc.reset_peak()
         loss, _ = batch_nll(model, [pair])
         loss.backward()
-        grads = {name: p.stored_grad for name, p in model.params.items()
-                 if p.stored_grad is not None}
+        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
         clip_global_norm(grads, 5.0)
         adam_step(model.params, grads, state)
         _, peak = tracemalloc.get_traced_memory()
