@@ -6,8 +6,9 @@ JSON manifest (inputs, merged config, sha256 content digests) next to its
 primary output. Identical inputs, config, and seed give byte-identical
 primary outputs; only the manifest carries wall-clock fields.
 
-Exit codes: 0 success, 1 internal failure, 2 missing input or invalid
-config.
+Exit codes: 0 success, 1 internal failure, 2 missing input, invalid
+config, an output path that cannot be written, or a computation that
+left the finite range.
 """
 
 import argparse
@@ -46,6 +47,8 @@ from .errors import (
     ConfigError,
     LexiconFormatError,
     MissingWordError,
+    NonFiniteError,
+    OutputError,
     PairsFormatError,
     ScoringError,
     ShapeError,
@@ -459,7 +462,10 @@ def cmd_split(run: Run) -> None:
         raise ConfigError(f"bad --ratios value: {cfg['ratios']!r}") from exc
     parts = split_lexicon(run.lexicon("lexicon"), ratios=ratios, seed=cfg["seed"])
     out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_dir}: {exc.strerror}") from None
     run.manifest_path = out_dir / "split.manifest.json"
     for name, part in (("train", parts.train), ("dev", parts.dev),
                        ("test", parts.test)):
@@ -601,8 +607,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except (ConfigError, ShapeError, ZeroVectorError,
-            UnrepresentableDefinitionError, LexiconFormatError,
-            PairsFormatError, CheckpointError, ScoringError) as exc:
+            UnrepresentableDefinitionError, LexiconFormatError, PairsFormatError,
+            CheckpointError, ScoringError, NonFiniteError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # noqa: BLE001 - last-resort barrier for exit code 1

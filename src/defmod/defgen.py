@@ -15,14 +15,15 @@ import math
 import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, NonFiniteError, ShapeError
 from .fileio import atomic_write
 from .matcher import SenseDefPair
 from .neural import (
@@ -254,6 +255,19 @@ def dataset_nll(model: DefModel, pairs: list[SenseDefPair]) -> float:
     return total / tokens
 
 
+@contextmanager
+def _diverged(where: str) -> Iterator[None]:
+    """Silence numpy's overflow warnings around a training computation, and
+    name `where` in the NonFiniteError raised when a value leaves the finite
+    range there."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"training diverged at {where}: {exc}; "
+                             "a smaller learning rate may help") from None
+
+
 def train_defmodel(
     model: DefModel,
     pairs: list[SenseDefPair],
@@ -262,16 +276,21 @@ def train_defmodel(
     """Mini-batch Adam on mean NLL with best-dev retention.
 
     Hyperparameters come from model.config; shuffling is fixed by its seed.
-    Dev NLL is evaluated every epoch (on the training pairs when no dev list
-    is given); the parameters of the best dev epoch are restored before
-    returning. Stops once `patience` epochs pass without a new best, or at
-    max_epochs. Each epoch logs one INFO line with train and dev NLL, the mean
-    gradient norm, the clip rate and tokens/s.
+    Dev NLL is evaluated every epoch (on the training pairs when dev_pairs
+    is None; an empty dev list is an error); the parameters of the best dev
+    epoch are restored before returning. Stops once `patience` epochs pass
+    without a new best, or at max_epochs. Each epoch logs one INFO line with
+    train and dev NLL, the mean gradient norm, the clip rate and tokens/s. A
+    value that leaves the finite range raises NonFiniteError naming the
+    epoch and the step.
     """
     cfg = model.config
     if not pairs:
         raise ConfigError("train_defmodel needs at least one training pair")
-    dev = dev_pairs if dev_pairs else pairs
+    if dev_pairs is None:
+        dev_pairs = pairs
+    elif not dev_pairs:
+        raise ConfigError("train_defmodel needs at least one dev pair; pass None for no dev list")
     rng = np.random.default_rng(cfg.seed)
     state = init_adam(model.params, lr=cfg.lr)
     order = np.arange(len(pairs))
@@ -288,17 +307,21 @@ def train_defmodel(
         total, tokens = 0.0, 0
         norms: list[float] = []
         started = time.perf_counter()
-        for start in range(0, len(order), cfg.batch_size):
+        for step, start in enumerate(range(0, len(order), cfg.batch_size), 1):
             batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
-            for p in model.params.values():
-                p.zero_grad()
-            loss, n = batch_nll(model, batch)
-            loss.backward()
-            # The token table's gradient stays in row form: clip and Adam
-            # touch only the rows that a step or an earlier one reached.
-            grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-            grads, norm = clip_global_norm(grads, CLIP_NORM)
-            adam_step(model.params, grads, state)
+            with _diverged(f"epoch {epoch + 1}, step {step}"):
+                for p in model.params.values():
+                    p.zero_grad()
+                loss, n = batch_nll(model, batch)
+                loss.backward()
+                # The token table's gradient stays in row form: clip and Adam
+                # touch only the rows that a step or an earlier one reached.
+                grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+                grads, norm = clip_global_norm(grads, CLIP_NORM)
+                # An infinite norm would scale every gradient to NaN.
+                if not math.isfinite(norm):
+                    raise NonFiniteError(f"gradient norm is {norm}")
+                adam_step(model.params, grads, state)
             norms.append(norm)
             total += loss.item() * n
             tokens += n
@@ -306,7 +329,8 @@ def train_defmodel(
         train_losses.append(total / tokens)
         grad_norms.append(float(np.mean(norms)))
         clip_rates.append(sum(norm > CLIP_NORM for norm in norms) / len(norms))
-        dev_loss = dataset_nll(model, dev)
+        with _diverged(f"epoch {epoch + 1}, in the dev pass after step {step}"):
+            dev_loss = dataset_nll(model, dev_pairs)
         dev_losses.append(dev_loss)
         log.info("epoch %d/%d: train nll %.4f, dev nll %.4f, grad norm %.3f, "
                  "clip rate %.2f, %.0f tokens/s", epoch + 1, cfg.max_epochs,
@@ -345,7 +369,7 @@ def sample_definition(
     stops at EOS or after `cfg.max_len` tokens. Rows step together in blocks
     of SAMPLE_BLOCK_ROWS cut in input order, so the output depends only on
     the inputs and the generators' states. Returns content tokens only, and
-    raises ValueError when a row's probabilities are not finite.
+    raises NonFiniteError when a row's probabilities are not finite.
     """
     conditions = np.asarray(conditions, dtype=np.float64)
     if conditions.ndim != 2 or conditions.shape[1] != model.config.condition_dim:
@@ -360,6 +384,7 @@ def sample_definition(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflows are raised below
 def _sample_block(model: DefModel, conditions: np.ndarray, words: list[str],
                   cfg: GenConfig, rngs: list[np.random.Generator]) -> list[tuple[str, ...]]:
     mcfg = model.config
@@ -380,13 +405,15 @@ def _sample_block(model: DefModel, conditions: np.ndarray, words: list[str],
         logits = x @ P["Wo"]
         logits += P["bo"]
         if not np.isfinite(logits).all():
-            raise ValueError("sampling probabilities are not finite: non-finite logits")
+            raise NonFiniteError("sampling probabilities are not finite: non-finite logits")
         probs = softmax(logits, cfg.temperature)
         probs[:, masked] = 0.0
         total = probs.sum(axis=1, keepdims=True)
         if not (total > 0.0).all():
-            raise ValueError("sampling probabilities are not finite: masking "
-                             "left a row with no probability mass")
+            # NaN where logits / temperature overflowed, 0 where masking took all the mass.
+            cause = (f"the logits overflow when divided by the temperature {cfg.temperature}"
+                     if np.isnan(total).any() else "masking left a row with no probability mass")
+            raise NonFiniteError(f"sampling probabilities are not finite: {cause}")
         probs /= total
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from ..errors import ConfigError
 from ..neural import softmax
@@ -72,6 +71,8 @@ def _stick_posteriors(counts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.
 def expected_log_pi(counts: np.ndarray, alpha: float) -> np.ndarray:
     """E[log pi_k] under truncated stick-breaking Beta posteriors; the last
     stick takes the remainder."""
+    from scipy.special import digamma  # here, so that only train-embeddings loads scipy
+
     a, b = _stick_posteriors(counts, alpha)
     e_log_beta = digamma(a) - digamma(a + b)
     e_log_rest = digamma(b) - digamma(a + b)

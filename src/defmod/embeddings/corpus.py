@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import ConfigError
 from ..textprep import Vocabulary, build_vocab
@@ -89,6 +88,8 @@ def incidence(rows: np.ndarray, n_rows: int, ids: np.ndarray, values=None):
     sums back to those rows only. ids are nonnegative, and the cost is
     O(entries + largest id); with no entries M has zero columns.
     """
+    from scipy import sparse  # here, so that only train-embeddings loads scipy
+
     ids = np.reshape(ids, -1)
     counts = np.bincount(ids)
     distinct = np.flatnonzero(counts)

@@ -90,7 +90,7 @@ class EmbeddingTable:
         lines = read_lines(path, ConfigError) or [""]
         header = lines[0].split()
         if len(header) != 2:
-            raise ConfigError(f"{path}: expected '<vocab_size> <dim>' header")
+            raise ConfigError(f"{path}:1: expected '<vocab_size> <dim>' header")
         count, dim = numbers(header, int, path, 1, ConfigError)
         if count < 0 or dim < 1:
             raise ConfigError(f"{path}:1: expected a count >= 0 and a dim >= 1, "
@@ -195,7 +195,7 @@ class SenseTable:
         lines = read_lines(path, ConfigError) or [""]
         header = lines[0].split()
         if header[:2] != ["#senses", "v1"] or len(header) != 4:
-            raise ConfigError(f"{path}: expected '#senses v1 <dim> <max_prototypes>' header")
+            raise ConfigError(f"{path}:1: expected '#senses v1 <dim> <max_prototypes>' header")
         dim, max_prototypes = numbers(header[2:], int, path, 1, ConfigError)
         if dim < 1 or max_prototypes < 1:
             raise ConfigError(f"{path}:1: expected a dim and a max_prototypes >= 1, "

@@ -35,3 +35,11 @@ class CheckpointError(ValueError):
 
 class ScoringError(ValueError):
     """A word cannot be scored (empty generated or reference list)."""
+
+
+class NonFiniteError(ValueError):
+    """A computed value that must be finite is NaN or infinite."""
+
+
+class OutputError(OSError):
+    """An output file cannot be created at the path given."""

@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
+from .errors import OutputError
+
 
 @contextmanager
 def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
@@ -16,15 +18,23 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
     The temporary file sits in the target directory, so `os.replace` renames
     it within one file system. If writing fails, the temporary file is
-    removed and any earlier file at `path` stays as it was. Text mode writes
-    UTF-8.
+    removed and any earlier file at `path` stays as it was. A temporary file
+    that cannot be created (no such directory, say) or moved (`path` is a
+    directory) raises OutputError naming `path`. Text mode writes UTF-8.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:
+        f = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with f:
             yield f
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

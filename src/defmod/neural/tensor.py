@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, NonFiniteError, ShapeError
 
 
 def _as_array(value) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if not np.isfinite(arr).all():
-        raise ValueError("tensor data must be finite")
+        raise NonFiniteError("tensor data must be finite")
     return arr
 
 

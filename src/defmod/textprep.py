@@ -117,7 +117,7 @@ class Vocabulary:
         lines = read_lines(path, ConfigError) or [""]
         header = lines[0]
         if header != "#vocab v1":
-            raise ConfigError(f"{path}: not a vocabulary file (header {header!r})")
+            raise ConfigError(f"{path}:1: not a vocabulary file (header {header!r})")
         rows, first_line, repeat = [], {}, None
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:

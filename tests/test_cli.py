@@ -2,15 +2,19 @@
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import defmod.cli as cli
 from defmod.cli import main
-from defmod.defgen import DefModelConfig, GenConfig, build_char_vocab
+from defmod.defgen import (DefModelConfig, GenConfig, build_char_vocab, load_checkpoint,
+                           save_checkpoint)
 from defmod.embeddings import AdagramConfig, EmbeddingTable, SenseTable, SgnsConfig
 from defmod.lexicon import load_lexicon
 from defmod.matcher import load_pairs
@@ -902,6 +906,83 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, command, flag):
         for argv in ([command, f"{flag}={value}"], [command, "--config", str(cfg)]):
             assert main(argv) == 2
             assert f"config key {key} must be finite" in capsys.readouterr().err
+
+
+def test_diverging_training_exits_2_naming_epoch_and_step(work, tmp_path, capsys):
+    """The first step moves every weight by about the learning rate, so the
+    second step's forward pass overflows; no numpy warning is printed (tier-1
+    turns one into an error, which would exit 1) and nothing is written."""
+    assert main(["train", "--model", "multisense", "--pairs", str(work / "d2s_pairs.tsv"),
+                 "--senses", str(work / "senses.tsv"), "--prune-threshold", "0.05",
+                 "--output", str(tmp_path / "m.bin"), "--hidden", "8",
+                 "--token-embedding-dim", "6", "--batch-size", "4", "--lr", "1e300"]) == 2
+    assert ("error: training diverged at epoch 1, step 2: tensor data must be finite"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("wo, bo, cause", [
+    (0.0, 1.7e308, "the logits overflow when divided by the temperature 0.1"),
+    (1.7e308, 1.7e308, ""),
+])
+def test_overflowing_checkpoint_generate_exits_2(work, trained, tmp_path, capsys, wo, bo, cause):
+    """Finite weights load, but sampling with them overflows."""
+    vocab, chars = work / "model.bin.vocab", work / "model.bin.chars"
+    model = load_checkpoint(trained, Vocabulary.load(vocab), Vocabulary.load(chars))
+    model.params["Wo"].data[...] = wo
+    model.params["bo"].data[...] = bo
+    save_checkpoint(model, tmp_path / "huge.bin")
+    out = tmp_path / "g.tsv"
+    assert main(["generate", "--checkpoint", str(tmp_path / "huge.bin"), "--vocab", str(vocab),
+                 "--chars", str(chars), "--senses", str(work / "senses.tsv"),
+                 "--words", "cat", "--output", str(out)]) == 2
+    assert (f"error: sampling probabilities are not finite: {cause}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin"]
+
+
+def _unwritable_output(case, work, tmp):
+    """(argv, the output path it names) for a command whose output cannot be created."""
+    (tmp / "file").write_text("", encoding="utf-8")
+    corpus = tmp / "corpus.txt"
+    corpus.write_text("The cat sat.\n", encoding="utf-8")
+    if case == "tokenize, no such directory":
+        out = tmp / "missing" / "out.txt"
+        return ["tokenize", "--input", str(corpus), "--output", str(out)], out
+    if case == "tokenize, a directory":
+        return ["tokenize", "--input", str(corpus), "--output", str(tmp)], tmp
+    if case == "split, under a regular file":
+        out = tmp / "file" / "sub"
+        return ["split", "--lexicon", str(work / "lex.tsv"), "--output-dir", str(out)], out
+    out = tmp / "missing" / "m.bin"
+    return ["train", "--model", "base", "--pairs", str(work / "base_pairs.tsv"),
+            "--embeddings", str(work / "words.tsv"), "--output", str(out),
+            "--hidden", "8", "--token-embedding-dim", "6", "--max-epochs", "1"], out
+
+
+@pytest.mark.parametrize("case", ["tokenize, no such directory", "tokenize, a directory",
+                                  "split, under a regular file", "train, no such directory"])
+def test_unwritable_output_exits_2_naming_it(work, tmp_path, capsys, case):
+    argv, out = _unwritable_output(case, work, tmp_path)
+    assert main(argv) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "file"]
+
+
+def test_only_train_embeddings_loads_scipy(work):
+    """scipy is imported where the embedding trainers use it, so neither
+    importing the CLI nor running another command loads any of it."""
+    script = (
+        "import sys\n"
+        "import defmod.cli\n"
+        "def scipy(): return sum(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "on_import = scipy()\n"
+        f"code = defmod.cli.main(['stats', '--lexicon', {str(work / 'lex.tsv')!r}])\n"
+        "print(code, on_import, scipy())\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=False)
+    assert result.stdout.splitlines()[-1] == "0 0 0", result.stderr
 
 
 def test_internal_failure_exits_1(work, monkeypatch):

@@ -367,6 +367,14 @@ def test_train_empty_pairs_rejected():
         train_defmodel(init_model(tiny_config()), [])
 
 
+def test_train_rejects_an_empty_dev_list():
+    """None means "no dev list"; an empty one is a caller's mistake, not a
+    request to stop early on the training pairs."""
+    train = [pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal"))]
+    with pytest.raises(ConfigError, match="at least one dev pair"):
+        train_defmodel(init_model(tiny_config()), train, [])
+
+
 def test_sample_respects_max_len():
     model = init_model(tiny_config())
     outs = sample_definition(model, np.zeros((5, 4)), ["cat"] * 5,

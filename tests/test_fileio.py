@@ -222,6 +222,20 @@ def _loader_input(draw):
     return name, data
 
 
+@pytest.mark.parametrize("load, text", [
+    (Vocabulary.load, "#vocab\n"), (Vocabulary.load, ""),
+    (EmbeddingTable.load, "3\n"), (EmbeddingTable.load, ""),
+    (SenseTable.load, "#senses v2 1 1\n"), (SenseTable.load, ""),
+], ids=["vocabulary", "empty vocabulary", "word table", "empty word table", "sense table",
+        "empty sense table"])
+def test_table_header_errors_name_line_1(tmp_path, load, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}:1: ")
+
+
 @settings(max_examples=700, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_loader_input())
