@@ -42,20 +42,8 @@ from .embeddings import (
     train_adagram,
     train_sgns,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    LexiconFormatError,
-    MissingWordError,
-    NonFiniteError,
-    OutputError,
-    PairsFormatError,
-    ScoringError,
-    ShapeError,
-    UnrepresentableDefinitionError,
-    ZeroVectorError,
-)
-from .fileio import atomic_write, read_lines
+from .errors import ConfigError, DefmodError, MissingWordError, OutputError
+from .fileio import atomic_write, check_writable, read_lines
 from .lexicon import (
     DEFAULT_MAX_DEF_TOKENS,
     DEFAULT_RATIOS,
@@ -215,23 +203,22 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list of strings"}
 
 
-def _key(flag: str, kwargs: dict) -> str:
-    return kwargs.get("dest", flag[2:].replace("-", "_"))
+def _declare(flag: str, default, kwargs: dict) -> tuple:
+    """(config key, (default, kind, choices)) for one option."""
+    kind = (bool if "action" in kwargs else list if "nargs" in kwargs
+            else kwargs.get("type", str))
+    return kwargs.get("dest", flag[2:].replace("-", "_")), (default, kind, kwargs.get("choices"))
 
 
-def _declared(command: str) -> dict:
-    """Config key -> (default, kind) for the globals and one command's options."""
-    spec = {}
-    for flag, default, kwargs in (*_GLOBALS, *OPTIONS[command]):
-        kind = (bool if "action" in kwargs else list if "nargs" in kwargs
-                else kwargs.get("type", str))
-        spec[_key(flag, kwargs)] = (default, kind)
-    return spec
+# Per command, config key -> (default, kind, choices) for the globals and
+# the command's options.
+_DECLARED = {command: dict(_declare(*opt) for opt in (*_GLOBALS, *OPTIONS[command]))
+             for command in OPTIONS}
 
 
 def _load_config_file(path: str) -> dict:
     try:
-        payload = json.loads("\n".join(read_lines(path, ConfigError)))
+        payload = json.loads("\n".join(read_lines(path)))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -240,8 +227,8 @@ def _load_config_file(path: str) -> dict:
     # is accepted, with any value that one of the commands declaring it
     # accepts. The running command checks its own keys again in `_resolve`.
     declaring = {}
-    for command in OPTIONS:
-        for key in _declared(command):
+    for command, spec in _DECLARED.items():
+        for key in spec:
             declaring.setdefault(key, []).append(command)
     unknown = sorted(set(payload) - set(declaring))
     if unknown:
@@ -265,7 +252,7 @@ def _check_value(command: str, key: str, value) -> None:
     null stands for "unset" and is accepted only where the default is None.
     A number must be finite.
     """
-    default, kind = _declared(command)[key]
+    default, kind, choices = _DECLARED[command][key]
     if value is None and default is None:
         return
     if kind is list:
@@ -277,8 +264,6 @@ def _check_value(command: str, key: str, value) -> None:
         raise ConfigError(f"config key {key} must be {_KIND_NAMES[kind]}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"config key {key} must be finite, got {value!r}")
-    choices = next((kwargs.get("choices") for flag, _, kwargs in OPTIONS[command]
-                    if _key(flag, kwargs) == key), None)
     if choices and value not in choices:
         raise ConfigError(f"config key {key} must be one of {', '.join(choices)}, "
                           f"got {value!r}")
@@ -290,8 +275,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     Every merged value, flags' included, is then checked against the
     command's declared type, choices and finiteness.
     """
-    spec = _declared(command)
-    merged = {key: default for key, (default, _) in spec.items()}
+    spec = _DECLARED[command]
+    merged = {key: default for key, (default, _, _) in spec.items()}
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
             if key in spec:
@@ -381,9 +366,11 @@ class Run:
         return load_checkpoint(self.input("checkpoint"), vocab, chars)
 
     def output(self, path) -> Path:
-        """Record a file the command writes; unless the command has named
-        its manifest already, the first one names it `<path>.manifest.json`."""
+        """Record a file the command writes, once `check_writable` passes it;
+        unless the command has named its manifest already, the first one
+        names it `<path>.manifest.json`."""
         path = Path(path)
+        check_writable(path)
         if self.manifest_path is None:
             self.manifest_path = path.with_name(path.name + ".manifest.json")
         self.outputs.append(path)
@@ -410,7 +397,7 @@ class Run:
 def cmd_tokenize(run: Run) -> None:
     cfg = run.cfg
     run.require("input", "output")
-    lines = read_lines(run.input("input"), ConfigError)
+    lines = read_lines(run.input("input"))
     profile = TokenizerProfile(
         language_tag=cfg["language"],
         lowercase=cfg["lowercase"],
@@ -430,7 +417,7 @@ def cmd_tokenize(run: Run) -> None:
 def cmd_train_embeddings(run: Run) -> None:
     cfg = run.cfg
     run.require("mode", "tokens", "output")
-    tokens = [tok for line in read_lines(run.input("tokens"), ConfigError)
+    tokens = [tok for line in read_lines(run.input("tokens"))
               for tok in line.split()]
     out = run.output(cfg["output"])
     if cfg["mode"] == "sgns":
@@ -495,8 +482,8 @@ def cmd_build_pairs(run: Run) -> None:
     out = run.output(cfg["output"])
     save_pairs(pairs, out)
     print(f"matched {summary.entries_matched} entries "
-          f"({summary.entries_skipped} skipped), "
-          f"wrote {summary.pairs_built} pairs to {out}")
+          f"({summary.entries_skipped} skipped, {summary.entries_empty} empty), "
+          f"wrote {summary.pairs_built} pairs ({summary.pairs_filtered} filtered) to {out}")
 
 
 def cmd_train(run: Run) -> None:
@@ -504,6 +491,10 @@ def cmd_train(run: Run) -> None:
     run.require("model", "pairs", "output")
     run.require("embeddings" if cfg["model"] == "base" else "senses",
                 context=f" --model {cfg['model']}")
+    # Named before any work, so that an unwritable path fails before training.
+    out = run.output(cfg["output"])
+    vocab_out = run.output(out.with_name(out.name + ".vocab"))
+    chars_out = run.output(out.with_name(out.name + ".chars"))
     source = run.source()
     pairs = run.pairs("pairs", source, "training")
     dev_pairs = run.pairs("dev_pairs", source, "dev") if cfg.get("dev_pairs") else None
@@ -516,10 +507,9 @@ def cmd_train(run: Run) -> None:
     model_cfg = _library_config(DefModelConfig, cfg, vocab=vocab, char_vocab=char_vocab,
                                 condition_dim=pairs[0].sense_vector.size)
     model, report = train_defmodel(init_model(model_cfg), pairs, dev_pairs)
-    out = run.output(cfg["output"])
     save_checkpoint(model, out)
-    vocab.save(run.output(out.with_name(out.name + ".vocab")))
-    char_vocab.save(run.output(out.with_name(out.name + ".chars")))
+    vocab.save(vocab_out)
+    char_vocab.save(chars_out)
     print(f"best dev loss {min(report.dev_losses):.4f} "
           f"at epoch {report.best_epoch + 1}/{len(report.train_losses)}, "
           f"wrote {out}")
@@ -530,6 +520,7 @@ def cmd_generate(run: Run) -> None:
     run.require("checkpoint", "vocab", "chars", "output")
     if not cfg.get("words") and not cfg.get("lexicon"):
         raise ConfigError("generate requires --words or --lexicon")
+    out = run.output(cfg["output"])
     model = run.model()
     source = run.source()
     words = list(cfg["words"]) if cfg.get("words") else run.lexicon("lexicon").headwords()
@@ -538,7 +529,6 @@ def cmd_generate(run: Run) -> None:
     rows = [(word, sense_index, tokens)
             for word, definitions in zip(words, generated)
             for sense_index, tokens in enumerate(definitions)]
-    out = run.output(cfg["output"])
     save_generated(rows, out)
     print(f"wrote {len(rows)} definitions for {len(words)} words to {out}")
 
@@ -546,15 +536,17 @@ def cmd_generate(run: Run) -> None:
 def cmd_evaluate(run: Run) -> None:
     cfg = run.cfg
     run.require("checkpoint", "vocab", "chars", "test", "output")
+    out = run.output(cfg["output"])
+    scores_out = run.output(cfg["word_scores"]) if cfg.get("word_scores") else None
     model = run.model()
     source = run.source()
     test = run.lexicon("test")
     bleu_cfg = _library_config(BleuConfig, cfg, smoothing=Smoothing(cfg["smoothing"]))
     report = evaluate(model, test, source, _library_config(GenConfig, cfg), runs=cfg["runs"],
                       base_seed=cfg["seed"], bleu_cfg=bleu_cfg)
-    report.save(run.output(cfg["output"]))
-    if cfg.get("word_scores"):
-        report.save_word_scores(run.output(cfg["word_scores"]))
+    report.save(out)
+    if scores_out:
+        report.save_word_scores(scores_out)
     print(f"bleu {report.bleu_mean:.2f}  rbleu {report.rbleu_mean:.2f}  "
           f"fbleu {report.fbleu_mean:.2f}  "
           f"({report.scored_words} words, {report.runs} runs)")
@@ -606,9 +598,7 @@ def main(argv=None) -> int:
         print(f"error: word has no condition vector: {exc.args[0]}",
               file=sys.stderr)
         return 2
-    except (ConfigError, ShapeError, ZeroVectorError,
-            UnrepresentableDefinitionError, LexiconFormatError, PairsFormatError,
-            CheckpointError, ScoringError, NonFiniteError, OutputError) as exc:
+    except DefmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # noqa: BLE001 - last-resort barrier for exit code 1

@@ -369,7 +369,8 @@ def sample_definition(
     stops at EOS or after `cfg.max_len` tokens. Rows step together in blocks
     of SAMPLE_BLOCK_ROWS cut in input order, so the output depends only on
     the inputs and the generators' states. Returns content tokens only, and
-    raises NonFiniteError when a row's probabilities are not finite.
+    raises NonFiniteError when an LSTM layer's gates or a row's
+    probabilities are not finite.
     """
     conditions = np.asarray(conditions, dtype=np.float64)
     if conditions.ndim != 2 or conditions.shape[1] != model.config.condition_dim:
@@ -399,8 +400,11 @@ def _sample_block(model: DefModel, conditions: np.ndarray, words: list[str],
     for _ in range(cfg.max_len):
         x = np.concatenate([P["token_emb"][prev], cond[active]], axis=1)
         for layer in range(mcfg.layers):
-            hs[layer], cs[layer], _acts, _tanh_c = lstm_cell(
-                x @ P[f"Wx{layer}"], hs[layer], cs[layer], P[f"Wh{layer}"], P[f"b{layer}"])
+            try:
+                hs[layer], cs[layer], _acts, _tanh_c = lstm_cell(
+                    x @ P[f"Wx{layer}"], hs[layer], cs[layer], P[f"Wh{layer}"], P[f"b{layer}"])
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"sampling overflowed in LSTM layer {layer}: {exc}") from None
             x = hs[layer]
         logits = x @ P["Wo"]
         logits += P["bo"]

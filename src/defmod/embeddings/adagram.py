@@ -29,7 +29,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..neural import softmax
-from ..textprep import Vocabulary
 from .corpus import incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import DEFAULT_PRUNE_THRESHOLD, SenseTable
 
@@ -175,9 +174,9 @@ def _train_span(
         counts[uniq] += np.add.reduceat(resp, seg[:-1])
 
 
-def train_adagram(corpus, cfg: AdagramConfig, vocab: Vocabulary | None = None) -> SenseTable:
+def train_adagram(corpus, cfg: AdagramConfig) -> SenseTable:
     """Train multi-sense embeddings; epochs and seeding follow corpus.run_epochs."""
-    vocab, words, ids = prepare_corpus(corpus, cfg.min_count, vocab)
+    vocab, words, ids = prepare_corpus(corpus, cfg.min_count)
     rng = np.random.default_rng(cfg.seed)
     V = len(vocab)
     In = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(V, cfg.max_prototypes, cfg.dim))

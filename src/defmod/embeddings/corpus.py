@@ -21,15 +21,14 @@ def corpus_to_ids(tokens, vocab: Vocabulary) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-def prepare_corpus(corpus, min_count: int, vocab: Vocabulary | None = None):
-    """(vocab, retained words, corpus ids) for a token stream.
+def prepare_corpus(corpus, min_count: int):
+    """(vocab, retained words, corpus ids) for a token stream, with the
+    vocabulary built from the corpus at min_count.
 
-    Without a vocab one is built from the corpus at min_count. Raises
-    ConfigError when no word is retained or no token survives the filter.
+    Raises ConfigError when no word is retained or no token survives the filter.
     """
     tokens = corpus if isinstance(corpus, list) else list(corpus)
-    if vocab is None:
-        vocab = build_vocab(tokens, min_count=min_count)
+    vocab = build_vocab(tokens, min_count=min_count)
     words = vocab.words()[4:]
     if not words:
         raise ConfigError("corpus has no words above min_count")

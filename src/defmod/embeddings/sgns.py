@@ -8,7 +8,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..neural import stable_sigmoid
-from ..textprep import Vocabulary
 from .corpus import NoiseSampler, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import EmbeddingTable
 
@@ -71,12 +70,12 @@ def _train_span(
         W_out[uo] += (G.T @ vin) / out_counts[:, None]
 
 
-def train_sgns(corpus, cfg: SgnsConfig, vocab: Vocabulary | None = None) -> EmbeddingTable:
+def train_sgns(corpus, cfg: SgnsConfig) -> EmbeddingTable:
     """Train single-sense embeddings; returns one vector per retained word.
 
     Epochs and seeding follow corpus.run_epochs.
     """
-    vocab, words, ids = prepare_corpus(corpus, cfg.min_count, vocab)
+    vocab, words, ids = prepare_corpus(corpus, cfg.min_count)
     rng = np.random.default_rng(cfg.seed)
     V = len(vocab)
     W_in = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(V, cfg.dim))

@@ -60,7 +60,7 @@ class EmbeddingTable:
         """The word's one sense, as a sense table's `senses` reports it."""
         return [(0, self.vector(word), 1.0)]
 
-    def nearest(self, vector: np.ndarray, k: int = 10, exclude: set[str] = frozenset()) -> list[str]:
+    def nearest(self, vector: np.ndarray, k: int = 10) -> list[str]:
         """Words of the k most cosine-similar rows; zero rows never qualify."""
         norms = np.linalg.norm(self.matrix, axis=1)
         qn = np.linalg.norm(vector)
@@ -69,15 +69,7 @@ class EmbeddingTable:
         safe = np.where(norms == 0.0, np.inf, norms)
         sims = (self.matrix @ vector) / (safe * qn)
         order = np.argsort(-sims)
-        out = []
-        for i in order:
-            word = self._words[i]
-            if word in exclude or norms[i] == 0.0:
-                continue
-            out.append(word)
-            if len(out) == k:
-                break
-        return out
+        return [self._words[i] for i in order[norms[order] > 0.0][:k]]
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as f:
@@ -87,11 +79,11 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        lines = read_lines(path, ConfigError) or [""]
+        lines = read_lines(path) or [""]
         header = lines[0].split()
         if len(header) != 2:
             raise ConfigError(f"{path}:1: expected '<vocab_size> <dim>' header")
-        count, dim = numbers(header, int, path, 1, ConfigError)
+        count, dim = numbers(header, int, path, 1)
         if count < 0 or dim < 1:
             raise ConfigError(f"{path}:1: expected a count >= 0 and a dim >= 1, "
                               f"found {count} {dim}")
@@ -106,7 +98,7 @@ class EmbeddingTable:
                                   f"{first_line[parts[0]]}")
             first_line[parts[0]] = lineno
             words.append(parts[0])
-            rows.append(numbers(parts[1:], float, path, lineno, ConfigError))
+            rows.append(numbers(parts[1:], float, path, lineno))
         if len(words) != count:
             raise ConfigError(f"{path}: header promises {count} rows, found {len(words)}")
         return cls(dim, words, np.array(rows, dtype=np.float64).reshape(len(words), dim))
@@ -192,11 +184,11 @@ class SenseTable:
              prune_threshold: float = DEFAULT_PRUNE_THRESHOLD) -> "SenseTable":
         """Rows may come in any order. A bad row is rejected at its own line;
         a word whose indices skip one, or whose priors `add` rejects, at its first."""
-        lines = read_lines(path, ConfigError) or [""]
+        lines = read_lines(path) or [""]
         header = lines[0].split()
         if header[:2] != ["#senses", "v1"] or len(header) != 4:
             raise ConfigError(f"{path}:1: expected '#senses v1 <dim> <max_prototypes>' header")
-        dim, max_prototypes = numbers(header[2:], int, path, 1, ConfigError)
+        dim, max_prototypes = numbers(header[2:], int, path, 1)
         if dim < 1 or max_prototypes < 1:
             raise ConfigError(f"{path}:1: expected a dim and a max_prototypes >= 1, "
                               f"found {dim} {max_prototypes}")
@@ -208,7 +200,7 @@ class SenseTable:
             if len(parts) != 4:
                 raise ConfigError(f"{path}:{lineno}: expected 4 tab-separated fields")
             word, k, prior, vec = parts
-            (k,) = numbers([k], int, path, lineno, ConfigError)
+            (k,) = numbers([k], int, path, lineno)
             if not 0 <= k < max_prototypes:
                 raise ConfigError(f"{path}:{lineno}: prototype index {k} of {word!r} is "
                                   f"outside 0..{max_prototypes - 1}")
@@ -216,7 +208,7 @@ class SenseTable:
             if k in prototypes:
                 raise ConfigError(f"{path}:{lineno}: prototype {k} of {word!r} repeats line "
                                   f"{prototypes[k][0]}")
-            prior, *vec = numbers([prior, *vec.split(" ")], float, path, lineno, ConfigError)
+            prior, *vec = numbers([prior, *vec.split(" ")], float, path, lineno)
             if len(vec) != dim:
                 raise ConfigError(f"{path}:{lineno}: expected {dim} vector components, "
                                   f"found {len(vec)}")

@@ -1,45 +1,46 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every type derives from DefmodError: bad input, a bad setting, an output
+path that cannot be written or a computation that left the finite range.
+The command line exits 2 on any of them.
+"""
 
 
-class ConfigError(ValueError):
-    """A configuration value violates its contract."""
+class DefmodError(Exception):
+    """A fault in the input, the settings or the environment, not in the code."""
 
 
-class ShapeError(ValueError):
+class ConfigError(DefmodError, ValueError):
+    """A configuration value or an input file violates its contract."""
+
+
+class ShapeError(DefmodError, ValueError):
     """Tensor or vector shapes do not agree."""
 
 
-class MissingWordError(KeyError):
+class MissingWordError(DefmodError, KeyError):
     """A word was looked up in a table that does not contain it."""
 
 
-class ZeroVectorError(ValueError):
+class ZeroVectorError(DefmodError, ValueError):
     """Cosine similarity requested for a zero-norm vector."""
 
 
-class UnrepresentableDefinitionError(ValueError):
+class UnrepresentableDefinitionError(DefmodError, ValueError):
     """No token of a definition is covered by the embedding vocabulary."""
 
 
-class LexiconFormatError(ValueError):
-    """A lexicon file line does not follow the TSV format."""
-
-
-class PairsFormatError(ValueError):
-    """A training-pairs file line does not follow the TSV format."""
-
-
-class CheckpointError(ValueError):
+class CheckpointError(DefmodError, ValueError):
     """A checkpoint file is corrupt or does not match its vocabularies."""
 
 
-class ScoringError(ValueError):
+class ScoringError(DefmodError, ValueError):
     """A word cannot be scored (empty generated or reference list)."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(DefmodError, ValueError):
     """A computed value that must be finite is NaN or infinite."""
 
 
-class OutputError(OSError):
+class OutputError(DefmodError, OSError):
     """An output file cannot be created at the path given."""

@@ -3,13 +3,15 @@ undecodable bytes and unparsable numbers are reported as `path:line`."""
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
-from .errors import OutputError
+from .errors import ConfigError, OutputError
 
 
 @contextmanager
@@ -40,36 +42,47 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
+def check_writable(path: str | Path) -> None:
+    """Raise the OutputError that `atomic_write(path)` would raise when the
+    directory cannot take a new file or `path` is a directory; write nothing."""
+    path = Path(path)
+    try:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tempfile.TemporaryFile(dir=path.parent).close()
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 text file, without their line endings.
 
     The file is decoded once, and split into the lines that text-mode
     `open` yields: universal newlines, so "\\r\\n" and a lone "\\r" end a
     line too, and no empty line after a final newline. Bytes that are not
-    UTF-8 raise `error` (the format's own exit-2 error) naming `path:line`.
+    UTF-8 raise ConfigError naming `path:line`.
     """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len(_split(data[:exc.start].decode("utf-8")))
-        raise error(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+        raise ConfigError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
     lines = _split(text)
     if lines[-1] == "":
         lines.pop()
     return lines
 
 
-def numbers(fields: list[str], kind: type, path: str | Path, lineno: int,
-            error: type[Exception]) -> list:
-    """`fields` as ints, or as finite floats; anything else raises `error`
-    (the format's own exit-2 error) naming `path:line`."""
+def numbers(fields: list[str], kind: type, path: str | Path, lineno: int) -> list:
+    """`fields` as ints, or as finite floats; anything else raises ConfigError
+    naming `path:line`."""
     try:
         values = [kind(x) for x in fields]
     except ValueError as exc:  # its message quotes the field
-        raise error(f"{path}:{lineno}: {exc}") from None
+        raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if kind is float and not all(map(math.isfinite, values)):
-        raise error(f"{path}:{lineno}: values must be finite")
+        raise ConfigError(f"{path}:{lineno}: values must be finite")
     return values
 
 

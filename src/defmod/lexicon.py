@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from pathlib import Path
 
-from .errors import ConfigError, LexiconFormatError
+from .errors import ConfigError
 from .fileio import atomic_write, read_lines
 from .textprep import TokenizerProfile, tokenize
 
@@ -99,7 +99,7 @@ def load_lexicon(
 
     Lines are grouped by headword, definitions tokenized with `profile`
     and deduplicated. `#` comment lines and blank lines are skipped; a
-    line without a TAB raises LexiconFormatError naming the line number.
+    line without a TAB raises ConfigError naming the line number.
     Definitions longer than `max_def_tokens`, which must be at least 1, are
     truncated with a warning.
     """
@@ -107,15 +107,15 @@ def load_lexicon(
         raise ConfigError(f"max_def_tokens must be at least 1, got {max_def_tokens}")
     lex = Lexicon()
     truncated = 0
-    for lineno, line in enumerate(read_lines(path, LexiconFormatError), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         headword, sep, text = line.partition("\t")
         if not sep:
-            raise LexiconFormatError(f"{path}:{lineno}: no TAB separator")
+            raise ConfigError(f"{path}:{lineno}: no TAB separator")
         headword = headword.strip()
         if not headword:
-            raise LexiconFormatError(f"{path}:{lineno}: empty headword")
+            raise ConfigError(f"{path}:{lineno}: empty headword")
         definition = tuple(tokenize(text, profile))
         if not definition:
             log.warning("%s:%d: definition empty after tokenization, dropped", path, lineno)

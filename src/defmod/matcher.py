@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingTable, SenseTable, cosine
-from .errors import PairsFormatError, UnrepresentableDefinitionError
+from .errors import ConfigError, UnrepresentableDefinitionError
 from .fileio import atomic_write, numbers, read_lines
 from .lexicon import Lexicon, WordEntry
 from .textprep import StopwordSet
@@ -203,30 +203,30 @@ def load_pairs(
     The sense index selects one of the headword's retained senses; a word
     table holds one, index 0, the headword's own vector. A missing header,
     malformed lines, headwords `source` does not hold, and indices outside
-    the retained senses raise PairsFormatError with their number.
+    the retained senses raise ConfigError with their number.
     """
-    lines = read_lines(path, PairsFormatError) or [""]
+    lines = read_lines(path) or [""]
     if lines[0] != PAIRS_HEADER:
-        raise PairsFormatError(f"{path}:1: not a pairs file (header {lines[0]!r}, "
-                               f"expected {PAIRS_HEADER!r})")
+        raise ConfigError(f"{path}:1: not a pairs file (header {lines[0]!r}, "
+                          f"expected {PAIRS_HEADER!r})")
     pairs = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise PairsFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields")
         headword, index_text, def_text = parts
-        (sense_index,) = numbers([index_text], int, path, lineno, PairsFormatError)
+        (sense_index,) = numbers([index_text], int, path, lineno)
         definition = tuple(def_text.split())
         if not headword or not definition:
-            raise PairsFormatError(f"{path}:{lineno}: empty field")
+            raise ConfigError(f"{path}:{lineno}: empty field")
         if headword not in source:
-            raise PairsFormatError(
+            raise ConfigError(
                 f"{path}:{lineno}: headword {headword!r} has no condition vector")
         retained = source.senses(headword)
         if not 0 <= sense_index < len(retained):
-            raise PairsFormatError(
+            raise ConfigError(
                 f"{path}:{lineno}: sense index {sense_index} out of range "
                 f"({len(retained)} retained senses for {headword!r})")
         pairs.append(SenseDefPair(headword, sense_index, retained[sense_index][1], definition))

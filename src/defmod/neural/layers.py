@@ -17,8 +17,8 @@ CHAR_EMBEDDING_DIM = 20
 INIT_SCALE = 0.05
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float = INIT_SCALE) -> Tensor:
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True)
 
 
 def _gate_views(acts: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:

@@ -17,14 +17,12 @@ BLOCK_ENTRIES = 32768
 # one span: the walk leaves never-live rows unchanged, and costs fewer numpy
 # calls than a second span would.
 GAP_ENTRIES = 2048
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -92,9 +90,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGrad],
     for name, g in grads.items():
         _check_fits(name, g, params[name].data)
     state.step += 1
-    correct1 = 1.0 - state.beta1 ** state.step
-    correct2 = 1.0 - state.beta2 ** state.step
-    keep1, keep2 = 1.0 - state.beta1, 1.0 - state.beta2
+    correct1 = 1.0 - BETA1 ** state.step
+    correct2 = 1.0 - BETA2 ** state.step
+    keep1, keep2 = 1.0 - BETA1, 1.0 - BETA2
     # A block is at least one row, so the scratch must hold the widest row.
     width = max([BLOCK_ENTRIES, *(math.prod(params[name].data.shape[1:]) for name in grads)])
     scratch1, scratch2, scratch_g = np.empty(width), np.empty(width), np.empty(width)
@@ -125,10 +123,10 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGrad],
                     gb = g[start:stop]
                 s1 = scratch1[:gb.size].reshape(gb.shape)
                 s2 = scratch2[:gb.size].reshape(gb.shape)
-                mb *= state.beta1
+                mb *= BETA1
                 np.multiply(gb, keep1, out=s1)
                 mb += s1
-                vb *= state.beta2
+                vb *= BETA2
                 np.multiply(gb, gb, out=s1)
                 s1 *= keep2
                 vb += s1
@@ -136,6 +134,6 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGrad],
                 s1 *= state.lr
                 np.divide(vb, correct2, out=s2)
                 np.sqrt(s2, out=s2)
-                s2 += state.epsilon
+                s2 += EPSILON
                 s1 /= s2
                 pb -= s1

@@ -114,7 +114,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = read_lines(path, ConfigError) or [""]
+        lines = read_lines(path) or [""]
         header = lines[0]
         if header != "#vocab v1":
             raise ConfigError(f"{path}:1: not a vocabulary file (header {header!r})")
@@ -128,7 +128,7 @@ class Vocabulary:
             try:  # int() inline: a numbers() call per line doubles a 20k vocabulary's load
                 rows.append((parts[0], int(parts[1]), int(parts[2]), lineno))
             except ValueError:
-                numbers(parts[1:], int, path, lineno, ConfigError)  # raises, naming the field
+                numbers(parts[1:], int, path, lineno)  # raises, naming the field
             first = first_line.setdefault(parts[0], lineno)
             if first != lineno and repeat is None:  # reported after the id checks
                 repeat = f"{path}:{lineno}: token {parts[0]!r} already listed at line {first}"
@@ -151,7 +151,7 @@ class Vocabulary:
 
 
 def count_tokens(tokens: Iterable[str]) -> Counter:
-    """Count occurrences; shard counts merge associatively with `+`."""
+    """Count occurrences, without the special tokens."""
     counts = Counter(tokens)
     for special in SPECIALS:
         counts.pop(special, None)
@@ -185,7 +185,7 @@ class StopwordSet:
     @classmethod
     def from_file(cls, path: str | Path) -> "StopwordSet":
         """One token per line; `#` starts a comment line."""
-        return cls._parse(read_lines(path, ConfigError))
+        return cls._parse(read_lines(path))
 
     @classmethod
     def default(cls, language_tag: str) -> "StopwordSet":

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import defmod.cli as cli
+from defmod import errors
 from defmod.cli import main
 from defmod.defgen import (DefModelConfig, GenConfig, build_char_vocab, load_checkpoint,
                            save_checkpoint)
@@ -208,6 +209,23 @@ def test_build_pairs_min_similarity_filters(work, tmp_path):
                  "--output", str(out)]) == 0
     senses = SenseTable.load(work / "senses.tsv", prune_threshold=0.05)
     assert load_pairs(out, senses) == []
+
+
+def test_build_pairs_summary_counts_empty_entries_and_filtered_pairs(work, tmp_path, capsys):
+    """A --min-similarity above every cosine drops every pair, which leaves
+    every entry without pairs; the summary line counts both."""
+    train = work / "splits" / "train.tsv"
+    out = tmp_path / "filtered.tsv"
+    assert main(["build-pairs", "--mode", "d2s", "--lexicon", str(train),
+                 "--senses", str(work / "senses.tsv"), "--embeddings", str(work / "words.tsv"),
+                 "--prune-threshold", "0.05", "--min-similarity", "1.1",
+                 "--output", str(out)]) == 0
+    senses = SenseTable.load(work / "senses.tsv", prune_threshold=0.05)
+    n_pairs = len(load_pairs(work / "d2s_pairs.tsv", senses))
+    n_words = len(load_lexicon(train, TokenizerProfile()).headwords())
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"matched 0 entries (0 skipped, {n_words} empty), "
+        f"wrote 0 pairs ({n_pairs} filtered) to {out}")
 
 
 def test_train_writes_checkpoint_vocabs_manifest(work, trained):
@@ -538,7 +556,7 @@ def test_config_string_for_word_list_exits_2(work, trained, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", list(cli.OPTIONS))
 def test_declared_defaults_pass_their_own_type_check(command, tmp_path):
-    defaults = {key: default for key, (default, _) in cli._declared(command).items()}
+    defaults = {key: default for key, (default, _, _) in cli._DECLARED[command].items()}
     cfg = tmp_path / "defaults.json"
     cfg.write_text(json.dumps(defaults), encoding="utf-8")
     parser = cli.build_parser()
@@ -610,9 +628,9 @@ def test_library_owned_defaults_are_read_off_the_library():
 
     from defmod.metrics import evaluate
 
-    assert cli._declared("evaluate")["runs"][0] == \
+    assert cli._DECLARED["evaluate"]["runs"][0] == \
         inspect.signature(evaluate).parameters["runs"].default
-    assert cli._declared("train")["min_count"][0] == \
+    assert cli._DECLARED["train"]["min_count"][0] == \
         inspect.signature(build_vocab).parameters["min_count"].default
 
 
@@ -941,6 +959,25 @@ def test_overflowing_checkpoint_generate_exits_2(work, trained, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin"]
 
 
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_overflowing_lstm_checkpoint_exits_2_naming_sampling_and_layer(work, trained, tmp_path,
+                                                                       capsys, command):
+    """Finite LSTM weights load, but the first layer's gates overflow."""
+    vocab, chars = work / "model.bin.vocab", work / "model.bin.chars"
+    model = load_checkpoint(trained, Vocabulary.load(vocab), Vocabulary.load(chars))
+    model.params["Wx0"].data[...] = 1.7e308
+    model.params["b0"].data[...] = 1.7e308
+    save_checkpoint(model, tmp_path / "huge.bin")
+    inputs = (["--words", "cat"] if command == "generate"
+              else ["--test", str(work / "splits" / "test.tsv")])
+    assert main([command, "--checkpoint", str(tmp_path / "huge.bin"), "--vocab", str(vocab),
+                 "--chars", str(chars), "--senses", str(work / "senses.tsv"), *inputs,
+                 "--output", str(tmp_path / "out")]) == 2
+    assert ("error: sampling overflowed in LSTM layer 0: tensor data must be finite"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin"]
+
+
 def _unwritable_output(case, work, tmp):
     """(argv, the output path it names) for a command whose output cannot be created."""
     (tmp / "file").write_text("", encoding="utf-8")
@@ -954,15 +991,21 @@ def _unwritable_output(case, work, tmp):
     if case == "split, under a regular file":
         out = tmp / "file" / "sub"
         return ["split", "--lexicon", str(work / "lex.tsv"), "--output-dir", str(out)], out
-    out = tmp / "missing" / "m.bin"
+    out = tmp / "missing" / "m.bin" if case == "train, no such directory" else tmp
     return ["train", "--model", "base", "--pairs", str(work / "base_pairs.tsv"),
             "--embeddings", str(work / "words.tsv"), "--output", str(out),
             "--hidden", "8", "--token-embedding-dim", "6", "--max-epochs", "1"], out
 
 
 @pytest.mark.parametrize("case", ["tokenize, no such directory", "tokenize, a directory",
-                                  "split, under a regular file", "train, no such directory"])
-def test_unwritable_output_exits_2_naming_it(work, tmp_path, capsys, case):
+                                  "split, under a regular file", "train, no such directory",
+                                  "train, a directory"])
+def test_unwritable_output_exits_2_naming_it(work, tmp_path, capsys, monkeypatch, case):
+    """The output path is checked before any work: training never starts."""
+    def no_training(*args):
+        raise AssertionError("train_defmodel ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, "train_defmodel", no_training)
     argv, out = _unwritable_output(case, work, tmp_path)
     assert main(argv) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
@@ -994,6 +1037,35 @@ def test_internal_failure_exits_1(work, monkeypatch):
     # Every command resolves its config first; a blowup there stands in for
     # any unclassified failure and must hit the exit-1 barrier.
     monkeypatch.setattr(cli, "_resolve", boom)
+    assert cli.main(["stats", "--lexicon", str(work / "lex.tsv")]) == 1
+
+
+_ERROR_TYPES = [obj for obj in vars(errors).values()
+                if isinstance(obj, type) and obj.__module__ == errors.__name__]
+
+
+def test_every_error_type_is_a_defmod_error():
+    assert errors.DefmodError in _ERROR_TYPES and len(_ERROR_TYPES) > 1
+    assert all(issubclass(cls, errors.DefmodError) for cls in _ERROR_TYPES)
+
+
+@pytest.mark.parametrize("error", _ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_each_defmod_error_exits_2_with_its_message(work, monkeypatch, capsys, error):
+    def fail(run):
+        raise error("bad input at f.txt:3")
+
+    monkeypatch.setattr(cli, "cmd_stats", fail)
+    assert cli.main(["stats", "--lexicon", str(work / "lex.tsv")]) == 2
+    prefix = ("error: word has no condition vector: " if error is errors.MissingWordError
+              else "error: ")
+    assert capsys.readouterr().err == prefix + "bad input at f.txt:3\n"
+
+
+def test_plain_value_error_from_a_command_exits_1(work, monkeypatch):
+    def fail(run):
+        raise ValueError("a fault in the code")
+
+    monkeypatch.setattr(cli, "cmd_stats", fail)
     assert cli.main(["stats", "--lexicon", str(work / "lex.tsv")]) == 1
 
 

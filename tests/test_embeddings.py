@@ -86,7 +86,6 @@ def test_embedding_table_nearest():
         np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
     )
     assert table.nearest(np.array([0.9, 0.1]), k=2) == ["east", "north"]
-    assert table.nearest(np.array([0.9, 0.1]), k=2, exclude={"east"}) == ["north", "west"]
 
 
 def test_sense_table_retention_and_word_vector():

@@ -1,6 +1,6 @@
 """Every output file is written atomically: whole or not at all. Text input
 is split into lines as text-mode `open` splits it, and every text loader
-either loads its input or raises its format's exit-2 error naming the file."""
+either loads its input or raises ConfigError naming the file."""
 
 import os
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from defmod.cli import Run, main
 from defmod.defgen import save_generated
 from defmod.embeddings import EmbeddingTable, SenseTable
-from defmod.errors import ConfigError, LexiconFormatError, PairsFormatError
+from defmod.errors import ConfigError
 from defmod.fileio import atomic_write, read_lines
 from defmod.lexicon import Lexicon, WordEntry, load_lexicon
 from defmod.matcher import SenseDefPair, load_pairs, save_pairs
@@ -107,7 +107,7 @@ def test_read_lines_splits_as_text_mode_open(tmp_path, data):
     path.write_bytes(data)
     with open(path, encoding="utf-8") as f:
         expected = [line.removesuffix("\n") for line in f]
-    assert read_lines(path, ConfigError) == expected
+    assert read_lines(path) == expected
 
 
 # Each file is drawn valid, then has up to two of its fields replaced by any
@@ -192,18 +192,15 @@ def _pairs_sources():
 
 
 _SENSE_SOURCE, _WORD_SOURCE = _pairs_sources()
-# name -> (loader, its format's exit-2 error, lines in that format)
+# name -> (loader, lines in that format)
 _LOADERS = {
-    "word table": (EmbeddingTable.load, ConfigError, _word_table()),
-    "sense table": (SenseTable.load, ConfigError, _sense_table()),
-    "vocabulary": (Vocabulary.load, ConfigError, _vocabulary()),
-    "pairs, sense table": (lambda path: load_pairs(path, _SENSE_SOURCE), PairsFormatError,
-                           _PAIRS),
-    "pairs, word table": (lambda path: load_pairs(path, _WORD_SOURCE), PairsFormatError,
-                          _PAIRS),
-    "lexicon": (lambda path: load_lexicon(path, TokenizerProfile()), LexiconFormatError,
-                _LEXICON),
-    "stopwords": (StopwordSet.from_file, ConfigError, st.lists(_WORD | st.text(max_size=6))),
+    "word table": (EmbeddingTable.load, _word_table()),
+    "sense table": (SenseTable.load, _sense_table()),
+    "vocabulary": (Vocabulary.load, _vocabulary()),
+    "pairs, sense table": (lambda path: load_pairs(path, _SENSE_SOURCE), _PAIRS),
+    "pairs, word table": (lambda path: load_pairs(path, _WORD_SOURCE), _PAIRS),
+    "lexicon": (lambda path: load_lexicon(path, TokenizerProfile()), _LEXICON),
+    "stopwords": (StopwordSet.from_file, st.lists(_WORD | st.text(max_size=6))),
 }
 
 
@@ -212,7 +209,7 @@ def _loader_input(draw):
     """(loader name, file bytes): its lines, now and then with a line of any
     text inserted or an undecodable byte."""
     name = draw(st.sampled_from(list(_LOADERS)))
-    lines = draw(_LOADERS[name][2])
+    lines = draw(_LOADERS[name][1])
     if draw(st.sampled_from([False] * 9 + [True])):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
     data = "\n".join(lines).encode("utf-8") + draw(st.sampled_from([b"\n", b"\r\n", b""]))
@@ -241,13 +238,13 @@ def test_table_header_errors_name_line_1(tmp_path, load, text):
 @given(case=_loader_input())
 @example(case=("vocabulary", b"#vocab v1\n"))  # header only: no line to name
 def test_text_loader_loads_or_raises_its_format_error_naming_the_file(tmp_path, case):
-    """Each loader either loads its file or raises its format's exit-2 error
-    (never another exception), and the message starts with the path."""
+    """Each loader either loads its file or raises ConfigError (never another
+    exception), and the message starts with the path."""
     name, data = case
-    load, error, _ = _LOADERS[name]
+    load, _ = _LOADERS[name]
     path = tmp_path / "input.txt"
     path.write_bytes(data)
     try:
         load(path)
-    except error as exc:
+    except ConfigError as exc:
         assert str(exc).startswith(f"{path}:")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from defmod.errors import ConfigError, LexiconFormatError
+from defmod.errors import ConfigError
 from defmod.lexicon import (
     Lexicon,
     WordEntry,
@@ -44,7 +44,7 @@ def test_load_dedups_after_tokenization(tmp_path):
 
 def test_load_rejects_line_without_tab(tmp_path):
     path = write_lexicon(tmp_path, ["cat\ta small animal", "dog a loyal animal"])
-    with pytest.raises(LexiconFormatError, match=":2"):
+    with pytest.raises(ConfigError, match=":2"):
         load_lexicon(path, PROFILE)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from defmod import matcher
 from defmod.embeddings import EmbeddingTable, SenseTable
-from defmod.errors import PairsFormatError, UnrepresentableDefinitionError
+from defmod.errors import ConfigError, UnrepresentableDefinitionError
 from defmod.lexicon import Lexicon, WordEntry
 from defmod.matcher import (
     MatchMode,
@@ -413,7 +413,7 @@ def test_load_pairs_rejects_malformed(tmp_path):
     for i, bad in enumerate(bad_lines):
         path = tmp_path / f"bad{i}.tsv"
         path.write_text("#pairs v1\n" + bad + "\n", encoding="utf-8")
-        with pytest.raises(PairsFormatError):
+        with pytest.raises(ConfigError):
             load_pairs(path, table)
 
 
@@ -422,7 +422,7 @@ def test_load_pairs_rejects_out_of_range_sense(tmp_path):
     senses.add("alpha", np.ones((2, 2)), np.array([0.9995, 0.0005]))
     path = tmp_path / "pairs.tsv"
     path.write_text("#pairs v1\nalpha\t1\tthe def\n", encoding="utf-8")
-    with pytest.raises(PairsFormatError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_pairs(path, senses)  # prototype 1 pruned, only 1 retained sense
     assert str(exc.value).startswith(f"{path}:2: sense index 1 out of range")
 
@@ -435,7 +435,7 @@ def test_load_pairs_requires_its_header_on_line_1(tmp_path, text):
     table = EmbeddingTable(2, ["alpha"], np.ones((1, 2)))
     path = tmp_path / "pairs.tsv"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(PairsFormatError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_pairs(path, table)
     assert str(exc.value).startswith(f"{path}:1: not a pairs file")
 

@@ -29,7 +29,7 @@ from defmod.neural import (
     uniform_init,
 )
 from defmod.matcher import SenseDefPair
-from defmod.neural.optim import BLOCK_ENTRIES
+from defmod.neural.optim import BETA1, BETA2, BLOCK_ENTRIES, EPSILON
 from defmod.neural.tensor import RowGrad
 from defmod.textprep import Vocabulary
 
@@ -655,17 +655,17 @@ def test_clip_global_norm():
 def _reference_adam_step(params, grads, state):
     """The textbook update on whole arrays, as adam_step computed it before blocking."""
     state.step += 1
-    correct1 = 1.0 - state.beta1 ** state.step
-    correct2 = 1.0 - state.beta2 ** state.step
+    correct1 = 1.0 - BETA1 ** state.step
+    correct2 = 1.0 - BETA2 ** state.step
     for name, g in grads.items():
         p = params[name]
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + EPSILON)
 
 
 def test_adam_matches_whole_array_update_bit_for_bit():
