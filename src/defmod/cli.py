@@ -372,9 +372,16 @@ class Run:
         path = Path(path)
         check_writable(path)
         if self.manifest_path is None:
-            self.manifest_path = path.with_name(path.name + ".manifest.json")
+            self.name_manifest(path.with_name(path.name + ".manifest.json"))
         self.outputs.append(path)
         return path
+
+    def name_manifest(self, path: Path) -> None:
+        """Name the manifest that `main` writes after the command, once
+        `check_writable` passes it, so that an unwritable manifest path
+        stops the command before it does any work."""
+        check_writable(path)
+        self.manifest_path = path
 
     def manifest(self) -> None:
         """Write the manifest, if the command named one."""
@@ -453,7 +460,7 @@ def cmd_split(run: Run) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot write {out_dir}: {exc.strerror}") from None
-    run.manifest_path = out_dir / "split.manifest.json"
+    run.name_manifest(out_dir / "split.manifest.json")
     for name, part in (("train", parts.train), ("dev", parts.dev),
                        ("test", parts.test)):
         part.save(run.output(out_dir / f"{name}.tsv"))

@@ -17,6 +17,7 @@ import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -35,13 +36,15 @@ from .neural import (
     char_cnn_forward,
     clip_global_norm,
     concat,
+    flat_buffer,
+    flat_views,
     gather,
     init_adam,
     lstm_cell,
     softmax,
     softmax_cross_entropy,
-    uniform_init,
 )
+from .neural.layers import INIT_SCALE
 # perfbench's tracer wraps the layer op where `batch_nll` looks it up, as
 # `defgen.lstm_step`, so it keeps that name here.
 from .neural import lstm_layer as lstm_step
@@ -138,7 +141,8 @@ def build_char_vocab(words: Iterable[str]) -> Vocabulary:
 
 
 def init_model(cfg: DefModelConfig) -> DefModel:
-    """Fresh parameters, deterministic in cfg.seed.
+    """Fresh parameters, deterministic in cfg.seed, as views of one flat
+    buffer (`flat_views`).
 
     Walks `parameter_shapes` in order: every matrix is drawn uniformly and
     every vector starts at zero, except that each LSTM layer's forget-gate
@@ -147,22 +151,26 @@ def init_model(cfg: DefModelConfig) -> DefModel:
     """
     rng = np.random.default_rng(cfg.seed)
     lstm_biases = {f"b{layer}" for layer in range(cfg.layers)}
-    params: dict[str, Tensor] = {}
-    for name, shape in parameter_shapes(cfg).items():
-        if len(shape) == 2:
-            params[name] = uniform_init(rng, shape)
+    # From np.empty, not np.zeros: every entry is written below, and in a
+    # loop of set-ups np.zeros faulted fresh pages in for each new model
+    # where np.empty reused the memory of the last.
+    views = flat_views(parameter_shapes(cfg), np.empty)
+    for name, data in views.items():
+        if data.ndim == 2:
+            data[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=data.shape)
         else:
-            data = np.zeros(shape)
+            data.fill(0.0)
             if name in lstm_biases:
                 data[cfg.hidden:2 * cfg.hidden] = 1.0
-            params[name] = Tensor(data, requires_grad=True)
-    return DefModel(cfg, params)
+    return DefModel(cfg, {name: Tensor(data, requires_grad=True) for name, data in views.items()})
 
 
 def parameter_shapes(cfg: DefModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every parameter, in the order `init_model` draws them.
+    """Name and shape of every parameter, in the order `init_model` draws them
+    and lays them out in the flat buffer.
 
-    Token embeddings, character CNN, condition projection (condition vector
+    Token embeddings and character embeddings first (the two tables whose
+    gradients are row-form), character CNN, condition projection (condition vector
     plus char features down to the token embedding width), stacked LSTM,
     output projection.
     """
@@ -189,10 +197,9 @@ def word_char_ids(word: str, char_vocab: Vocabulary) -> list[int]:
 def _condition_block(model: DefModel, conditions: np.ndarray, words: list[str]) -> Tensor:
     """Project [condition ; char features] rows to the token embedding width."""
     distinct = {w: row for row, w in enumerate(dict.fromkeys(words))}
-    feats = concat(
-        [char_cnn_forward(model.params, word_char_ids(w, model.config.char_vocab), PAD_ID)
-         for w in distinct], axis=0)
-    # One char-CNN run per distinct headword; pairs that share it share the row.
+    # One char-CNN node over the distinct headwords; pairs that share one share its row.
+    feats = char_cnn_forward(
+        model.params, [word_char_ids(w, model.config.char_vocab) for w in distinct], PAD_ID)
     feats = gather(feats, [distinct[w] for w in words])
     block = concat([Tensor(conditions), feats], axis=1)
     return block @ model.params["Wc"] + model.params["bc"]
@@ -236,13 +243,12 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     return losses.sum() / float(n_tokens), n_tokens
 
 
-def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in params.items()}
+def _snapshot(params: dict[str, Tensor]) -> np.ndarray:
+    return flat_buffer(params).copy()
 
 
-def _restore(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -> None:
-    for name, data in snapshot.items():
-        params[name].data[...] = data
+def _restore(params: dict[str, Tensor], snapshot: np.ndarray) -> None:
+    np.copyto(flat_buffer(params), snapshot)
 
 
 def dataset_nll(model: DefModel, pairs: list[SenseDefPair]) -> float:
@@ -252,6 +258,7 @@ def dataset_nll(model: DefModel, pairs: list[SenseDefPair]) -> float:
         loss, n = batch_nll(model, pairs[start:start + EVAL_BATCH_SIZE])
         total += loss.item() * n
         tokens += n
+        del loss  # frees the batch's (tokens, V) buffer before the next forward
     return total / tokens
 
 
@@ -299,7 +306,7 @@ def train_defmodel(
     grad_norms: list[float] = []
     clip_rates: list[float] = []
     best_dev = np.inf
-    best_params: dict[str, np.ndarray] | None = None
+    best_params: np.ndarray | None = None
     best_epoch = 0
     stopped_early = False
     for epoch in range(cfg.max_epochs):
@@ -314,6 +321,9 @@ def train_defmodel(
                     p.zero_grad()
                 loss, n = batch_nll(model, batch)
                 loss.backward()
+                # Drop the graph, and with it the loss node's (tokens, V)
+                # buffer, before clip, Adam and the next step's forward.
+                loss = loss.item()
                 # The token table's gradient stays in row form: clip and Adam
                 # touch only the rows that a step or an earlier one reached.
                 grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
@@ -323,7 +333,7 @@ def train_defmodel(
                     raise NonFiniteError(f"gradient norm is {norm}")
                 adam_step(model.params, grads, state)
             norms.append(norm)
-            total += loss.item() * n
+            total += loss * n
             tokens += n
         seconds = time.perf_counter() - started
         train_losses.append(total / tokens)
@@ -524,7 +534,8 @@ def load_checkpoint(path: str | Path, vocab: Vocabulary,
                     char_vocab: Vocabulary) -> DefModel:
     """Rebuild a model, refusing when the vocabularies do not match.
 
-    Each tensor is read straight from the file into its own array.
+    The parameters are views of one flat buffer, as `init_model` lays them
+    out, and each tensor is read straight from the file into its view.
     """
     try:
         with open(path, "rb") as f:
@@ -550,30 +561,34 @@ def load_checkpoint(path: str | Path, vocab: Vocabulary,
             cfg = DefModelConfig(vocab, char_vocab,
                                  **{name: echo[name] for name in HYPERPARAMETERS})
             expected = parameter_shapes(cfg)
+            # Sized against the bytes left before allocating, so a corrupt
+            # config cannot ask for more memory than the file holds.
+            if 8 * sum(math.prod(shape) for shape in expected.values()) > size - f.tell():
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            views = flat_views(expected, partial(np.empty, dtype="<f8"))
             (n_tensors,) = struct.unpack("<I", take(4))
-            params: dict[str, Tensor] = {}
+            read: set[str] = set()
             for _ in range(n_tensors):
                 (name_len,) = struct.unpack("<H", take(2))
                 name = take(name_len).decode("utf-8")
                 (ndim,) = struct.unpack("<B", take(1))
                 shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-                # Sized against the bytes left before allocating, so a
-                # corrupt shape cannot ask for more memory than the file holds.
+                if name not in expected or name in read:
+                    raise CheckpointError(f"{path}: tensor names do not match the architecture")
+                if shape != expected[name]:
+                    raise CheckpointError(f"{path}: tensor {name} has shape {shape}, "
+                                          f"the config needs {expected[name]}")
                 if 8 * math.prod(shape) > size - f.tell():
                     raise CheckpointError(f"{path}: truncated checkpoint")
-                data = np.empty(shape, dtype="<f8")
-                f.readinto(data)
-                params[name] = Tensor(data, requires_grad=True)
+                f.readinto(views[name])
+                read.add(name)
+            if read != set(expected):
+                raise CheckpointError(f"{path}: tensor names do not match the architecture")
             if f.tell() != size:
                 raise CheckpointError(f"{path}: trailing bytes after tensors")
+            params = {name: Tensor(data, requires_grad=True) for name, data in views.items()}
     except CheckpointError:
         raise
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
-    if set(params) != set(expected):
-        raise CheckpointError(f"{path}: tensor names do not match the architecture")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {params[name].shape}, the config needs {shape}")
     return DefModel(cfg, params)

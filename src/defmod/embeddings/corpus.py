@@ -39,7 +39,15 @@ def prepare_corpus(corpus, min_count: int):
 
 
 class NoiseSampler:
-    """Negative sampling from unigram counts raised to the 0.75 power."""
+    """Negative sampling from unigram counts raised to the 0.75 power.
+
+    A draw u from [0, 1) maps to `searchsorted(cdf, u, side="right")`, read
+    from a guide table where it can be: slot s of the table covers
+    [s / M, (s + 1) / M) and holds the answer that every u in it shares, or
+    -1 when a cdf entry lies in it and its draws need the search. M is the
+    power of two at or above 16 V, so u * M and c * M are exact and the
+    slot of a draw or of a cdf entry c is never in doubt.
+    """
 
     def __init__(self, vocab: Vocabulary):
         counts = np.array([vocab.count(w) for w in vocab.words()], dtype=np.float64)
@@ -49,9 +57,19 @@ class NoiseSampler:
         # Normalised by its own last entry, so it ends at exactly 1.0 and no
         # draw from [0, 1) lands past the last word.
         self._cdf /= self._cdf[-1]
+        self._slots = 1 << (16 * len(self._cdf) - 1).bit_length()
+        # A slot that no cdf entry lies in maps all of its draws to the
+        # number of entries below its upper edge.
+        entries = np.bincount((self._cdf * self._slots).astype(np.intp),
+                              minlength=self._slots + 1)[:self._slots]
+        self._guide = np.where(entries == 0, np.cumsum(entries), -1)
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return np.searchsorted(self._cdf, rng.random(shape), side="right")
+        u = rng.random(shape)
+        draws = self._guide[(u * self._slots).astype(np.intp)]
+        unsure = draws < 0
+        draws[unsure] = np.searchsorted(self._cdf, u[unsure], side="right")
+        return draws
 
 
 def window_contexts(

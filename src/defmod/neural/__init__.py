@@ -11,7 +11,7 @@ from .layers import (
     lstm_layer,
     uniform_init,
 )
-from .optim import AdamState, adam_step, init_adam
+from .optim import AdamState, adam_step, flat_buffer, flat_views, init_adam
 
 __all__ = [
     "AdamState",
@@ -23,6 +23,8 @@ __all__ = [
     "char_cnn_forward",
     "clip_global_norm",
     "concat",
+    "flat_buffer",
+    "flat_views",
     "gather",
     "init_adam",
     "lstm_cell",

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import RowGrad, Tensor, _as_array, add_rows, stable_sigmoid
+from .tensor import RowGrad, Tensor, _as_array, add_at_rows, add_rows, stable_sigmoid
 
 # (kernel length, number of filters); concatenated output dim is 160.
 CNN_KERNELS = ((2, 10), (3, 30), (4, 40), (5, 40), (6, 40))
@@ -108,66 +108,100 @@ def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, steps: int) -> Tens
     return out
 
 
-@lru_cache(maxsize=1024)
-def _window_rows(n: int, length: int) -> np.ndarray:
-    """Row p holds p, p + 1, ..., p + length - 1: every stride-1 window of n rows."""
-    rows = np.arange(n - length + 1)[:, None] + np.arange(length)
-    rows.flags.writeable = False
-    return rows
+@lru_cache(maxsize=256)
+def _window_rows(lengths: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per kernel, the embedding rows of every window entry of words of the
+    given padded lengths laid back to back: (words, positions, length) for
+    the gather and (length, words, positions) for the backward's scatter-add.
+
+    Every word gets the positions of the longest; a word's windows past its
+    own last one repeat that last window.
+    """
+    lengths_ = np.array(lengths)
+    starts = np.cumsum(lengths_) - lengths_
+    out = []
+    for length, _ in CNN_KERNELS:
+        first = np.minimum(starts[:, None] + np.arange(max(lengths) - length + 1),
+                           (starts + lengths_ - length)[:, None])
+        gather_rows = first[:, :, None] + np.arange(length)
+        scatter_rows = np.ascontiguousarray(gather_rows.transpose(2, 0, 1))
+        gather_rows.flags.writeable = scatter_rows.flags.writeable = False
+        out.append((gather_rows, scatter_rows))
+    return tuple(out)
 
 
-def char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Tensor:
-    """Convolve character embeddings of one word into a (1, 160) feature row.
+def char_cnn_forward(params: dict[str, Tensor], words_char_ids, pad_id: int) -> Tensor:
+    """Convolve the character embeddings of each word into one row of a
+    (words, 160) feature matrix, as one graph node.
 
-    Each kernel length slides with stride 1 over the embedded characters,
-    max-pools over positions, and the pooled vectors are concatenated and
-    passed through tanh. Words shorter than the longest kernel are padded.
+    Each word is padded with `pad_id` to the longest kernel length, and the
+    padded words lie back to back in one embedding array. Each kernel length
+    slides with stride 1 over each word, max-pools over positions, and the
+    pooled vectors are concatenated and passed through tanh. A kernel takes
+    one window gather, one product and one max over all words: a word with
+    fewer windows than the longest word repeats its last window, which can
+    never be the first maximum, so each word pools over exactly its own
+    windows and reads no character but its own.
 
-    The whole word is one graph node. Its backward routes each filter's
-    gradient to the first maximum, as `Tensor.max` does. The gathered
+    The backward routes each filter's gradient to the first maximum, as
+    `Tensor.max` does, takes each kernel's gradients with one product or sum
+    over all words, and sums each character's embedding gradient kernel by
+    kernel, offsets ascending, before one `add_rows` call. The gathered
     embeddings and every kernel's scores are checked for finiteness before
     tanh, which would map an infinite score to a finite 1.0.
     """
-    ids = list(char_ids)
-    if not ids:
-        raise ShapeError("char_cnn_forward needs at least one character")
+    words = [list(char_ids) for char_ids in words_char_ids]
+    if not words or not all(words):
+        raise ShapeError("char_cnn_forward needs at least one character per word")
     longest = max(length for length, _ in CNN_KERNELS)
-    if len(ids) < longest:
-        ids = ids + [pad_id] * (longest - len(ids))
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.array([c for word in words for c in word + [pad_id] * (longest - len(word))],
+                   dtype=np.int64)
+    rows = _window_rows(tuple(max(len(word), longest) for word in words))
     table = params["char_emb"]
     emb = _as_array(table.data[ids])
-    width = emb.shape[1]
+    n_words, width = len(words), emb.shape[1]
     kernels = [(params[f"K{length}"], params[f"Kb{length}"]) for length, _ in CNN_KERNELS]
+    # Every kernel's scores, (words * positions, filters) each, in one buffer
+    # that is checked for finiteness once.
+    scores_buf = np.empty(sum(gather_rows.shape[1] * size
+                              for (gather_rows, _), (_, size) in zip(rows, CNN_KERNELS)) * n_words)
+    feats = np.empty((n_words, CHAR_FEATURE_DIM))
     windows: list[np.ndarray] = []
-    firsts: list[np.ndarray] = []
-    pooled: list[np.ndarray] = []
-    for (length, size), (K, Kb) in zip(CNN_KERNELS, kernels):
-        win = emb[_window_rows(len(ids), length)].reshape(-1, length * width)
-        scores = _as_array(win @ K.data + Kb.data)
-        first = scores.argmax(axis=0)
+    scores: list[np.ndarray] = []
+    used = column = 0
+    for (length, size), (K, Kb), (gather_rows, _) in zip(CNN_KERNELS, kernels, rows):
+        win = emb[gather_rows].reshape(-1, length * width)
+        kernel_scores = scores_buf[used:used + win.shape[0] * size].reshape(-1, size)
+        used += kernel_scores.size
+        np.matmul(win, K.data, out=kernel_scores)
+        kernel_scores += Kb.data
+        by_word = kernel_scores.reshape(n_words, -1, size)
+        by_word.max(axis=1, out=feats[:, column:column + size])
+        column += size
         windows.append(win)
-        firsts.append(first)
-        pooled.append(scores[first, np.arange(size)])
-    feats = np.tanh(np.concatenate(pooled))
-    out = Tensor(feats.reshape(1, CHAR_FEATURE_DIM),
-                 parents=(table, *(t for pair in kernels for t in pair)))
+        scores.append(by_word)
+    _as_array(scores_buf)
+    np.tanh(feats, out=feats)
+    out = Tensor(feats, parents=(table, *(t for pair in kernels for t in pair)))
 
     def backward(g):
-        d_pooled = g.reshape(-1) * (1.0 - feats * feats)
+        d_pooled = g * (1.0 - feats * feats)
         d_emb = np.zeros_like(emb)
-        start = 0
-        for (length, size), (K, Kb), win, first in zip(CNN_KERNELS, kernels, windows, firsts):
-            d_scores = np.zeros((win.shape[0], size))
-            d_scores[first, np.arange(size)] = d_pooled[start:start + size]
-            start += size
-            Kb._accumulate(d_scores.sum(axis=0))
-            K._accumulate(win.T @ d_scores)
-            d_win = (d_scores @ K.data.T).reshape(-1, length, width)
-            # Kernel by kernel, offsets ascending: the summation order of the
-            # slice-and-concat graph that tests compare against bit for bit.
-            for offset in range(length):
-                d_emb[offset:offset + d_win.shape[0]] += d_win[:, offset]
+        word_rows = np.arange(n_words)[:, None]
+        column = 0
+        for (length, size), (K, Kb), (_, scatter_rows), win, by_word in zip(
+                CNN_KERNELS, kernels, rows, windows, scores):
+            d_scores = np.zeros(by_word.shape)
+            d_scores[word_rows, by_word.argmax(axis=1), np.arange(size)] = \
+                d_pooled[:, column:column + size]
+            column += size
+            d_scores = d_scores.reshape(win.shape[0], size)
+            Kb._accumulate(d_scores.sum(axis=0), owned=True)
+            K._accumulate(win.T @ d_scores, owned=True)
+            d_win = (d_scores @ K.data.T).reshape(n_words, -1, length, width)
+            # Offset-major, so that the offsets of each row add ascending, as
+            # the per-word slice adds did.
+            add_at_rows(d_emb, scatter_rows, d_win.transpose(2, 0, 1, 3))
         add_rows(table, ids, d_emb)
 
     out._backward = backward

@@ -30,13 +30,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def add_at_rows(out: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at(out, ids, values)` along the leading axis: the same
+    additions in the same order. A C-contiguous `out` takes numpy's much
+    faster path for one-dimensional arrays, entry by entry."""
+    if not out.flags.c_contiguous or not out.size:
+        np.add.at(out, ids, values)
+        return
+    width = out.size // len(out)
+    entries = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), entries, values.reshape(-1))
+
+
 class RowGrad:
     """A gradient that is zero outside a few rows of its parameter.
 
     `rows` holds the distinct row ids in ascending order and `values` their
-    gradients, summed over repeated ids. The sums are taken by `np.add.at`
-    into zeros, in the order of `ids`, as the dense scatter-add into a
-    zero-filled gradient takes them, so `dense` returns that array bit for bit.
+    gradients, summed over repeated ids. The sums are taken into zeros, in
+    the order of `ids`, as the dense scatter-add into a zero-filled gradient
+    takes them, so `dense` returns that array bit for bit.
     """
 
     __slots__ = ("rows", "values")
@@ -46,8 +58,7 @@ class RowGrad:
         grads = np.asarray(grads, dtype=np.float64)
         self.rows, inverse = np.unique(ids.reshape(-1), return_inverse=True)
         self.values = np.zeros((len(self.rows), *grads.shape[ids.ndim:]))
-        np.add.at(self.values, inverse.reshape(-1),
-                  grads.reshape(ids.size, *grads.shape[ids.ndim:]))
+        add_at_rows(self.values, inverse, grads)
 
     def dense(self, shape: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(shape)
@@ -232,7 +243,7 @@ def add_rows(table: Tensor, ids, grads: np.ndarray) -> None:
         table.grad = table.grad.dense(table.shape)
     elif table.grad is None:
         table.grad = np.zeros_like(table.data)
-    np.add.at(table.grad, ids, grads)
+    add_at_rows(table.grad, np.asarray(ids, dtype=np.int64), np.asarray(grads, dtype=np.float64))
 
 
 def gather(table: Tensor, ids) -> Tensor:
@@ -263,7 +274,9 @@ def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tens
     The forward keeps one (N, V) array, the shifted exponentials, and the
     row sums; the softmax itself is formed only by the backward, so a
     forward whose loss is never differentiated (a dev-NLL pass) never
-    builds it. The backward hands the gradients it builds to the parents
+    builds it. The backward forms dlogits in that same array, so the node
+    holds one (N, V) array throughout, and a second backward through it
+    raises RuntimeError. It hands the gradients it builds to the parents
     without copies. Every output and gradient takes the same operations in
     the same order as a matmul node, a bias node and a cross-entropy node
     over the logits, so the two agree bit for bit.
@@ -287,7 +300,11 @@ def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tens
     out = Tensor(losses, parents=(hidden, W, b))
 
     def backward(g):
-        dlogits = exp / sums
+        nonlocal exp
+        if exp is None:
+            raise RuntimeError("softmax_cross_entropy's backward has run: its buffer holds dlogits")
+        dlogits, exp = exp, None
+        dlogits /= sums
         dlogits[rows, targets] -= 1.0
         dlogits *= g[:, None]
         b._accumulate(dlogits.sum(axis=0), owned=True)

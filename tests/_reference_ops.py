@@ -6,18 +6,23 @@ package itself never builds such a graph, so the ops live here rather than
 in `defmod.neural`. `lstm_step` is the per-step LSTM cell, two graph nodes
 per step, that `neural.lstm_layer` must match to 1e-12 relative, and
 `ref_batch_nll` is the per-step batch loss built from it.
-`ref_sample_definition` is the single-row sampler that
-`defgen.sample_definition` must reproduce at batch 1. The LSTM oracles run
-their own copy of the cell arithmetic, `ref_lstm_cell`, so that they do not
-depend on the package's `lstm_cell`.
+`ref_char_cnn_forward` is the per-word char-CNN node that
+`neural.char_cnn_forward` must match bit for bit on one word and to 1e-12
+relative on a batch of words. `ref_sample_definition` is the single-row
+sampler that `defgen.sample_definition` must reproduce at batch 1. The
+LSTM oracles run their own copy of the cell arithmetic, `ref_lstm_cell`,
+so that they do not depend on the package's `lstm_cell`.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from defmod.defgen import _condition_block
 from defmod.errors import ConfigError, ShapeError
-from defmod.neural import Tensor, concat, gather, softmax, softmax_cross_entropy, stable_sigmoid
-from defmod.neural.tensor import _as_array
+from defmod.neural import (CHAR_FEATURE_DIM, CNN_KERNELS, Tensor, concat, gather, softmax,
+                           softmax_cross_entropy, stable_sigmoid)
+from defmod.neural.tensor import _as_array, add_rows
 from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 
@@ -111,6 +116,72 @@ def ref_softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
             dlogits[rows, targets] -= 1.0
             dlogits *= g[:, None]
             logits._accumulate(dlogits)
+
+    out._backward = backward
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _window_rows(n: int, length: int) -> np.ndarray:
+    """Row p holds p, p + 1, ..., p + length - 1: every stride-1 window of n rows."""
+    rows = np.arange(n - length + 1)[:, None] + np.arange(length)
+    rows.flags.writeable = False
+    return rows
+
+
+def ref_char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Tensor:
+    """Convolve character embeddings of one word into a (1, 160) feature row.
+
+    Each kernel length slides with stride 1 over the embedded characters,
+    max-pools over positions, and the pooled vectors are concatenated and
+    passed through tanh. Words shorter than the longest kernel are padded.
+
+    The whole word is one graph node. Its backward routes each filter's
+    gradient to the first maximum, as `Tensor.max` does. The gathered
+    embeddings and every kernel's scores are checked for finiteness before
+    tanh, which would map an infinite score to a finite 1.0.
+    """
+    ids = list(char_ids)
+    if not ids:
+        raise ShapeError("char_cnn_forward needs at least one character")
+    longest = max(length for length, _ in CNN_KERNELS)
+    if len(ids) < longest:
+        ids = ids + [pad_id] * (longest - len(ids))
+    ids = np.asarray(ids, dtype=np.int64)
+    table = params["char_emb"]
+    emb = _as_array(table.data[ids])
+    width = emb.shape[1]
+    kernels = [(params[f"K{length}"], params[f"Kb{length}"]) for length, _ in CNN_KERNELS]
+    windows: list[np.ndarray] = []
+    firsts: list[np.ndarray] = []
+    pooled: list[np.ndarray] = []
+    for (length, size), (K, Kb) in zip(CNN_KERNELS, kernels):
+        win = emb[_window_rows(len(ids), length)].reshape(-1, length * width)
+        scores = _as_array(win @ K.data + Kb.data)
+        first = scores.argmax(axis=0)
+        windows.append(win)
+        firsts.append(first)
+        pooled.append(scores[first, np.arange(size)])
+    feats = np.tanh(np.concatenate(pooled))
+    out = Tensor(feats.reshape(1, CHAR_FEATURE_DIM),
+                 parents=(table, *(t for pair in kernels for t in pair)))
+
+    def backward(g):
+        d_pooled = g.reshape(-1) * (1.0 - feats * feats)
+        d_emb = np.zeros_like(emb)
+        start = 0
+        for (length, size), (K, Kb), win, first in zip(CNN_KERNELS, kernels, windows, firsts):
+            d_scores = np.zeros((win.shape[0], size))
+            d_scores[first, np.arange(size)] = d_pooled[start:start + size]
+            start += size
+            Kb._accumulate(d_scores.sum(axis=0))
+            K._accumulate(win.T @ d_scores)
+            d_win = (d_scores @ K.data.T).reshape(-1, length, width)
+            # Kernel by kernel, offsets ascending: the summation order of the
+            # slice-and-concat graph that tests compare against bit for bit.
+            for offset in range(length):
+                d_emb[offset:offset + d_win.shape[0]] += d_win[:, offset]
+        add_rows(table, ids, d_emb)
 
     out._backward = backward
     return out

@@ -203,7 +203,7 @@ def test_criterion_3_finite_difference_gradients():
     ids = word_char_ids("blue", chars)
 
     def conv_sum():
-        return char_cnn_forward(model.params, ids, pad_id=3).sum()
+        return char_cnn_forward(model.params, [ids], pad_id=3).sum()
 
     err_conv = grad_check(conv_sum, kernels, epsilon=1e-4)
     elapsed = time.monotonic() - start

@@ -1012,6 +1012,37 @@ def test_unwritable_output_exits_2_naming_it(work, tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "file"]
 
 
+@pytest.mark.parametrize("command", ["tokenize", "split", "train"])
+def test_unwritable_manifest_exits_2_before_any_work(work, tmp_path, capsys, monkeypatch,
+                                                     command):
+    """The manifest path is checked where the command first names it, so a
+    manifest that cannot be written stops the command before it writes an
+    output or trains."""
+    def no_training(*args):
+        raise AssertionError("train_defmodel ran although its manifest cannot be written")
+
+    monkeypatch.setattr(cli, "train_defmodel", no_training)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("The cat sat.\n", encoding="utf-8")
+    out = tmp_path / ("out.txt" if command == "tokenize" else "m.bin")
+    manifest = out.with_name(out.name + ".manifest.json")
+    argv = ["tokenize", "--input", str(corpus), "--output", str(out)]
+    if command == "split":
+        out = tmp_path / "splits"
+        manifest = out / "split.manifest.json"
+        argv = ["split", "--lexicon", str(work / "lex.tsv"), "--output-dir", str(out)]
+    elif command == "train":
+        argv = ["train", "--model", "base", "--pairs", str(work / "base_pairs.tsv"),
+                "--embeddings", str(work / "words.tsv"), "--output", str(out),
+                "--hidden", "8", "--token-embedding-dim", "6", "--max-epochs", "1"]
+    manifest.mkdir(parents=True)
+    assert main(argv) == 2
+    assert f"error: cannot write {manifest}: " in capsys.readouterr().err
+    written = {p.relative_to(tmp_path) for p in tmp_path.rglob("*")}
+    assert written == {Path("corpus.txt"), manifest.relative_to(tmp_path),
+                       *manifest.relative_to(tmp_path).parents} - {Path(".")}
+
+
 def test_only_train_embeddings_loads_scipy(work):
     """scipy is imported where the embedding trainers use it, so neither
     importing the CLI nor running another command loads any of it."""

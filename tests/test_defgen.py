@@ -1,10 +1,12 @@
 """Tests for the conditioned definition language model."""
 
 import functools
+import hashlib
 import logging
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from defmod.defgen import (
 from defmod.embeddings import EmbeddingTable, SenseTable
 from defmod.errors import CheckpointError, ConfigError, MissingWordError, ShapeError
 from defmod.matcher import SenseDefPair
-from defmod.neural import Tensor
+from defmod.neural import Tensor, flat_buffer
 from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
 from _gradcheck import dense_grad, grad_check
@@ -195,15 +197,15 @@ def _reachable_nodes(root):
 
 
 def test_batch_nll_graph_size_and_char_cnn_calls(monkeypatch):
-    """The fused design's exact graph size; one char-CNN run per distinct headword."""
+    """The fused design's exact graph size; one char-CNN node over the distinct headwords."""
     import defmod.defgen as defgen
 
     calls = []
     original = defgen.char_cnn_forward
 
-    def counting(params, char_ids, pad_id):
-        calls.append(list(char_ids))
-        return original(params, char_ids, pad_id)
+    def counting(params, words_char_ids, pad_id):
+        calls.append([list(char_ids) for char_ids in words_char_ids])
+        return original(params, words_char_ids, pad_id)
 
     monkeypatch.setattr(defgen, "char_cnn_forward", counting)
     model = init_model(tiny_config())
@@ -213,14 +215,15 @@ def test_batch_nll_graph_size_and_char_cnn_calls(monkeypatch):
         pair("cat", [0.0, -0.1, 0.2, 0.1], ("dog",)),
     ]
     loss, _ = batch_nll(model, pairs)
-    assert len(calls) == 2
+    chars = model.config.char_vocab
+    assert calls == [[word_char_ids("cat", chars), word_char_ids("dog", chars)]]
     leaves = len(model.params) + 2      # plus conditions, 1/n
-    condition = 2 + 2 + 3               # char-CNN per headword, concat, gather; concat, @Wc, +bc
+    condition = 1 + 1 + 3               # char-CNN, gather; concat, @Wc, +bc
     inputs = 3                          # gather tokens, gather condition rows, concat
     lstm = 2                            # one node per layer
     output = 4                          # gather real rows, fused cross-entropy, sum, *1/n
     expected = leaves + condition + inputs + lstm + output
-    assert _reachable_nodes(loss) == expected == 40
+    assert _reachable_nodes(loss) == expected == 38
 
 
 def test_batch_nll_matches_per_step_oracle_graph():
@@ -592,6 +595,86 @@ TINY_CONFIG_PAYLOAD = (
     b'"patience":5,"seed":1,"token_embedding_dim":6,'
     b'"vocab_digest":"92f9e9b4fb6b72833800684c932954e2ca06e5603b2b3a1641c498ff83c92cfb"}'
 )
+
+
+def _parameters_view_one_buffer(model):
+    flat = flat_buffer(model.params)
+    offset = 0
+    for name, shape in parameter_shapes(model.config).items():
+        data = model.params[name].data
+        assert data.base is flat and data.flags.c_contiguous, name
+        assert data.__array_interface__["data"][0] == flat.__array_interface__["data"][0] + 8 * offset
+        offset += math.prod(shape)
+    return flat
+
+
+def test_parameters_stay_views_of_one_buffer(tmp_path):
+    """init_model, load_checkpoint, a restored best epoch and an in-place
+    copy all leave every parameter a view of the one flat buffer."""
+    cfg = tiny_config(max_epochs=6, patience=10, lr=0.1)
+    model = init_model(cfg)
+    flat = _parameters_view_one_buffer(model)
+    train = [pair("cat", [0.1, 0.2, -0.1, 0.0], ("small", "small", "cat")),
+             pair("dog", [-0.2, 0.1, 0.3, -0.3], ("dog", "small", "cat"))]
+    dev = [pair("dog", [-0.2, 0.1, 0.3, -0.3], ("small", "animal"))]
+    model, report = train_defmodel(model, train, dev)
+    assert report.best_epoch < 6 - 1  # the best epoch was restored
+    assert _parameters_view_one_buffer(model) is flat
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path, cfg.vocab, cfg.char_vocab)
+    loaded_flat = _parameters_view_one_buffer(loaded)
+    assert loaded_flat.tobytes() == flat.tobytes()
+    for p in loaded.params.values():
+        np.copyto(p.data, 0.5)
+    assert _parameters_view_one_buffer(loaded) is loaded_flat
+    assert (loaded_flat == 0.5).all()
+
+
+# sha256 of save_checkpoint's bytes for tiny_config(): fresh, and after
+# training on one headword (so the char-CNN runs one word per batch) with
+# the best of six epochs restored. The flat buffer must not move a byte.
+FRESH_CHECKPOINT_SHA256 = "80ea0347da4a290bad2e69deadfe48a22ddbc52a2be69545c78de9c2884f066c"
+TRAINED_CHECKPOINT_SHA256 = "70c2adf905edb67b68e9d26e01bcf3faae2210cc03c112344024150838cb0c8f"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(init_model(tiny_config()), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FRESH_CHECKPOINT_SHA256
+    train = [pair("cat", [0.1, 0.2, -0.1, 0.0], ("small", "small", "cat")),
+             pair("cat", [-0.2, 0.1, 0.3, -0.3], ("dog", "small", "cat"))]
+    dev = [pair("cat", [-0.2, 0.1, 0.3, -0.3], ("small", "animal"))]
+    model, report = train_defmodel(init_model(tiny_config(max_epochs=6, patience=10, lr=0.1)),
+                                   train, dev)
+    assert report.best_epoch == 2
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_CHECKPOINT_SHA256
+
+
+def test_training_step_holds_one_logit_sized_array():
+    """The loss node forms dlogits in its forward buffer, and each step's
+    graph is dropped right after its backward, so the next step's forward
+    never meets the last step's (tokens, V) array."""
+    vocab = Vocabulary({f"w{i}": 1 for i in range(5000 - 4)})
+    cfg = DefModelConfig(vocab, build_char_vocab(["cat", "dog"]), condition_dim=4, hidden=4,
+                         layers=1, token_embedding_dim=4, batch_size=16, max_epochs=1, seed=3)
+    rng = np.random.default_rng(35)
+    pairs = [pair("cat" if i % 2 else "dog", rng.normal(size=4),
+                  [f"w{j}" for j in rng.integers(0, len(vocab) - 4, size=19)]) for i in range(32)]
+    model = init_model(cfg)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        train_defmodel(model, pairs, pairs[:1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    logits_bytes = 16 * 20 * len(vocab) * 8  # 16 pairs of 19 tokens plus EOS
+    # One (tokens, V) array, its finiteness mask, and the V-proportional
+    # parameters, moments and gradients (about 0.1 of it) fit; two do not.
+    assert peak - base < 1.6 * logits_bytes
 
 
 def test_checkpoint_header_bytes_are_pinned():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defmod.embeddings import (
     AdagramConfig,
@@ -226,6 +228,52 @@ def test_noise_sampler_never_draws_past_the_last_word():
     draws = NoiseSampler(vocab).sample(_TopDraw(), (3, 2))
     np.testing.assert_array_equal(draws, np.full((3, 2), vocab.id("e")))
     assert vocab.id("e") == len(vocab) - 1
+
+
+class _Draws:
+    """Stands in for a Generator whose draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+class _Counts:
+    """Stands in for a Vocabulary with these counts in this order."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def words(self):
+        return list(range(len(self.counts)))
+
+    def count(self, word):
+        return self.counts[word]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=80).filter(any),
+       extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+@example(counts=[1, 1], extra=[0.5])             # a cdf entry on a slot edge
+@example(counts=[0, 3, 0, 0, 5, 0], extra=[])    # zero counts inside and at the end
+def test_noise_sampler_draws_equal_searchsorted(counts, extra):
+    """Every draw maps as searchsorted(cdf, u, side="right") maps it: at
+    every slot edge and the doubles next to it, at and next to every cdf
+    entry, at 0.0, at the largest double below 1.0, and anywhere else. The
+    four leading zeros stand for the specials, which have no count."""
+    sampler = NoiseSampler(_Counts([0, 0, 0, 0, *counts]))
+    cdf = sampler._cdf
+    edges = np.arange(sampler._slots + 1) / sampler._slots
+    u = np.concatenate([edges, cdf, extra, [0.0, np.nextafter(1.0, 0.0)]])
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    draws = sampler.sample(_Draws(u), u.shape)
+    np.testing.assert_array_equal(draws, np.searchsorted(cdf, u, side="right"))
+    assert draws.dtype == np.searchsorted(cdf, u).dtype
+    # Only a slot that a cdf entry falls inside needs the search.
+    assert (sampler._guide < 0).sum() <= len(cdf) <= sampler._slots / 16
 
 
 def topic_corpus(rng, n_blocks=250, block=40, n_words=20, pseudo=None):

@@ -29,14 +29,15 @@ from defmod.neural import (
     uniform_init,
 )
 from defmod.matcher import SenseDefPair
-from defmod.neural.optim import BETA1, BETA2, BLOCK_ENTRIES, EPSILON
-from defmod.neural.tensor import RowGrad
+from defmod.neural.optim import BETA1, BETA2, BLOCK_ENTRIES, EPSILON, flat_buffer, flat_views
+from defmod.neural.tensor import RowGrad, add_at_rows
 from defmod.textprep import Vocabulary
 
 from _gradcheck import dense_grad, grad_check
 from _reference_ops import (
     getitem,
     lstm_step,
+    ref_char_cnn_forward,
     ref_softmax_cross_entropy,
     reshape,
     sigmoid,
@@ -510,20 +511,24 @@ def test_lstm_layer_rejects_overflowing_gates_at_any_step(step):
 
 def test_char_cnn_output_dim():
     params = char_cnn_params(np.random.default_rng(12), char_vocab_size=10)
-    out = char_cnn_forward(params, [4, 5, 6, 7, 8, 9], pad_id=3)
+    out = char_cnn_forward(params, [[4, 5, 6, 7, 8, 9]], pad_id=3)
     assert out.shape == (1, CHAR_FEATURE_DIM)
     assert CHAR_FEATURE_DIM == 160
 
 
 def test_char_cnn_pads_short_words():
     params = char_cnn_params(np.random.default_rng(13), char_vocab_size=10)
-    out = char_cnn_forward(params, [5], pad_id=3)
+    out = char_cnn_forward(params, [[5]], pad_id=3)
     assert out.shape == (1, 160)
     assert np.all(np.isfinite(out.data))
 
 
 def test_char_cnn_rejects_empty():
     params = char_cnn_params(np.random.default_rng(14), char_vocab_size=10)
+    with pytest.raises(ShapeError):
+        char_cnn_forward(params, [[]], pad_id=3)
+    with pytest.raises(ShapeError):
+        char_cnn_forward(params, [[4, 5], []], pad_id=3)
     with pytest.raises(ShapeError):
         char_cnn_forward(params, [], pad_id=3)
 
@@ -535,7 +540,7 @@ def test_char_cnn_grad_check():
     weights = rng.normal(size=(1, 160))
 
     def loss():
-        return (char_cnn_forward(params, ids, pad_id=3) * weights).sum()
+        return (char_cnn_forward(params, [ids], pad_id=3) * weights).sum()
 
     assert grad_check(loss, params, epsilon=1e-4) < 1e-3
 
@@ -544,7 +549,7 @@ def test_char_cnn_rejects_non_finite_embedding():
     params = char_cnn_params(np.random.default_rng(16), char_vocab_size=10)
     params["char_emb"].data[5] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        char_cnn_forward(params, [4, 5, 6], pad_id=3)
+        char_cnn_forward(params, [[4, 5, 6]], pad_id=3)
 
 
 def test_char_cnn_rejects_overflowing_scores():
@@ -553,7 +558,7 @@ def test_char_cnn_rejects_overflowing_scores():
     params["char_emb"].data[:] = 1.0
     params["K2"].data[:] = 1e308
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        char_cnn_forward(params, [4, 5, 6], pad_id=3)
+        char_cnn_forward(params, [[4, 5, 6]], pad_id=3)
 
 
 def _char_cnn_by_nodes(params, ids):
@@ -576,7 +581,7 @@ def test_char_cnn_matches_node_graph_bit_for_bit(ids):
     params = char_cnn_params(rng, char_vocab_size=10)
     weights = rng.normal(size=(1, CHAR_FEATURE_DIM))
     results = []
-    for forward in (lambda: char_cnn_forward(params, ids, pad_id=3),
+    for forward in (lambda: char_cnn_forward(params, [ids], pad_id=3),
                     lambda: _char_cnn_by_nodes(params, ids)):
         for p in params.values():
             p.zero_grad()
@@ -587,6 +592,90 @@ def test_char_cnn_matches_node_graph_bit_for_bit(ids):
     np.testing.assert_array_equal(fused, nodes)
     for name in params:
         np.testing.assert_array_equal(fused_grads[name], node_grads[name])
+
+
+def _char_cnn_results(params, words, weights, batched):
+    """Features and every dense parameter gradient of sum(features * weights),
+    from one batched node or from the per-word oracle."""
+    for p in params.values():
+        p.zero_grad()
+    if batched:
+        out = char_cnn_forward(params, words, pad_id=3)
+    else:
+        out = concat([ref_char_cnn_forward(params, ids, pad_id=3) for ids in words], axis=0)
+    (out * weights).sum().backward()
+    return out.data, {name: dense_grad(p) for name, p in params.items()}
+
+
+# 1, 3, 6 and 9 characters, and a repeated word.
+RAGGED_WORDS = [[4, 6, 5, 7, 4, 6, 9, 8, 5], [5], [7, 8, 4], [4, 5, 6, 7, 8, 9], [7, 8, 4]]
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [3, 2]])
+def test_char_cnn_batch_matches_per_word_oracle(order):
+    rng = np.random.default_rng(30)
+    params = char_cnn_params(rng, char_vocab_size=10)
+    words = [RAGGED_WORDS[i] for i in order]
+    weights = rng.normal(size=(len(words), CHAR_FEATURE_DIM))
+    (ref_feats, ref_grads), (feats, grads) = (
+        _char_cnn_results(params, words, weights, batched) for batched in (False, True))
+    assert feats.shape == (len(words), CHAR_FEATURE_DIM)
+    np.testing.assert_allclose(feats, ref_feats, rtol=0, atol=1e-12 * np.abs(ref_feats).max())
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
+    assert isinstance(params["char_emb"].grad, RowGrad)
+
+
+@pytest.mark.parametrize("word", [[5], [7, 8, 4], [4, 5, 6, 7, 8, 9], RAGGED_WORDS[0]])
+def test_char_cnn_one_word_batch_matches_per_word_oracle_bit_for_bit(word):
+    rng = np.random.default_rng(31)
+    params = char_cnn_params(rng, char_vocab_size=10)
+    weights = rng.normal(size=(1, CHAR_FEATURE_DIM))
+    (feats, grads), (ref_feats, ref_grads) = (
+        _char_cnn_results(params, [word], weights, batched) for batched in (True, False))
+    np.testing.assert_array_equal(feats, ref_feats)
+    for name, ref in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+
+
+def test_char_cnn_grad_check_on_a_ragged_batch():
+    rng = np.random.default_rng(34)
+    params = char_cnn_params(rng, char_vocab_size=10)
+    weights = rng.normal(size=(len(RAGGED_WORDS), CHAR_FEATURE_DIM))
+
+    def loss():
+        return (char_cnn_forward(params, RAGGED_WORDS, pad_id=3) * weights).sum()
+
+    checked = {name: params[name] for name in ("char_emb", "K3", "Kb3", "Kb6")}
+    assert grad_check(loss, checked, epsilon=1e-4) < 1e-3
+
+
+def test_char_cnn_batch_rejects_a_non_finite_word():
+    # Only the second word reads the NaN row; the overflow is in one kernel.
+    params = char_cnn_params(np.random.default_rng(33), char_vocab_size=10)
+    params["char_emb"].data[8] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        char_cnn_forward(params, [[4, 5, 6], [7, 8]], pad_id=3)
+    params = char_cnn_params(np.random.default_rng(33), char_vocab_size=10)
+    params["char_emb"].data[8] = 1.0
+    params["K5"].data[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        char_cnn_forward(params, [[4, 5, 6], [7, 8]], pad_id=3)
+
+
+def test_add_at_rows_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(34)
+    ids = np.array([[3, 1, 3], [0, 3, 1]])
+    values = rng.normal(size=(4, 2, 3)).transpose(1, 2, 0)  # (2, 3, 4), not C-ordered
+    values[0, 1] = -0.0
+    for out_order in ("C", "F"):
+        fast = np.zeros((4, 4), order=out_order)
+        fast[2] = rng.normal(size=4)
+        slow = fast.copy(order="K")
+        add_at_rows(fast, ids, values)
+        np.add.at(slow, ids, values)
+        assert fast.tobytes() == slow.tobytes()
 
 
 def test_adam_zero_grads_no_change():
@@ -745,6 +834,67 @@ def test_adam_matches_whole_array_update_bit_for_bit():
     assert (blocked["sparse"].data[[3, 10, 450]] != previous["sparse"].data[[3, 10, 450]]).all()
     assert (blocked["all_live"].data[2:4] != previous["all_live"].data[2:4]).all()
     assert blocked["fortran"].data.flags.f_contiguous
+
+
+def test_adam_over_a_flat_buffer_matches_whole_array_update_bit_for_bit():
+    """Two row-form tables, then dense parameters that straddle block edges
+    (one wider than a block), held as views of one buffer; the update and
+    both moments must equal the per-parameter textbook update bit for bit,
+    also in steps where some dense gradients are missing."""
+    rng = np.random.default_rng(26)
+    shapes = {"token_emb": (300, 7), "char_emb": (40, 5), "W": (50, 700),
+              "b": (700,), "big": (BLOCK_ENTRIES + 1000,), "U": (30, 33), "c": (5,)}
+    rows = {"token_emb": [[3, 3, 10, 250], [10, 11, 3], [299, 0, 0]],
+            "char_emb": [[1, 2, 2], [39, 1], [5]]}
+    missing = [set(), {"b", "U"}, {"W"}]
+    views = flat_views(shapes, np.empty)
+    for view in views.values():
+        view[...] = rng.normal(size=view.shape)
+    flat = {name: Tensor(view, requires_grad=True) for name, view in views.items()}
+    apart = {name: Tensor(view.copy(), requires_grad=True) for name, view in views.items()}
+    flat_state, apart_state = init_adam(flat, lr=0.01), init_adam(apart, lr=0.01)
+    for step in range(3):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()
+                 if name not in rows and name not in missing[step]}
+        grads["big"][:100] = -0.0
+        row_grads = {name: (ids[step], rng.normal(size=(len(ids[step]), shapes[name][1])))
+                     for name, ids in rows.items()}
+        adam_step(flat, {**{name: RowGrad(*g) for name, g in row_grads.items()},
+                         **{name: g.copy() for name, g in grads.items()}}, flat_state)
+        dense_rows = {}
+        for name, (ids, values) in row_grads.items():
+            dense_rows[name] = np.zeros(shapes[name])
+            np.add.at(dense_rows[name], ids, values)
+        # The textbook update moves only the parameters that got a gradient.
+        _reference_adam_step(apart, {**dense_rows, **grads}, apart_state)
+        for name in shapes:
+            assert flat[name].data.tobytes() == apart[name].data.tobytes(), (step, name)
+            for moment in ("first_moment", "second_moment"):
+                assert (getattr(flat_state, moment)[name].tobytes()
+                        == getattr(apart_state, moment)[name].tobytes()), (step, name, moment)
+    assert flat_buffer(flat) is views["token_emb"].base
+    assert all(p.data is views[name] for name, p in flat.items())
+
+
+def test_cross_entropy_forms_dlogits_in_its_one_buffer_and_backs_off_a_second_backward():
+    n, hidden, width = 64, 16, 4096
+    h_data, w_data, b_data, targets, _ = _output_layer(29, n, hidden, width)
+    h, w, b = (Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss = softmax_cross_entropy(h, w, b, targets).sum()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (N, V) array, W's gradient, the (N, H) and (V,) gradients and a
+    # little bookkeeping.
+    bound = n * width * 8 + w.data.nbytes + h.data.nbytes + b.data.nbytes + (64 << 10)
+    assert peak - base <= bound
+    with pytest.raises(RuntimeError, match="backward has run"):
+        loss.backward()
 
 
 def test_adam_allocates_no_parameter_sized_temporaries():
