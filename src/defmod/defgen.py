@@ -309,54 +309,59 @@ def train_defmodel(
     best_params: np.ndarray | None = None
     best_epoch = 0
     stopped_early = False
-    for epoch in range(cfg.max_epochs):
-        rng.shuffle(order)
-        total, tokens = 0.0, 0
-        norms: list[float] = []
-        started = time.perf_counter()
-        for step, start in enumerate(range(0, len(order), cfg.batch_size), 1):
-            batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
-            with _diverged(f"epoch {epoch + 1}, step {step}"):
-                for p in model.params.values():
-                    p.zero_grad()
-                loss, n = batch_nll(model, batch)
-                loss.backward()
-                # Drop the graph, and with it the loss node's (tokens, V)
-                # buffer, before clip, Adam and the next step's forward.
-                loss = loss.item()
-                # The token table's gradient stays in row form: clip and Adam
-                # touch only the rows that a step or an earlier one reached.
-                grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-                grads, norm = clip_global_norm(grads, CLIP_NORM)
-                # An infinite norm would scale every gradient to NaN.
-                if not math.isfinite(norm):
-                    raise NonFiniteError(f"gradient norm is {norm}")
-                adam_step(model.params, grads, state)
-            norms.append(norm)
-            total += loss * n
-            tokens += n
-        seconds = time.perf_counter() - started
-        train_losses.append(total / tokens)
-        grad_norms.append(float(np.mean(norms)))
-        clip_rates.append(sum(norm > CLIP_NORM for norm in norms) / len(norms))
-        with _diverged(f"epoch {epoch + 1}, in the dev pass after step {step}"):
-            dev_loss = dataset_nll(model, dev_pairs)
-        dev_losses.append(dev_loss)
-        log.info("epoch %d/%d: train nll %.4f, dev nll %.4f, grad norm %.3f, "
-                 "clip rate %.2f, %.0f tokens/s", epoch + 1, cfg.max_epochs,
-                 train_losses[-1], dev_loss, grad_norms[-1], clip_rates[-1],
-                 tokens / max(seconds, 1e-9))
-        if not np.isfinite(dev_loss):
-            raise ConfigError(f"dev NLL is not finite after epoch {epoch + 1}: {dev_loss}")
-        if dev_loss < best_dev:
-            best_dev = dev_loss
-            best_epoch = epoch
-            # After the last epoch the live parameters are the best ones.
-            if epoch + 1 < cfg.max_epochs:
-                best_params = _snapshot(model.params)
-        elif epoch - best_epoch >= cfg.patience:
-            stopped_early = True
-            break
+    try:
+        for epoch in range(cfg.max_epochs):
+            rng.shuffle(order)
+            total, tokens = 0.0, 0
+            norms: list[float] = []
+            started = time.perf_counter()
+            for step, start in enumerate(range(0, len(order), cfg.batch_size), 1):
+                batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
+                with _diverged(f"epoch {epoch + 1}, step {step}"):
+                    for p in model.params.values():
+                        p.zero_grad()
+                    loss, n = batch_nll(model, batch)
+                    loss.backward()
+                    # Drop the graph, and with it the loss node's (tokens, V)
+                    # buffer, before clip, Adam and the next step's forward.
+                    loss = loss.item()
+                    # The token table's gradient stays in row form: clip and Adam
+                    # touch only the rows that a step or an earlier one reached.
+                    grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+                    grads, norm = clip_global_norm(grads, CLIP_NORM)
+                    # An infinite norm would scale every gradient to NaN.
+                    if not math.isfinite(norm):
+                        raise NonFiniteError(f"gradient norm is {norm}")
+                    adam_step(model.params, grads, state)
+                norms.append(norm)
+                total += loss * n
+                tokens += n
+            seconds = time.perf_counter() - started
+            train_losses.append(total / tokens)
+            grad_norms.append(float(np.mean(norms)))
+            clip_rates.append(sum(norm > CLIP_NORM for norm in norms) / len(norms))
+            with _diverged(f"epoch {epoch + 1}, in the dev pass after step {step}"):
+                dev_loss = dataset_nll(model, dev_pairs)
+            dev_losses.append(dev_loss)
+            log.info("epoch %d/%d: train nll %.4f, dev nll %.4f, grad norm %.3f, "
+                     "clip rate %.2f, %.0f tokens/s", epoch + 1, cfg.max_epochs,
+                     train_losses[-1], dev_loss, grad_norms[-1], clip_rates[-1],
+                     tokens / max(seconds, 1e-9))
+            if not np.isfinite(dev_loss):
+                raise ConfigError(f"dev NLL is not finite after epoch {epoch + 1}: {dev_loss}")
+            if dev_loss < best_dev:
+                best_dev = dev_loss
+                best_epoch = epoch
+                # After the last epoch the live parameters are the best ones.
+                if epoch + 1 < cfg.max_epochs:
+                    best_params = _snapshot(model.params)
+            elif epoch - best_epoch >= cfg.patience:
+                stopped_early = True
+                break
+    finally:
+        # Unhook the gradient buffer, so that no gradient outlives training.
+        for p in model.params.values():
+            p.grad = p.grad_view = None
     if best_epoch != len(dev_losses) - 1:
         _restore(model.params, best_params)
     return model, TrainReport(tuple(train_losses), tuple(dev_losses), best_epoch,

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..neural import softmax
-from .corpus import incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
+from .corpus import check_chunk, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
 from .tables import DEFAULT_PRUNE_THRESHOLD, SenseTable
 
 CHUNK = 1024
@@ -160,6 +160,7 @@ def _train_span(
             resp[o0:o1] = block
             weight[u0:u1] = np.add.reduceat(block * n_ctx[o0:o1, None], seg[u0:u1] - o0)
             neg += np.matmul(expo.T, in_flat[r0:r1] * (weight[u0:u1].reshape(-1, 1) / norm), out=part)
+        check_chunk(resp, lo, hi)
 
         # One mini-batch step from the chunk-start parameters: the mean
         # occurrence gradient keeps the per-row movement bounded regardless

@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NonFiniteError
 from ..textprep import Vocabulary, build_vocab
 
 log = logging.getLogger(__name__)
@@ -131,5 +131,20 @@ def run_epochs(ids: np.ndarray, cfg, train_epoch, name: str) -> None:
     """
     total = max(cfg.epochs * ids.size, 1)
     for epoch in range(cfg.epochs):
-        train_epoch(epoch * ids.size, total)
+        try:
+            # A value that leaves the finite range is reported by
+            # `check_chunk`, not by a numpy warning.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                train_epoch(epoch * ids.size, total)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{name} training diverged at epoch {epoch + 1}/{cfg.epochs}, "
+                                 f"{exc}; a smaller learning rate may help") from None
         log.info("%s epoch %d/%d done", name, epoch + 1, cfg.epochs)
+
+
+def check_chunk(values: np.ndarray, lo: int, hi: int) -> None:
+    """Raise NonFiniteError naming the chunk of corpus ids lo .. hi - 1 when
+    `values`, from which its update is built, are not all finite;
+    `run_epochs` adds the trainer and the epoch."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"tokens {lo}-{hi - 1}: the update is not finite")

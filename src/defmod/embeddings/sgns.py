@@ -8,7 +8,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..neural import stable_sigmoid
-from .corpus import NoiseSampler, incidence, linear_lr, prepare_corpus, run_epochs, window_contexts
+from .corpus import (NoiseSampler, check_chunk, incidence, linear_lr, prepare_corpus, run_epochs,
+                     window_contexts)
 from .tables import EmbeddingTable
 
 # Centers per vectorized update; small enough to keep batches near-online.
@@ -59,6 +60,7 @@ def _train_span(
         labels[:, 0] = 1.0
         scores = (W_out[out_ids] @ W_in[centers][:, :, None])[:, :, 0]
         coef = (labels - stable_sigmoid(scores)) * lr
+        check_chunk(coef, lo, hi)
         # G sums the coefficients of each (center, output) pair, so both
         # gradients are one product with the chunk-start vectors. Updates
         # inside a chunk share those stale vectors; averaging each row's

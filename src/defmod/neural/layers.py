@@ -99,9 +99,9 @@ def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, steps: int) -> Tens
                 dc = dc * f[t]
         flat = d_gates.reshape(steps * batch, 4 * hidden)
         b._accumulate(flat.sum(axis=0), owned=True)
-        Wx._accumulate(X.data.T @ flat, owned=True)
+        Wx._accumulate_product(X.data.T, flat)
         # h before step t is hs[t - 1], and zero before step 0.
-        Wh._accumulate(hs[:-1].reshape(-1, hidden).T @ flat[batch:], owned=True)
+        Wh._accumulate_product(hs[:-1].reshape(-1, hidden).T, flat[batch:])
         X._accumulate(flat @ Wx.data.T, owned=True)
 
     out._backward = backward
@@ -197,7 +197,7 @@ def char_cnn_forward(params: dict[str, Tensor], words_char_ids, pad_id: int) -> 
             column += size
             d_scores = d_scores.reshape(win.shape[0], size)
             Kb._accumulate(d_scores.sum(axis=0), owned=True)
-            K._accumulate(win.T @ d_scores, owned=True)
+            K._accumulate_product(win.T, d_scores)
             d_win = (d_scores @ K.data.T).reshape(n_words, -1, length, width)
             # Offset-major, so that the offsets of each row add ascending, as
             # the per-word slice adds did.

@@ -48,7 +48,8 @@ class RowGrad:
     `rows` holds the distinct row ids in ascending order and `values` their
     gradients, summed over repeated ids. The sums are taken into zeros, in
     the order of `ids`, as the dense scatter-add into a zero-filled gradient
-    takes them, so `dense` returns that array bit for bit.
+    takes them, so zeros with `values` written into `rows` are that array
+    bit for bit.
     """
 
     __slots__ = ("rows", "values")
@@ -60,16 +61,11 @@ class RowGrad:
         self.values = np.zeros((len(self.rows), *grads.shape[ids.ndim:]))
         add_at_rows(self.values, inverse, grads)
 
-    def dense(self, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(shape)
-        out[self.rows] = self.values
-        return out
-
 
 class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = _as_array(data)
@@ -78,6 +74,9 @@ class Tensor:
         # `add_rows` call (a `gather` or a char-CNN word) reached this leaf
         # and nothing else did, or None.
         self.grad: np.ndarray | RowGrad | None = None
+        # Where a dense gradient is formed, when not None: this tensor's view
+        # of an optimizer's gradient buffer (`init_adam`).
+        self.grad_view: np.ndarray | None = None
         self._parents = tuple(parents)
         self._backward = None
 
@@ -102,28 +101,50 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def _densify(self) -> None:
+        """Make this tensor's gradient dense: zeros, in `grad_view` if there is
+        one, with the rows of a row-form gradient written in."""
+        rows = self.grad
+        if self.grad_view is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad = self.grad_view
+            self.grad.fill(0.0)
+        if isinstance(rows, RowGrad):
+            self.grad[rows.rows] = rows.values
+
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add `grad` into this tensor's gradient.
 
-        A first gradient is copied, not kept: one array may reach several
-        parents (`+` hands the same g to both), and each adds into its own
-        grad in place. A caller that has just built `grad`, with this
-        tensor's shape, and holds no other reference to it passes
-        `owned=True`, and the array itself becomes the gradient. A tensor
-        that needs no gradient ignores the call, and a row-form gradient is
-        made dense before `grad` is added.
+        A first gradient is copied into `grad_view`, or else into a new
+        array, not kept: one array may reach several parents (`+` hands the
+        same g to both), and each adds into its own grad in place. A caller
+        that has just built `grad`, with this tensor's shape, and holds no
+        other reference to it passes `owned=True`, and without a view the
+        array itself becomes the gradient. A tensor that needs no gradient
+        ignores the call, and a row-form gradient is made dense before
+        `grad` is added.
         """
         if not self.requires_grad:
             return
         if isinstance(self.grad, RowGrad):
-            self.grad = self.grad.dense(self.shape)
+            self._densify()
         if self.grad is not None:
             self.grad += grad
-        elif owned:
+        elif owned and self.grad_view is None:
             self.grad = grad
         else:
-            self.grad = np.empty_like(self.data)
+            self.grad = np.empty_like(self.data) if self.grad_view is None else self.grad_view
             np.copyto(self.grad, grad)
+
+    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add `a @ b` into this tensor's gradient. A first gradient is formed
+        by the product in `grad_view` itself when there is one, so it is
+        neither allocated nor copied."""
+        if self.requires_grad and self.grad is None and self.grad_view is not None:
+            self.grad = np.matmul(a, b, out=self.grad_view)
+        else:
+            self._accumulate(a @ b, owned=True)
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph."""
@@ -191,8 +212,8 @@ class Tensor:
         out = Tensor(self.data @ other.data, parents=(self, other))
 
         def backward(g):
-            self._accumulate(g @ other.data.T, owned=True)
-            other._accumulate(self.data.T @ g, owned=True)
+            self._accumulate_product(g, other.data.T)
+            other._accumulate_product(self.data.T, g)
 
         out._backward = backward
         return out
@@ -231,18 +252,17 @@ def add_rows(table: Tensor, ids, grads: np.ndarray) -> None:
     """Scatter-add `grads` into the rows `ids` of `table`'s gradient.
 
     The first gradient of a leaf is kept in row form (RowGrad), so an
-    optimizer need not touch the rows no id reached. A leaf that already
-    holds a gradient, and any interior node, get the dense scatter-add.
+    optimizer need not touch the rows no id reached, and `grad_view` is
+    not written. A leaf that already holds a gradient, and any interior
+    node, get the dense scatter-add.
     """
     if not table.requires_grad:
         return
     if table.grad is None and not table._parents:
         table.grad = RowGrad(ids, grads)
         return
-    if isinstance(table.grad, RowGrad):
-        table.grad = table.grad.dense(table.shape)
-    elif table.grad is None:
-        table.grad = np.zeros_like(table.data)
+    if table.grad is None or isinstance(table.grad, RowGrad):
+        table._densify()
     add_at_rows(table.grad, np.asarray(ids, dtype=np.int64), np.asarray(grads, dtype=np.float64))
 
 
@@ -308,7 +328,7 @@ def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tens
         dlogits[rows, targets] -= 1.0
         dlogits *= g[:, None]
         b._accumulate(dlogits.sum(axis=0), owned=True)
-        W._accumulate(hidden.data.T @ dlogits, owned=True)
+        W._accumulate_product(hidden.data.T, dlogits)
         hidden._accumulate(dlogits @ W.data.T, owned=True)
 
     out._backward = backward

@@ -187,6 +187,25 @@ def ref_char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Te
     return out
 
 
+def char_cnn_pool_argmax(params: dict[str, Tensor], words_char_ids, pad_id: int) -> np.ndarray:
+    """The active set of the char-CNN's max-pools, for `grad_check`'s
+    `kinks`: the character ids of each filter's first-maximum window, per
+    word and kernel, concatenated. Windows with the same characters take the
+    same gradient, so a pool that moves between two of them (rounding can
+    break their tie) does not count as a move."""
+    longest = max(length for length, _ in CNN_KERNELS)
+    firsts = []
+    for char_ids in words_char_ids:
+        ids = np.asarray(list(char_ids) + [pad_id] * (longest - len(char_ids)))
+        emb = params["char_emb"].data[ids]
+        for length, _ in CNN_KERNELS:
+            rows = _window_rows(len(ids), length)
+            scores = emb[rows].reshape(len(rows), -1) @ params[f"K{length}"].data
+            scores += params[f"Kb{length}"].data
+            firsts.append(ids[rows[scores.argmax(axis=0)]].reshape(-1))
+    return np.concatenate(firsts)
+
+
 def _gate_views(acts: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
     return tuple(acts[:, k * hidden:(k + 1) * hidden] for k in range(4))
 

@@ -939,6 +939,27 @@ def test_diverging_training_exits_2_naming_epoch_and_step(work, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode, chunk", [("sgns", "tokens 1024-1535"),
+                                         ("adagram", "tokens 2048-3071")])
+def test_diverging_embedding_training_exits_2_naming_epoch_and_chunk(tmp_path, capsys, mode,
+                                                                       chunk):
+    """At --lr 1e200 the first chunks' updates throw the vectors out of the
+    finite range, and the trainer stops at the first chunk whose update is
+    not finite: no numpy warning is printed (tier-1 turns one into an error,
+    which would exit 1), and neither table nor manifest is written."""
+    words = "the bank by the river the bank of the loan".split()
+    rng = np.random.default_rng(0)
+    src = tmp_path / "t.txt"
+    src.write_text("\n".join(" ".join(rng.choice(words, size=10)) for _ in range(400)) + "\n",
+                   encoding="utf-8")
+    assert main(["train-embeddings", "--mode", mode, "--tokens", str(src),
+                 "--output", str(tmp_path / "v.tsv"), "--dim", "10", "--epochs", "1",
+                 "--min-count", "1", "--lr", "1e200"]) == 2
+    assert (f"error: {mode} training diverged at epoch 1/1, {chunk}: the update is not finite"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [src]
+
+
 @pytest.mark.parametrize("wo, bo, cause", [
     (0.0, 1.7e308, "the logits overflow when divided by the temperature 0.1"),
     (1.7e308, 1.7e308, ""),
@@ -1057,6 +1078,30 @@ def test_only_train_embeddings_loads_scipy(work):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=False)
     assert result.stdout.splitlines()[-1] == "0 0 0", result.stderr
+
+
+def test_train_is_bit_reproducible_at_two_blas_threads(work, tmp_path):
+    """Two `train` runs at OPENBLAS_NUM_THREADS=2 write the same checkpoint.
+    One batch of 360 pairs gives the weight gradient products an inner
+    dimension of about 1,800 target rows, wide enough for OpenBLAS to
+    thread them (at one thread the same runs train other last bits)."""
+    lines = (work / "d2s_pairs.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(lines[0] + "".join(lines[1:]) * 40, encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    checkpoints = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.bin"
+        result = subprocess.run(
+            [sys.executable, "-m", "defmod.cli", "train", "--model", "multisense",
+             "--pairs", str(pairs), "--senses", str(work / "senses.tsv"),
+             "--prune-threshold", "0.05", "--output", str(out), "--hidden", "32",
+             "--token-embedding-dim", "32", "--max-epochs", "1", "--batch-size", "400"],
+            capture_output=True, text=True, timeout=120, check=False,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"})
+        assert result.returncode == 0, result.stderr
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_internal_failure_exits_1(work, monkeypatch):

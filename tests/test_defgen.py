@@ -1,6 +1,7 @@
 """Tests for the conditioned definition language model."""
 
 import functools
+import gc
 import hashlib
 import logging
 import math
@@ -36,7 +37,8 @@ from defmod.defgen import (
     _config_payload,
 )
 from defmod.embeddings import EmbeddingTable, SenseTable
-from defmod.errors import CheckpointError, ConfigError, MissingWordError, ShapeError
+from defmod.errors import (CheckpointError, ConfigError, MissingWordError, NonFiniteError,
+                           ShapeError)
 from defmod.matcher import SenseDefPair
 from defmod.neural import Tensor, flat_buffer
 from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, Vocabulary
@@ -363,6 +365,32 @@ def test_train_rejects_non_finite_dev_loss(monkeypatch):
     train = [pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal"))]
     with pytest.raises(ConfigError, match="dev NLL is not finite after epoch 1"):
         train_defmodel(init_model(tiny_config()), train)
+
+
+def test_no_gradient_buffer_outlives_training(monkeypatch):
+    """train_defmodel unhooks the gradient buffer that init_adam hooked to the
+    parameters, after a normal run and after a diverging one."""
+    import weakref
+
+    import defmod.defgen as defgen
+
+    buffers = []
+
+    def init_adam(params, lr):
+        state = real_init_adam(params, lr=lr)
+        buffers.append(weakref.ref(state.gradient["Wo"].base))
+        return state
+
+    real_init_adam = defgen.init_adam
+    monkeypatch.setattr(defgen, "init_adam", init_adam)
+    train = [pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal"))]
+    models = [train_defmodel(init_model(tiny_config()), train)[0], init_model(tiny_config(lr=1e300))]
+    with pytest.raises(NonFiniteError, match="training diverged"):
+        train_defmodel(models[1], train)
+    gc.collect()
+    assert len(buffers) == 2 and all(ref() is None for ref in buffers)
+    for model in models:
+        assert all(p.grad is None and p.grad_view is None for p in model.params.values())
 
 
 def test_train_empty_pairs_rejected():

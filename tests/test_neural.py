@@ -35,6 +35,7 @@ from defmod.textprep import Vocabulary
 
 from _gradcheck import dense_grad, grad_check
 from _reference_ops import (
+    char_cnn_pool_argmax,
     getitem,
     lstm_step,
     ref_char_cnn_forward,
@@ -121,7 +122,7 @@ def test_gather_accumulates_repeats():
     assert isinstance(table.grad, RowGrad)
     want = np.zeros((8, 5))
     np.add.at(want, ids, upstream)
-    assert table.grad.dense(table.shape).tobytes() == want.tobytes()
+    assert dense_grad(table).tobytes() == want.tobytes()
 
     # A leaf that `@` reaches as well keeps the dense scatter-add.
     def dense_gather(t, rows):
@@ -639,8 +640,13 @@ def test_char_cnn_one_word_batch_matches_per_word_oracle_bit_for_bit(word):
         np.testing.assert_array_equal(grads[name], ref, err_msg=name)
 
 
-def test_char_cnn_grad_check_on_a_ragged_batch():
-    rng = np.random.default_rng(34)
+@pytest.mark.parametrize("seed", [32, 33, 34])
+def test_char_cnn_grad_check_on_a_ragged_batch(seed):
+    """At seeds 32 and 33 one word's pool of one filter is nearly tied
+    between two windows, so +-epsilon on many character embedding entries
+    moves its argmax, where the loss has no derivative; `kinks` skips those
+    coordinates (72 and 48 of 2,070)."""
+    rng = np.random.default_rng(seed)
     params = char_cnn_params(rng, char_vocab_size=10)
     weights = rng.normal(size=(len(RAGGED_WORDS), CHAR_FEATURE_DIM))
 
@@ -648,7 +654,8 @@ def test_char_cnn_grad_check_on_a_ragged_batch():
         return (char_cnn_forward(params, RAGGED_WORDS, pad_id=3) * weights).sum()
 
     checked = {name: params[name] for name in ("char_emb", "K3", "Kb3", "Kb6")}
-    assert grad_check(loss, checked, epsilon=1e-4) < 1e-3
+    assert grad_check(loss, checked, epsilon=1e-4,
+                      kinks=lambda: char_cnn_pool_argmax(params, RAGGED_WORDS, pad_id=3)) < 1e-3
 
 
 def test_char_cnn_batch_rejects_a_non_finite_word():
@@ -678,29 +685,47 @@ def test_add_at_rows_matches_add_at_bit_for_bit():
         assert fast.tobytes() == slow.tobytes()
 
 
+def _flat_params(arrays: dict) -> dict:
+    """Parameters holding copies of `arrays`, as views of one `flat_views` buffer."""
+    views = flat_views({name: np.shape(a) for name, a in arrays.items()}, np.empty)
+    for name, a in arrays.items():
+        views[name][...] = a
+    return {name: Tensor(view, requires_grad=True) for name, view in views.items()}
+
+
+def _in_views(state, grads: dict) -> dict:
+    """`grads` as backward leaves them: each dense one copied into its view
+    of the gradient buffer, row-form ones as they are."""
+    for name, g in grads.items():
+        if not isinstance(g, RowGrad):
+            np.copyto(state.gradient[name], g)
+    return {name: g if isinstance(g, RowGrad) else state.gradient[name]
+            for name, g in grads.items()}
+
+
 def test_adam_zero_grads_no_change():
-    params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
+    params = _flat_params({"w": np.array([1.0, -2.0])})
     state = init_adam(params, lr=0.001)
     before = params["w"].data.copy()
-    adam_step(params, {"w": np.zeros(2)}, state)
+    adam_step(params, _in_views(state, {"w": np.zeros(2)}), state)
     np.testing.assert_allclose(params["w"].data, before)
     assert state.step == 1
 
 
 def test_adam_step_counter():
-    params = {"w": Tensor(np.zeros(1), requires_grad=True)}
+    params = _flat_params({"w": np.zeros(1)})
     state = init_adam(params)
     for expected in (1, 2, 3):
-        adam_step(params, {"w": np.ones(1)}, state)
+        adam_step(params, _in_views(state, {"w": np.ones(1)}), state)
         assert state.step == expected
 
 
 def test_adam_shape_mismatch():
-    params = {"w": Tensor(np.zeros(2), requires_grad=True)}
+    params = _flat_params({"w": np.zeros(2)})
     state = init_adam(params)
     with pytest.raises(ShapeError):
         adam_step(params, {"w": np.zeros(3)}, state)
-    table = {"t": Tensor(np.zeros((4, 3)), requires_grad=True)}
+    table = _flat_params({"t": np.zeros((4, 3))})
     state = init_adam(table)
     for ids, values in (([0, 2], np.ones((2, 2))),    # rows too narrow
                         ([1, 4], np.ones((2, 3))),    # row 4 is past the end
@@ -715,12 +740,12 @@ def test_adam_minimizes_quadratic():
     first reaches |x| < 0.1 at step 7430 (decaying gradients keep the slow
     second-moment average large, so progress is slower than lr per step).
     """
-    params = {"x": Tensor(np.array([5.0]), requires_grad=True)}
+    params = _flat_params({"x": np.array([5.0])})
     state = init_adam(params, lr=0.001)
     first_hit = None
     for step in range(1, 8001):
         grad = 2.0 * params["x"].data
-        adam_step(params, {"x": grad}, state)
+        adam_step(params, _in_views(state, {"x": grad}), state)
         if first_hit is None and abs(params["x"].data[0]) < 0.1:
             first_hit = step
             break
@@ -763,7 +788,6 @@ def test_adam_matches_whole_array_update_bit_for_bit():
         "wide_rows": (3, BLOCK_ENTRIES + 5),      # one row is more than a block
         "flat": (2 * BLOCK_ENTRIES + 17,),
         "matrix": (1001, 33),                     # 33 does not divide the block
-        "fortran": (40, 900),
         "scalar": (),
         "single": (1,),
     }
@@ -772,15 +796,15 @@ def test_adam_matches_whole_array_update_bit_for_bit():
     # walk has spans with never-live rows inside (1, 2, 4-9, 401-449) and
     # gaps between them; row 200 is never live. "all_live": step 1 reaches
     # every row, and the two blocks of its one span get rows of steps 2, 3.
+    # Row-form gradients come first in buffer order.
     row_shapes = {"sparse": (1000, 7), "all_live": (BLOCK_ENTRIES // 7 + 300, 7)}
     row_ids = [
         {"sparse": [3, 3, 10, 400, 3], "all_live": np.r_[np.arange(row_shapes["all_live"][0]), 5, 5]},
         {"sparse": [10, 11, 3, 450, 11], "all_live": [0, 4900, 4900, 17]},
         {"sparse": [999, 0, 0, 400], "all_live": [4681, 4680]},
     ]
-    shapes.update(row_shapes)
+    shapes = {**row_shapes, **shapes}
     data = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    data["fortran"] = np.asfortranarray(data["fortran"])
     data["matrix"][5] = -0.0
     data["sparse"][[1, 200]] = -0.0
     grad_steps = []
@@ -809,10 +833,12 @@ def test_adam_matches_whole_array_update_bit_for_bit():
         np.add.at(dense, ids, values)
         return dense
 
+    def blocked_step(params, grads, state):
+        adam_step(params, _in_views(state, grads), state)
+
     results = []
-    for step_fn, rows_as in ((adam_step, as_rows), (_reference_adam_step, densified)):
-        params = {name: Tensor(arr.copy(order="K"), requires_grad=True)
-                  for name, arr in data.items()}
+    for step_fn, rows_as in ((blocked_step, as_rows), (_reference_adam_step, densified)):
+        params = _flat_params(data)
         state = init_adam(params, lr=0.01)
         for grads in grad_steps:
             step_fn(params, feed(grads, rows_as), state)
@@ -826,46 +852,52 @@ def test_adam_matches_whole_array_update_bit_for_bit():
     assert b_state.live["sparse"].sum() == 7 and not b_state.live["sparse"][200]
     assert b_state.live["all_live"].all()
     # The rows with no gradient in the last step moved: dense Adam, not lazy.
-    previous = {name: Tensor(arr.copy(order="K"), requires_grad=True) for name, arr in data.items()}
+    previous = _flat_params(data)
     state = init_adam(previous, lr=0.01)
     for grads in grad_steps[:2]:
-        adam_step(previous, feed(grads, as_rows), state)
+        blocked_step(previous, feed(grads, as_rows), state)
     assert (blocked["matrix"].data[10:20] != previous["matrix"].data[10:20]).all()
     assert (blocked["sparse"].data[[3, 10, 450]] != previous["sparse"].data[[3, 10, 450]]).all()
     assert (blocked["all_live"].data[2:4] != previous["all_live"].data[2:4]).all()
-    assert blocked["fortran"].data.flags.f_contiguous
+    # Parameters that are not views of one buffer have no layout to walk.
+    fortran = {"f": Tensor(np.asfortranarray(data["matrix"]), requires_grad=True)}
+    with pytest.raises(ShapeError, match="not views of one flat buffer"):
+        init_adam(fortran)
+    with pytest.raises(ShapeError, match="not views of one flat buffer"):
+        init_adam({**_flat_params({"w": np.zeros(3)}), "alone": Tensor(np.zeros(2))})
 
 
 def test_adam_over_a_flat_buffer_matches_whole_array_update_bit_for_bit():
     """Two row-form tables, then dense parameters that straddle block edges
     (one wider than a block), held as views of one buffer; the update and
-    both moments must equal the per-parameter textbook update bit for bit,
-    also in steps where some dense gradients are missing."""
+    both moments must equal the per-parameter textbook update bit for bit.
+    A step in which a dense gradient is missing is refused."""
     rng = np.random.default_rng(26)
     shapes = {"token_emb": (300, 7), "char_emb": (40, 5), "W": (50, 700),
               "b": (700,), "big": (BLOCK_ENTRIES + 1000,), "U": (30, 33), "c": (5,)}
     rows = {"token_emb": [[3, 3, 10, 250], [10, 11, 3], [299, 0, 0]],
             "char_emb": [[1, 2, 2], [39, 1], [5]]}
-    missing = [set(), {"b", "U"}, {"W"}]
     views = flat_views(shapes, np.empty)
     for view in views.values():
         view[...] = rng.normal(size=view.shape)
     flat = {name: Tensor(view, requires_grad=True) for name, view in views.items()}
     apart = {name: Tensor(view.copy(), requires_grad=True) for name, view in views.items()}
-    flat_state, apart_state = init_adam(flat, lr=0.01), init_adam(apart, lr=0.01)
+    flat_state = init_adam(flat, lr=0.01)
+    # The reference keeps every array apart: its own moments, no buffer.
+    apart_state = AdamState(lr=0.01, first_moment={n: np.zeros(s) for n, s in shapes.items()},
+                            second_moment={n: np.zeros(s) for n, s in shapes.items()})
     for step in range(3):
         grads = {name: rng.normal(size=shape) for name, shape in shapes.items()
-                 if name not in rows and name not in missing[step]}
+                 if name not in rows}
         grads["big"][:100] = -0.0
         row_grads = {name: (ids[step], rng.normal(size=(len(ids[step]), shapes[name][1])))
                      for name, ids in rows.items()}
-        adam_step(flat, {**{name: RowGrad(*g) for name, g in row_grads.items()},
-                         **{name: g.copy() for name, g in grads.items()}}, flat_state)
+        adam_step(flat, _in_views(flat_state, {**{name: RowGrad(*g) for name, g in row_grads.items()},
+                                               **grads}), flat_state)
         dense_rows = {}
         for name, (ids, values) in row_grads.items():
             dense_rows[name] = np.zeros(shapes[name])
             np.add.at(dense_rows[name], ids, values)
-        # The textbook update moves only the parameters that got a gradient.
         _reference_adam_step(apart, {**dense_rows, **grads}, apart_state)
         for name in shapes:
             assert flat[name].data.tobytes() == apart[name].data.tobytes(), (step, name)
@@ -874,6 +906,67 @@ def test_adam_over_a_flat_buffer_matches_whole_array_update_bit_for_bit():
                         == getattr(apart_state, moment)[name].tobytes()), (step, name, moment)
     assert flat_buffer(flat) is views["token_emb"].base
     assert all(p.data is views[name] for name, p in flat.items())
+    before = flat_buffer(flat).copy()
+    for missing in ({"b", "U"}, {"W"}):
+        grads = {name: RowGrad(ids[0], np.ones((len(ids[0]), shapes[name][1])))
+                 for name, ids in rows.items()}
+        grads.update({name: flat_state.gradient[name] for name in shapes
+                      if name not in rows and name not in missing})
+        with pytest.raises(ShapeError, match="needs its dense gradient"):
+            adam_step(flat, grads, flat_state)
+    assert flat_state.step == 3 and flat_buffer(flat).tobytes() == before.tobytes()
+
+
+def test_adam_refuses_a_dense_gradient_that_is_missing_or_not_its_view():
+    rng = np.random.default_rng(36)
+    params = _flat_params({"table": rng.normal(size=(6, 3)), "W": rng.normal(size=(3, 4)),
+                           "b": rng.normal(size=4)})
+    state = init_adam(params, lr=0.01)
+    rows = RowGrad([1, 4], np.ones((2, 3)))
+    dense = _in_views(state, {"W": rng.normal(size=(3, 4)), "b": rng.normal(size=4)})
+    before = flat_buffer(params).copy()
+    for grads in ({"table": rows, "W": dense["W"]},                                 # b missing
+                  {"table": rows, **dense, "b": dense["b"].copy()},                 # not its view
+                  {"table": rows, "W": dense["W"], "b": RowGrad([0], np.ones(1))},  # rows after dense
+                  {"table": state.gradient["table"].copy(), **dense},              # not its view
+                  {"table": rows, **dense, "other": np.zeros(1)}):                 # no such parameter
+        with pytest.raises(ShapeError):
+            adam_step(params, grads, state)
+    assert state.step == 0 and flat_buffer(params).tobytes() == before.tobytes()
+    assert not any(live.any() for live in state.live.values())
+    adam_step(params, {"table": rows, **dense}, state)
+    # With every gradient dense, the dense range starts at the first entry.
+    adam_step(params, _in_views(state, {"table": np.ones((6, 3)), "W": np.ones((3, 4)),
+                                        "b": np.ones(4)}), state)
+    assert state.step == 2 and state.live["table"].all()
+
+
+def test_one_batch_nll_backward_fills_every_dense_view():
+    """In every step, each parameter after the two row-form tables gets a
+    dense gradient, formed in its view; the tables never write theirs."""
+    vocab = Vocabulary({f"w{i}": 1 for i in range(40)})
+    model = init_model(DefModelConfig(vocab, build_char_vocab(["abcde"]), condition_dim=4,
+                                      hidden=5, layers=2, token_embedding_dim=6, seed=37))
+    state = init_adam(model.params)
+    pairs = [SenseDefPair("abc", 0, np.ones(4), ("w7", "w19")),
+             SenseDefPair("bad", 1, -np.ones(4), ("w3",))]
+    names = list(model.params)
+    assert names[:2] == ["token_emb", "char_emb"]
+    for _ in range(2):
+        for view in state.gradient.values():
+            view.fill(np.nan)
+        for p in model.params.values():
+            p.zero_grad()
+        loss, _ = batch_nll(model, pairs)
+        loss.backward()
+        for name in names[:2]:
+            assert isinstance(model.params[name].grad, RowGrad), name
+            assert np.isnan(state.gradient[name]).all(), name
+        for name in names[2:]:
+            assert model.params[name].grad is state.gradient[name], name
+            assert np.isfinite(state.gradient[name]).all(), name
+        adam_step(model.params, {name: p.grad for name, p in model.params.items()}, state)
+    assert state.step == 2
 
 
 def test_cross_entropy_forms_dlogits_in_its_one_buffer_and_backs_off_a_second_backward():
@@ -897,12 +990,38 @@ def test_cross_entropy_forms_dlogits_in_its_one_buffer_and_backs_off_a_second_ba
         loss.backward()
 
 
+def test_weight_gradient_products_are_formed_in_their_views():
+    """With the gradient buffer hooked, the loss's W gradient is written by
+    its product into W's view: no W-sized array is allocated, and the bits
+    are those of the product without `out=`."""
+    n, hidden, width = 64, 16, 4096
+    h_data, w_data, b_data, targets, _ = _output_layer(38, n, hidden, width)
+    params = _flat_params({"W": w_data, "b": b_data})
+    state = init_adam(params)
+    h = Tensor(h_data, requires_grad=True)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        softmax_cross_entropy(h, params["W"], params["b"], targets).sum().backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params["W"].grad is state.gradient["W"] and params["b"].grad is state.gradient["b"]
+    # One (N, V) array and its finiteness mask, the (N, H) and (V,)
+    # gradients and a little bookkeeping; W's gradient would be 512 KiB more.
+    assert peak - base <= n * width * 9 + h.data.nbytes + b_data.nbytes + (64 << 10)
+    apart = [Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data)]
+    softmax_cross_entropy(*apart, targets).sum().backward()
+    assert params["W"].grad.tobytes() == apart[1].grad.tobytes()
+
+
 def test_adam_allocates_no_parameter_sized_temporaries():
     n = 1_000_000
     rng = np.random.default_rng(22)
-    params = {"w": Tensor(rng.normal(size=(n // 500, 500)), requires_grad=True)}
-    grads = {"w": rng.normal(size=(n // 500, 500))}
+    params = _flat_params({"w": rng.normal(size=(n // 500, 500))})
     state = init_adam(params)
+    grads = _in_views(state, {"w": rng.normal(size=(n // 500, 500))})
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
