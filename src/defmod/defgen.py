@@ -1,9 +1,9 @@
 """Conditioned definition language model: training, sampling, checkpoints.
 
-A two-layer LSTM predicts definition tokens left to right. At every step
-the input is the previous token's embedding concatenated with a learned
-projection of the conditioning block (sense or word vector plus character
-CNN features of the headword). Single-sense and multi-sense variants share
+A stacked LSTM (two layers by default) predicts definition tokens left to
+right. At every step the input is the previous token's embedding
+concatenated with a learned projection of the conditioning block (sense or
+word vector plus character CNN features of the headword). Single-sense and multi-sense variants share
 all machinery and differ only in the conditioning vectors handed in.
 """
 
@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,16 +35,15 @@ from .neural import (
     adam_step,
     char_cnn_forward,
     clip_global_norm,
-    concat,
     flat_buffer,
     flat_views,
-    gather,
     init_adam,
     lstm_cell,
     softmax,
     softmax_cross_entropy,
 )
 from .neural.layers import INIT_SCALE
+from .neural.tensor import RowGrad, _as_array, add_at_rows, set_grads
 # perfbench's tracer wraps the layer op where `batch_nll` looks it up, as
 # `defgen.lstm_step`, so it keeps that name here.
 from .neural import lstm_layer as lstm_step
@@ -194,29 +193,47 @@ def word_char_ids(word: str, char_vocab: Vocabulary) -> list[int]:
     return [char_vocab.id(ch) for ch in word]
 
 
-def _condition_block(model: DefModel, conditions: np.ndarray, words: list[str]) -> Tensor:
-    """Project [condition ; char features] rows to the token embedding width."""
+def _condition_block(model: DefModel, conditions: np.ndarray,
+                     words: list[str]) -> tuple[np.ndarray, Callable]:
+    """Project [condition ; char features] rows to the token embedding width.
+
+    Returns the (B, emb) rows and their backward, which takes their gradient
+    and writes those of `bc`, `Wc` and the char-CNN's parameters.
+    """
+    P = model.params
     distinct = {w: row for row, w in enumerate(dict.fromkeys(words))}
-    # One char-CNN node over the distinct headwords; pairs that share one share its row.
-    feats = char_cnn_forward(
-        model.params, [word_char_ids(w, model.config.char_vocab) for w in distinct], PAD_ID)
-    feats = gather(feats, [distinct[w] for w in words])
-    block = concat([Tensor(conditions), feats], axis=1)
-    return block @ model.params["Wc"] + model.params["bc"]
+    word_rows = np.array([distinct[w] for w in words])
+    # One char-CNN call over the distinct headwords; pairs that share one share its row.
+    feats, cnn_backward = char_cnn_forward(
+        P, [word_char_ids(w, model.config.char_vocab) for w in distinct], PAD_ID)
+    block = np.concatenate([_as_array(conditions), feats[word_rows]], axis=1)
+    cond = block @ P["Wc"].data + P["bc"].data
+
+    def backward(d_cond):
+        set_grads(block, d_cond, P["Wc"], P["bc"])
+        d_feats = np.zeros_like(feats)
+        add_at_rows(d_feats, word_rows, (d_cond @ P["Wc"].data.T)[:, conditions.shape[1]:])
+        cnn_backward(d_feats)
+
+    return cond, backward
 
 
 def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
     """Teacher-forced mean NLL per token over a batch of pairs.
 
     Definitions are BOS-prefixed and EOS-terminated; shorter sequences are
-    padded. Rows are time-major (step t holds rows t*B .. t*B + B - 1), each
-    LSTM layer is one graph node over every step, and the loss is taken on
-    the real (non-PAD) target rows only. Returns the scalar loss
-    and the number of real target tokens it averages.
+    padded. Rows are time-major (step t holds rows t*B .. t*B + B - 1), and
+    the loss is taken on the real (non-PAD) target rows only. Returns the
+    scalar loss and the number of real target tokens it averages. The loss
+    is one node whose parents are the parameters. Its backward runs the
+    fused ops' backwards in reverse, over plain arrays, and gives every
+    parameter exactly one gradient: the two embedding tables a RowGrad
+    each, every other parameter one product or sum, formed in its
+    `grad_view` when it has one.
     """
     if not pairs:
         raise ConfigError("batch_nll needs at least one pair")
-    cfg = model.config
+    cfg, P = model.config, model.params
     encoded = [cfg.vocab.ids(p.definition[:cfg.max_def_len]) for p in pairs]
     batch = len(pairs)
     T = max(len(ids) for ids in encoded) + 1  # plus EOS
@@ -229,18 +246,32 @@ def batch_nll(model: DefModel, pairs: list[SenseDefPair]) -> tuple[Tensor, int]:
         targets[i, len(ids)] = EOS_ID
 
     conditions = np.stack([p.sense_vector for p in pairs])
-    cond = _condition_block(model, conditions, [p.headword for p in pairs])
-    x = concat([gather(model.params["token_emb"], inputs.T.reshape(-1)),
-                gather(cond, np.tile(np.arange(batch), T))], axis=1)
+    cond, cond_backward = _condition_block(model, conditions, [p.headword for p in pairs])
+    token_ids, cond_rows = inputs.T.reshape(-1), np.tile(np.arange(batch), T)
+    x = np.concatenate([P["token_emb"].data[token_ids], cond[cond_rows]], axis=1)
+    layer_backwards = []
     for layer in range(cfg.layers):
-        x = lstm_step(x, model.params[f"Wx{layer}"], model.params[f"Wh{layer}"],
-                      model.params[f"b{layer}"], T)
+        x, layer_backward = lstm_step(x, P[f"Wx{layer}"], P[f"Wh{layer}"], P[f"b{layer}"], T)
+        layer_backwards.append(layer_backward)
     flat_targets = targets.T.reshape(-1)
     real = np.flatnonzero(flat_targets != PAD_ID)
-    losses = softmax_cross_entropy(gather(x, real), model.params["Wo"],
-                                   model.params["bo"], flat_targets[real])
+    losses, loss_backward = softmax_cross_entropy(x[real], P["Wo"], P["bo"], flat_targets[real])
     n_tokens = len(real)
-    return losses.sum() / float(n_tokens), n_tokens
+    loss = Tensor(losses.sum() * (1.0 / n_tokens), parents=tuple(P.values()))
+
+    def backward(g):
+        d_x = np.zeros_like(x)
+        add_at_rows(d_x, real, loss_backward(np.full(n_tokens, g * (1.0 / n_tokens))))
+        for layer_backward in reversed(layer_backwards):
+            d_x = layer_backward(d_x)
+        emb = cfg.token_embedding_dim
+        P["token_emb"].grad = RowGrad(token_ids, d_x[:, :emb])
+        d_cond = np.zeros_like(cond)
+        add_at_rows(d_cond, cond_rows, d_x[:, emb:])
+        cond_backward(d_cond)
+
+    loss._backward = backward
+    return loss, n_tokens
 
 
 def _snapshot(params: dict[str, Tensor]) -> np.ndarray:
@@ -322,7 +353,7 @@ def train_defmodel(
                         p.zero_grad()
                     loss, n = batch_nll(model, batch)
                     loss.backward()
-                    # Drop the graph, and with it the loss node's (tokens, V)
+                    # Drop the loss, and with it its backward's (tokens, V)
                     # buffer, before clip, Adam and the next step's forward.
                     loss = loss.item()
                     # The token table's gradient stays in row form: clip and Adam
@@ -405,7 +436,7 @@ def _sample_block(model: DefModel, conditions: np.ndarray, words: list[str],
                   cfg: GenConfig, rngs: list[np.random.Generator]) -> list[tuple[str, ...]]:
     mcfg = model.config
     P = {name: t.data for name, t in model.params.items()}
-    cond = _condition_block(model, conditions, words).data
+    cond, _ = _condition_block(model, conditions, words)
     masked = [BOS_ID, PAD_ID, UNK_ID] if cfg.mask_unk else [BOS_ID, PAD_ID]
     active = np.arange(len(words))  # block rows still sampling
     hs = [np.zeros((len(words), mcfg.hidden)) for _ in range(mcfg.layers)]

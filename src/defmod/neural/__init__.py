@@ -1,6 +1,6 @@
-"""Minimal differentiable substrate: tensors, layers, Adam."""
+"""Minimal differentiable substrate: tensors, fused layers, Adam."""
 
-from .tensor import Tensor, concat, gather, softmax, softmax_cross_entropy, stable_sigmoid
+from .tensor import Tensor, softmax, softmax_cross_entropy, stable_sigmoid
 from .layers import (
     CHAR_EMBEDDING_DIM,
     CHAR_FEATURE_DIM,
@@ -9,7 +9,6 @@ from .layers import (
     clip_global_norm,
     lstm_cell,
     lstm_layer,
-    uniform_init,
 )
 from .optim import AdamState, adam_step, flat_buffer, flat_views, init_adam
 
@@ -22,15 +21,12 @@ __all__ = [
     "adam_step",
     "char_cnn_forward",
     "clip_global_norm",
-    "concat",
     "flat_buffer",
     "flat_views",
-    "gather",
     "init_adam",
     "lstm_cell",
     "lstm_layer",
     "softmax",
     "softmax_cross_entropy",
     "stable_sigmoid",
-    "uniform_init",
 ]

@@ -1,13 +1,19 @@
-"""Stacked-LSTM and character-CNN layers built on the Tensor graph."""
+"""The LSTM layer and the character CNN as fused ops.
+
+Each takes plain arrays and parameter Tensors and returns its output with a
+backward over plain arrays, which writes the parameters' gradients and
+returns the gradient of its array input, if it has one.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import RowGrad, Tensor, _as_array, add_at_rows, add_rows, stable_sigmoid
+from .tensor import RowGrad, Tensor, _as_array, add_at_rows, set_grads, stable_sigmoid
 
 # (kernel length, number of filters); concatenated output dim is 160.
 CNN_KERNELS = ((2, 10), (3, 30), (4, 40), (5, 40), (6, 40))
@@ -15,10 +21,6 @@ CHAR_FEATURE_DIM = sum(size for _, size in CNN_KERNELS)
 CHAR_EMBEDDING_DIM = 20
 
 INIT_SCALE = 0.05
-
-
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
-    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True)
 
 
 def _gate_views(acts: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
@@ -46,23 +48,25 @@ def lstm_cell(xw: np.ndarray, h: np.ndarray, c: np.ndarray, Wh: np.ndarray,
     return o * tanh_c, c_new, acts, tanh_c
 
 
-def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, steps: int) -> Tensor:
-    """One LSTM layer over a whole sequence, from a zero state, as one graph node.
+def lstm_layer(X: np.ndarray, Wx: Tensor, Wh: Tensor, b: Tensor,
+               steps: int) -> tuple[np.ndarray, Callable]:
+    """One LSTM layer over a whole sequence, from a zero state, and its backward.
 
     X holds `steps` blocks of batch rows, time-major: rows t*B .. t*B + B - 1
     are step t. Returns every step's h in the same (steps * B, hidden)
     layout. The forward computes X @ Wx for all steps in one product, so
-    only h @ Wh runs inside the recurrence. The backward runs
-    backpropagation through time into one (steps, B, 4 * hidden) buffer of
-    gate gradients, then takes the gradients of X, Wx, Wh and b with one
-    product or sum each over all rows.
+    only h @ Wh runs inside the recurrence. `backward(g)` takes the
+    gradient of the output rows, runs backpropagation through time into one
+    (steps, B, 4 * hidden) buffer of gate gradients, writes the gradients of
+    Wx, Wh and b with one product or sum each over all rows, and returns
+    the gradient of X.
     """
     if X.ndim != 2 or X.shape[1] != Wx.shape[0]:
         raise ShapeError(f"lstm input shape {X.shape} does not match weights {Wx.shape[0]}")
     if steps < 1 or X.shape[0] % steps:
         raise ShapeError(f"{X.shape[0]} input rows do not split into {steps} steps")
     batch, hidden = X.shape[0] // steps, Wh.shape[0]
-    xw = (X.data @ Wx.data).reshape(steps, batch, 4 * hidden)
+    xw = (X @ Wx.data).reshape(steps, batch, 4 * hidden)
     acts = np.empty((steps, batch, 4 * hidden))
     cs = np.empty((steps, batch, hidden))
     tanh_cs = np.empty((steps, batch, hidden))
@@ -71,7 +75,6 @@ def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, steps: int) -> Tens
     for t in range(steps):
         h, c, acts[t], tanh_cs[t] = lstm_cell(xw[t], h, c, Wh.data, b.data)
         hs[t], cs[t] = h, c
-    out = Tensor(hs.reshape(steps * batch, hidden), parents=(X, Wx, Wh, b))
 
     def backward(g):
         g = g.reshape(steps, batch, hidden)
@@ -98,14 +101,12 @@ def lstm_layer(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor, steps: int) -> Tens
                 dh = g[t - 1] + d_gates[t] @ Wh.data.T
                 dc = dc * f[t]
         flat = d_gates.reshape(steps * batch, 4 * hidden)
-        b._accumulate(flat.sum(axis=0), owned=True)
-        Wx._accumulate_product(X.data.T, flat)
+        set_grads(X, flat, Wx, b)
         # h before step t is hs[t - 1], and zero before step 0.
-        Wh._accumulate_product(hs[:-1].reshape(-1, hidden).T, flat[batch:])
-        X._accumulate(flat @ Wx.data.T, owned=True)
+        Wh.grad = np.matmul(hs[:-1].reshape(-1, hidden).T, flat[batch:], out=Wh.grad_view)
+        return flat @ Wx.data.T
 
-    out._backward = backward
-    return out
+    return hs.reshape(steps * batch, hidden), backward
 
 
 @lru_cache(maxsize=256)
@@ -130,9 +131,10 @@ def _window_rows(lengths: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray
     return tuple(out)
 
 
-def char_cnn_forward(params: dict[str, Tensor], words_char_ids, pad_id: int) -> Tensor:
+def char_cnn_forward(params: dict[str, Tensor], words_char_ids,
+                     pad_id: int) -> tuple[np.ndarray, Callable]:
     """Convolve the character embeddings of each word into one row of a
-    (words, 160) feature matrix, as one graph node.
+    (words, 160) feature matrix, and return it with its backward.
 
     Each word is padded with `pad_id` to the longest kernel length, and the
     padded words lie back to back in one embedding array. Each kernel length
@@ -143,10 +145,11 @@ def char_cnn_forward(params: dict[str, Tensor], words_char_ids, pad_id: int) -> 
     never be the first maximum, so each word pools over exactly its own
     windows and reads no character but its own.
 
-    The backward routes each filter's gradient to the first maximum, as
-    `Tensor.max` does, takes each kernel's gradients with one product or sum
-    over all words, and sums each character's embedding gradient kernel by
-    kernel, offsets ascending, before one `add_rows` call. The gathered
+    `backward(g)` takes the gradient of the feature rows and routes each
+    filter's gradient to the window of its first maximum. It writes each
+    kernel's gradients with one product and one sum over all words, and
+    sums each character's embedding gradient kernel by kernel, offsets
+    ascending, into the one row-form gradient of `char_emb`. The gathered
     embeddings and every kernel's scores are checked for finiteness before
     tanh, which would map an infinite score to a finite 1.0.
     """
@@ -182,7 +185,6 @@ def char_cnn_forward(params: dict[str, Tensor], words_char_ids, pad_id: int) -> 
         scores.append(by_word)
     _as_array(scores_buf)
     np.tanh(feats, out=feats)
-    out = Tensor(feats, parents=(table, *(t for pair in kernels for t in pair)))
 
     def backward(g):
         d_pooled = g * (1.0 - feats * feats)
@@ -196,16 +198,14 @@ def char_cnn_forward(params: dict[str, Tensor], words_char_ids, pad_id: int) -> 
                 d_pooled[:, column:column + size]
             column += size
             d_scores = d_scores.reshape(win.shape[0], size)
-            Kb._accumulate(d_scores.sum(axis=0), owned=True)
-            K._accumulate_product(win.T, d_scores)
+            set_grads(win, d_scores, K, Kb)
             d_win = (d_scores @ K.data.T).reshape(n_words, -1, length, width)
             # Offset-major, so that the offsets of each row add ascending, as
             # the per-word slice adds did.
             add_at_rows(d_emb, scatter_rows, d_win.transpose(2, 0, 1, 3))
-        add_rows(table, ids, d_emb)
+        table.grad = RowGrad(ids, d_emb)
 
-    out._backward = backward
-    return out
+    return feats, backward
 
 
 def clip_global_norm(grads: dict[str, np.ndarray | RowGrad],

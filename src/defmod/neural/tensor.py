@@ -1,12 +1,15 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Parameters, the scalar loss node, and the fused output layer.
 
-Each operation records its parents and a closure that routes the output
-gradient back to them; `Tensor.backward` replays the closures in reverse
-topological order. Only the operations needed by the definition model are
-provided.
+A `Tensor` is a float64 array with a gradient slot. The package uses it
+for the model's parameters and for `defgen.batch_nll`'s loss: one node
+whose parents are the parameters and whose backward, straight-line numpy,
+gives each parameter its one gradient per step. The graph ops `+`, `*` and
+`sum` remain for the tests' oracle graphs; the package builds none.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +23,7 @@ def _as_array(value) -> np.ndarray:
     return arr
 
 
+# Kept for `+` and `*`, which the tests' oracle graphs build.
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -70,9 +74,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        # What backward left here: a dense array, a RowGrad when one
-        # `add_rows` call (a `gather` or a char-CNN word) reached this leaf
-        # and nothing else did, or None.
+        # What backward left here: a dense array, a RowGrad (the two
+        # embedding tables), or None.
         self.grad: np.ndarray | RowGrad | None = None
         # Where a dense gradient is formed, when not None: this tensor's view
         # of an optimizer's gradient buffer (`init_adam`).
@@ -101,51 +104,14 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _densify(self) -> None:
-        """Make this tensor's gradient dense: zeros, in `grad_view` if there is
-        one, with the rows of a row-form gradient written in."""
-        rows = self.grad
-        if self.grad_view is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad = self.grad_view
-            self.grad.fill(0.0)
-        if isinstance(rows, RowGrad):
-            self.grad[rows.rows] = rows.values
-
-    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Add `grad` into this tensor's gradient.
-
-        A first gradient is copied into `grad_view`, or else into a new
-        array, not kept: one array may reach several parents (`+` hands the
-        same g to both), and each adds into its own grad in place. A caller
-        that has just built `grad`, with this tensor's shape, and holds no
-        other reference to it passes `owned=True`, and without a view the
-        array itself becomes the gradient. A tensor that needs no gradient
-        ignores the call, and a row-form gradient is made dense before
-        `grad` is added.
-        """
-        if not self.requires_grad:
-            return
-        if isinstance(self.grad, RowGrad):
-            self._densify()
-        if self.grad is not None:
+    # Kept for the oracle graphs; a copy, since one array may reach two parents.
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.requires_grad and self.grad is None:
+            self.grad = np.array(grad, dtype=np.float64)
+        elif self.requires_grad:
             self.grad += grad
-        elif owned and self.grad_view is None:
-            self.grad = grad
-        else:
-            self.grad = np.empty_like(self.data) if self.grad_view is None else self.grad_view
-            np.copyto(self.grad, grad)
 
-    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Add `a @ b` into this tensor's gradient. A first gradient is formed
-        by the product in `grad_view` itself when there is one, so it is
-        neither allocated nor copied."""
-        if self.requires_grad and self.grad is None and self.grad_view is not None:
-            self.grad = np.matmul(a, b, out=self.grad_view)
-        else:
-            self._accumulate(a @ b, owned=True)
-
+    # Kept: perfbench's tracer times it as `neural.backward`; it replays the oracles.
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph."""
         if self.size != 1:
@@ -170,8 +136,7 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # arithmetic
-
+    # Kept for the oracle graphs and perfbench's self-test, `(x * x + x).sum()`.
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out = Tensor(self.data + other.data, parents=(self, other))
@@ -183,8 +148,7 @@ class Tensor:
         out._backward = backward
         return out
 
-    __radd__ = __add__
-
+    # Kept for the oracle graphs and perfbench's self-test.
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out = Tensor(self.data * other.data, parents=(self, other))
@@ -196,28 +160,7 @@ class Tensor:
         out._backward = backward
         return out
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Tensor":
-        if isinstance(scalar, Tensor):
-            raise TypeError("division is supported by plain scalars only")
-        return self * (1.0 / float(scalar))
-
-    def __matmul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError(f"matmul needs 2-D operands, got {self.shape} @ {other.shape}")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(f"matmul mismatch: {self.shape} @ {other.shape}")
-        out = Tensor(self.data @ other.data, parents=(self, other))
-
-        def backward(g):
-            self._accumulate_product(g, other.data.T)
-            other._accumulate_product(self.data.T, g)
-
-        out._backward = backward
-        return out
-
+    # Kept for the oracle graphs and perfbench's self-test.
     def sum(self) -> "Tensor":
         out = Tensor(self.data.sum(), parents=(self,))
 
@@ -235,45 +178,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
-            t._accumulate(piece)
-
-    out._backward = backward
-    return out
-
-
-def add_rows(table: Tensor, ids, grads: np.ndarray) -> None:
-    """Scatter-add `grads` into the rows `ids` of `table`'s gradient.
-
-    The first gradient of a leaf is kept in row form (RowGrad), so an
-    optimizer need not touch the rows no id reached, and `grad_view` is
-    not written. A leaf that already holds a gradient, and any interior
-    node, get the dense scatter-add.
-    """
-    if not table.requires_grad:
-        return
-    if table.grad is None and not table._parents:
-        table.grad = RowGrad(ids, grads)
-        return
-    if table.grad is None or isinstance(table.grad, RowGrad):
-        table._densify()
-    add_at_rows(table.grad, np.asarray(ids, dtype=np.int64), np.asarray(grads, dtype=np.float64))
-
-
-def gather(table: Tensor, ids) -> Tensor:
-    """Select rows of an embedding table by integer id."""
-    ids = np.asarray(ids, dtype=np.int64)
-    out = Tensor(table.data[ids], parents=(table,))
-    out._backward = lambda g: add_rows(table, ids, g)
-    return out
-
-
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, stabilized by max subtraction."""
     if temperature <= 0:
@@ -286,18 +190,27 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return probs
 
 
-def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tensor:
+def set_grads(inputs: np.ndarray, d_out: np.ndarray, W: Tensor, b: Tensor) -> None:
+    """The gradients of the affine map `inputs @ W + b`, given `d_out`: W's
+    one product and b's one column sum, each formed in the tensor's
+    `grad_view` when it has one and as a new array otherwise."""
+    W.grad = np.matmul(inputs.T, d_out, out=W.grad_view)
+    b.grad = d_out.sum(axis=0, out=b.grad_view)
+
+
+def softmax_cross_entropy(hidden: np.ndarray, W: Tensor, b: Tensor,
+                          targets) -> tuple[np.ndarray, Callable]:
     """Per-row negative log-likelihood of the target class under
-    softmax(hidden @ W + b), shape (N,), as one graph node.
+    softmax(hidden @ W + b), shape (N,), and its backward.
 
     Fused for numerical stability: loss_i = logsumexp(l_i) - l_i[target_i].
     The forward keeps one (N, V) array, the shifted exponentials, and the
     row sums; the softmax itself is formed only by the backward, so a
     forward whose loss is never differentiated (a dev-NLL pass) never
-    builds it. The backward forms dlogits in that same array, so the node
-    holds one (N, V) array throughout, and a second backward through it
-    raises RuntimeError. It hands the gradients it builds to the parents
-    without copies. Every output and gradient takes the same operations in
+    builds it. `backward(g)` takes the gradient of the (N,) losses, forms
+    dlogits in that same array, writes the gradients of W and b
+    (`set_grads`) and returns the gradient of `hidden`; a second call raises
+    RuntimeError. Every output and gradient takes the same operations in
     the same order as a matmul node, a bias node and a cross-entropy node
     over the logits, so the two agree bit for bit.
     """
@@ -309,7 +222,7 @@ def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tens
                          f"got {b.shape} and {targets.shape}")
     rows = np.arange(hidden.shape[0])
     # One (N, V) array, built in place: logits, then shifted, then exponentials.
-    logits = hidden.data @ W.data
+    logits = hidden @ W.data
     logits += b.data
     shift = _as_array(logits)
     shift -= shift.max(axis=1, keepdims=True)
@@ -317,7 +230,6 @@ def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tens
     exp = np.exp(shift, out=shift)
     sums = exp.sum(axis=1, keepdims=True)
     losses = np.log(sums[:, 0]) - picked
-    out = Tensor(losses, parents=(hidden, W, b))
 
     def backward(g):
         nonlocal exp
@@ -327,9 +239,7 @@ def softmax_cross_entropy(hidden: Tensor, W: Tensor, b: Tensor, targets) -> Tens
         dlogits /= sums
         dlogits[rows, targets] -= 1.0
         dlogits *= g[:, None]
-        b._accumulate(dlogits.sum(axis=0), owned=True)
-        W._accumulate_product(hidden.data.T, dlogits)
-        hidden._accumulate(dlogits @ W.data.T, owned=True)
+        set_grads(hidden, dlogits, W, b)
+        return dlogits @ W.data.T
 
-    out._backward = backward
-    return out
+    return losses, backward

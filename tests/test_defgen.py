@@ -106,7 +106,7 @@ def test_sequence_nll_factorizes_over_steps():
     from defmod.neural import stable_sigmoid as _np_sigmoid
 
     P = {k: t.data for k, t in model.params.items()}
-    cond = _condition_block(model, condition[None, :], ["cat"]).data
+    cond, _ = _condition_block(model, condition[None, :], ["cat"])
     gold = cfg.vocab.ids(definition) + [EOS_ID]
     prev = BOS_ID
     hs = [np.zeros((1, 5)) for _ in range(2)]
@@ -187,19 +187,9 @@ def test_batch_matches_single_pair_losses():
     np.testing.assert_allclose(batched.item(), total / count, rtol=1e-12)
 
 
-def _reachable_nodes(root):
-    seen = {id(root)}
-    stack = [root]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
-
-
 def test_batch_nll_graph_size_and_char_cnn_calls(monkeypatch):
-    """The fused design's exact graph size; one char-CNN node over the distinct headwords."""
+    """One char-CNN call over the distinct headwords, and a loss whose
+    parents are exactly the parameters."""
     import defmod.defgen as defgen
 
     calls = []
@@ -219,25 +209,12 @@ def test_batch_nll_graph_size_and_char_cnn_calls(monkeypatch):
     loss, _ = batch_nll(model, pairs)
     chars = model.config.char_vocab
     assert calls == [[word_char_ids("cat", chars), word_char_ids("dog", chars)]]
-    leaves = len(model.params) + 2      # plus conditions, 1/n
-    condition = 1 + 1 + 3               # char-CNN, gather; concat, @Wc, +bc
-    inputs = 3                          # gather tokens, gather condition rows, concat
-    lstm = 2                            # one node per layer
-    output = 4                          # gather real rows, fused cross-entropy, sum, *1/n
-    expected = leaves + condition + inputs + lstm + output
-    assert _reachable_nodes(loss) == expected == 38
+    assert loss._parents == tuple(model.params.values())
 
 
-def test_batch_nll_matches_per_step_oracle_graph():
-    """Loss and every parameter gradient of a ragged batch agree with the
-    per-step graph (one two-node cell per step and layer, masked mean) to
-    1e-12 relative; only the GEMM grouping differs."""
-    model = init_model(tiny_config(seed=6))
-    pairs = [
-        pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal", "dog")),
-        pair("dog", [-0.2, 0.1, 0.3, -0.3], ("a",)),
-        pair("cat", [0.0, -0.1, 0.2, 0.1], ("dog", "cat")),
-    ]
+def _assert_matches_oracle(model, pairs):
+    """Loss and every parameter gradient of `batch_nll` agree with the
+    per-step oracle graph to 1e-12 relative. Returns the token count."""
     results = []
     for nll in (batch_nll, ref_batch_nll):
         for p in model.params.values():
@@ -246,11 +223,60 @@ def test_batch_nll_matches_per_step_oracle_graph():
         loss.backward()
         results.append((loss.item(), n_tokens, {k: dense_grad(p) for k, p in model.params.items()}))
     (loss, n, grads), (ref_loss, ref_n, ref_grads) = results
-    assert n == ref_n == 10
+    assert n == ref_n
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
     for name, ref in ref_grads.items():
         np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
                                    err_msg=name)
+    return n
+
+
+def test_batch_nll_matches_per_step_oracle_graph():
+    """Loss and every parameter gradient of a ragged batch agree with the
+    per-step graph (one two-node cell per step and layer, masked mean) to
+    1e-12 relative, at 1, 2 and 3 layers; only the GEMM grouping differs."""
+    pairs = [
+        pair("cat", [0.1, 0.2, -0.1, 0.0], ("a", "small", "animal", "dog")),
+        pair("dog", [-0.2, 0.1, 0.3, -0.3], ("a",)),
+        pair("cat", [0.0, -0.1, 0.2, 0.1], ("dog", "cat")),
+    ]
+    for layers in (1, 2, 3):
+        assert _assert_matches_oracle(init_model(tiny_config(seed=6, layers=layers)), pairs) == 10
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
+       rows=st.lists(st.tuples(st.sampled_from(["cat", "dog", "at", "god"]),
+                               st.lists(st.sampled_from(["a", "small", "animal", "cat", "dog"]),
+                                        min_size=1, max_size=9)),
+                     min_size=1, max_size=4))
+def test_batch_nll_matches_oracle_property(seed, layers, rows):
+    """Ragged definitions of 1 to 9 tokens, headwords drawn with repeats."""
+    model = init_model(tiny_config(seed=seed, layers=layers))
+    conditions = np.random.default_rng(seed).normal(size=(len(rows), 4))
+    _assert_matches_oracle(model, [pair(word, conditions[i], tokens)
+                                   for i, (word, tokens) in enumerate(rows)])
+
+
+@pytest.mark.parametrize("where", ["token_emb", "char_emb", "Wc", "Wh1", "Wo", "condition",
+                                   "gate"])
+def test_batch_nll_rejects_a_non_finite_value_upstream(where):
+    """A NaN parameter or condition, or a gate that overflows, reaches one of
+    the forward's finiteness checks."""
+    model = init_model(tiny_config(seed=8))
+    condition = np.linspace(-0.2, 0.2, 4)
+    if where == "condition":
+        condition[1] = np.nan
+    elif where == "gate":
+        # The condition half of every input row is about 1, so the first
+        # gate's pre-activation sums six terms of about 1e308.
+        model.params["bc"].data[:] = 1.0
+        model.params["Wx0"].data[:, 0] = 1e308
+    else:
+        model.params[where].data[...] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError,
+                                                                      match="finite"):
+        batch_nll(model, [pair("cat", condition, ("a", "small"))])
 
 
 def overfit_two_senses():

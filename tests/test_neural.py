@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defmod.defgen import DefModelConfig, batch_nll, build_char_vocab, init_model
 from defmod.errors import ConfigError, ShapeError
@@ -20,24 +22,29 @@ from defmod.neural import (
     adam_step,
     char_cnn_forward,
     clip_global_norm,
-    concat,
-    gather,
     init_adam,
     lstm_layer,
     softmax,
     softmax_cross_entropy,
-    uniform_init,
 )
 from defmod.matcher import SenseDefPair
+from defmod.neural.layers import INIT_SCALE
 from defmod.neural.optim import BETA1, BETA2, BLOCK_ENTRIES, EPSILON, flat_buffer, flat_views
 from defmod.neural.tensor import RowGrad, add_at_rows
 from defmod.textprep import Vocabulary
 
 from _gradcheck import dense_grad, grad_check
 from _reference_ops import (
+    _window_rows,
+    char_cnn_node,
     char_cnn_pool_argmax,
+    concat,
+    cross_entropy_node,
+    gather,
     getitem,
+    lstm_layer_node,
     lstm_step,
+    matmul,
     ref_char_cnn_forward,
     ref_softmax_cross_entropy,
     reshape,
@@ -47,11 +54,15 @@ from _reference_ops import (
 )
 
 
+def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True)
+
+
 def cross_entropy_on_logits(logits, targets) -> Tensor:
     """The fused op over given logits: an identity W and a zero b reproduce them exactly."""
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     width = logits.shape[-1]
-    return softmax_cross_entropy(logits, Tensor(np.eye(width)), Tensor(np.zeros(width)), targets)
+    return cross_entropy_node(logits, Tensor(np.eye(width)), Tensor(np.zeros(width)), targets)
 
 
 def test_tensor_rejects_non_finite():
@@ -86,14 +97,14 @@ def test_matmul_grad_matches_analytic():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    (a @ b).sum().backward()
+    matmul(a, b).sum().backward()
     np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T)
     np.testing.assert_allclose(b.grad, a.data.T @ np.ones((3, 2)))
 
 
 def test_matmul_rejects_mismatch():
     with pytest.raises(ShapeError):
-        Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def test_getitem_grad_and_restriction():
@@ -111,7 +122,8 @@ def test_gather_accumulates_repeats():
     gather(table, [0, 0, 2]).sum().backward()
     np.testing.assert_allclose(dense_grad(table), np.diag([2.0, 2.0, 1.0]) @ np.ones((3, 3)) * 0 + [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
-    # The row form densifies to a zero-fill plus np.add.at, byte for byte.
+    # The oracle's dense scatter-add and the package's row form (RowGrad)
+    # both equal a zero-fill plus np.add.at, byte for byte.
     rng = np.random.default_rng(29)
     ids = np.array([4, 1, 4, 6, 1, 4, 2])
     upstream = rng.normal(size=(len(ids), 5)) * 10.0 ** rng.integers(-8, 8, size=(len(ids), 1))
@@ -119,32 +131,11 @@ def test_gather_accumulates_repeats():
     upstream[1, ::2] = -0.0
     table = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
     (gather(table, ids) * Tensor(upstream)).sum().backward()
-    assert isinstance(table.grad, RowGrad)
     want = np.zeros((8, 5))
     np.add.at(want, ids, upstream)
+    assert table.grad.tobytes() == want.tobytes()
+    table.grad = RowGrad(ids, upstream)
     assert dense_grad(table).tobytes() == want.tobytes()
-
-    # A leaf that `@` reaches as well keeps the dense scatter-add.
-    def dense_gather(t, rows):
-        out = Tensor(t.data[rows], parents=(t,))
-
-        def backward(g):
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            np.add.at(t.grad, rows, g)
-
-        out._backward = backward
-        return out
-
-    x = rng.normal(size=(2, 8))
-    results = []
-    for op in (gather, dense_gather):
-        shared = Tensor(table.data, requires_grad=True)
-        loss = (op(shared, ids) * Tensor(upstream)).sum() + ((Tensor(x) @ shared) * Tensor(x @ table.data)).sum()
-        loss.backward()
-        results.append(shared.grad)
-    assert isinstance(results[0], np.ndarray)
-    assert results[0].tobytes() == results[1].tobytes()
 
 
 def test_concat_grad_splits():
@@ -237,7 +228,7 @@ def test_cross_entropy_shape_errors():
         cross_entropy_on_logits(Tensor(np.zeros(4)), [0])
     with pytest.raises(ShapeError):
         cross_entropy_on_logits(Tensor(np.zeros((2, 4))), [0, 1, 2])
-    hidden, bias = Tensor(np.zeros((2, 3))), Tensor(np.zeros(4))
+    hidden, bias = np.zeros((2, 3)), Tensor(np.zeros(4))
     with pytest.raises(ShapeError):
         softmax_cross_entropy(hidden, Tensor(np.zeros((2, 4))), bias, [0, 1])
     with pytest.raises(ShapeError):
@@ -248,7 +239,7 @@ def test_grad_check_affine():
     rng = np.random.default_rng(3)
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     x = np.arange(1.0, 5.0).reshape(1, 4)
-    err = grad_check(lambda: (Tensor(x) @ w).sum(), [w])
+    err = grad_check(lambda: matmul(Tensor(x), w).sum(), [w])
     assert err < 1e-8
 
 
@@ -355,9 +346,9 @@ def test_lstm_rejects_bad_input_dim():
     with pytest.raises(ShapeError):
         _lstm_chain(lstm_step, params, [Tensor(np.ones((1, 5)))], *_zeros(1, 4), layers=1)
     with pytest.raises(ShapeError, match="does not match"):
-        lstm_layer(Tensor(np.ones((4, 5))), params["Wx0"], params["Wh0"], params["b0"], 2)
+        lstm_layer(np.ones((4, 5)), params["Wx0"], params["Wh0"], params["b0"], 2)
     with pytest.raises(ShapeError, match="steps"):
-        lstm_layer(Tensor(np.ones((5, 3))), params["Wx0"], params["Wh0"], params["b0"], 2)
+        lstm_layer(np.ones((5, 3)), params["Wx0"], params["Wh0"], params["b0"], 2)
 
 
 def test_lstm_grad_check_two_layers():
@@ -377,7 +368,7 @@ def test_lstm_grad_check_two_layers():
 def _lstm_step_by_nodes(x, h, c, Wx, Wh, b):
     """The LSTM cell built from one graph node per slice, sigmoid, tanh and mul."""
     hidden = Wh.shape[0]
-    gates = x @ Wx + h @ Wh + b
+    gates = matmul(x, Wx) + matmul(h, Wh) + b
     i = sigmoid(getitem(gates, (slice(None), slice(0 * hidden, 1 * hidden))))
     f = sigmoid(getitem(gates, (slice(None), slice(1 * hidden, 2 * hidden))))
     g = tanh(getitem(gates, (slice(None), slice(2 * hidden, 3 * hidden))))
@@ -447,18 +438,15 @@ def test_lstm_step_grad_check_two_steps():
 
 def _layer_stack(params, X, steps, layers=2):
     for layer in range(layers):
-        X = lstm_layer(X, params[f"Wx{layer}"], params[f"Wh{layer}"], params[f"b{layer}"], steps)
+        X = lstm_layer_node(X, params[f"Wx{layer}"], params[f"Wh{layer}"], params[f"b{layer}"],
+                            steps)
     return X
 
 
-@pytest.mark.parametrize("steps", [1, 5])
-def test_lstm_layer_matches_oracle_step_chain(steps):
-    """Top outputs and every gradient of two stacked layers agree with a
-    chain of two-node oracle steps from a zero state to 1e-12 relative;
-    only the grouping of the GEMMs differs."""
-    rng = np.random.default_rng(31)
-    batch, hidden = 3, 4
-    params = lstm_params(rng, input_dim=3, hidden=hidden, layers=2)
+def _assert_layers_match_step_chain(rng, steps, batch, layers, hidden=4):
+    """Top outputs and every gradient of stacked layers agree with a chain of
+    two-node oracle steps from a zero state to 1e-12 relative."""
+    params = lstm_params(rng, input_dim=3, hidden=hidden, layers=layers)
     xs = [Tensor(rng.normal(size=(batch, 3)), requires_grad=True) for _ in range(steps)]
     weights = rng.normal(size=(steps * batch, hidden))
     leaves = {**params, **{f"x{t}": x for t, x in enumerate(xs)}}
@@ -467,9 +455,9 @@ def test_lstm_layer_matches_oracle_step_chain(steps):
         for p in leaves.values():
             p.zero_grad()
         if by_layer:
-            top = _layer_stack(params, concat(xs, axis=0), steps)
+            top = _layer_stack(params, concat(xs, axis=0), steps, layers)
         else:
-            tops, _ = _lstm_chain(lstm_step, params, xs, *_zeros(batch, hidden))
+            tops, _ = _lstm_chain(lstm_step, params, xs, *_zeros(batch, hidden), layers)
             top = concat(tops, axis=0)
         (top * weights).sum().backward()
         results.append((top.data, {name: p.grad for name, p in leaves.items()}))
@@ -478,6 +466,20 @@ def test_lstm_layer_matches_oracle_step_chain(steps):
     for name, ref in ref_grads.items():
         np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_lstm_layer_matches_oracle_step_chain(steps):
+    """Two stacked layers against the oracle steps; only the grouping of the
+    GEMMs differs."""
+    _assert_layers_match_step_chain(np.random.default_rng(31), steps, batch=3, layers=2)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6), batch=st.integers(1, 3),
+       layers=st.integers(1, 3))
+def test_lstm_layer_matches_oracle_step_chain_property(seed, steps, batch, layers):
+    _assert_layers_match_step_chain(np.random.default_rng(seed), steps, batch, layers)
 
 
 def test_lstm_layer_grad_check_two_layers_three_steps():
@@ -507,21 +509,21 @@ def test_lstm_layer_rejects_overflowing_gates_at_any_step(step):
         params["Wx0"].data[:, 0] = 1e308
         X[2 * step:2 * step + 2] = 1.0
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        lstm_layer(Tensor(X), params["Wx0"], params["Wh0"], params["b0"], 3)
+        lstm_layer(X, params["Wx0"], params["Wh0"], params["b0"], 3)
 
 
 def test_char_cnn_output_dim():
     params = char_cnn_params(np.random.default_rng(12), char_vocab_size=10)
-    out = char_cnn_forward(params, [[4, 5, 6, 7, 8, 9]], pad_id=3)
+    out, _ = char_cnn_forward(params, [[4, 5, 6, 7, 8, 9]], pad_id=3)
     assert out.shape == (1, CHAR_FEATURE_DIM)
     assert CHAR_FEATURE_DIM == 160
 
 
 def test_char_cnn_pads_short_words():
     params = char_cnn_params(np.random.default_rng(13), char_vocab_size=10)
-    out = char_cnn_forward(params, [[5]], pad_id=3)
+    out, _ = char_cnn_forward(params, [[5]], pad_id=3)
     assert out.shape == (1, 160)
-    assert np.all(np.isfinite(out.data))
+    assert np.all(np.isfinite(out))
 
 
 def test_char_cnn_rejects_empty():
@@ -541,7 +543,7 @@ def test_char_cnn_grad_check():
     weights = rng.normal(size=(1, 160))
 
     def loss():
-        return (char_cnn_forward(params, [ids], pad_id=3) * weights).sum()
+        return (char_cnn_node(params, [ids], pad_id=3) * weights).sum()
 
     assert grad_check(loss, params, epsilon=1e-4) < 1e-3
 
@@ -570,7 +572,8 @@ def _char_cnn_by_nodes(params, ids):
         positions = len(ids) - length + 1
         windows = concat([getitem(emb, slice(offset, offset + positions))
                           for offset in range(length)], axis=1)
-        pooled.append(tensor_max(windows @ params[f"K{length}"] + params[f"Kb{length}"], axis=0))
+        pooled.append(tensor_max(matmul(windows, params[f"K{length}"]) + params[f"Kb{length}"],
+                                 axis=0))
     return reshape(tanh(concat(pooled, axis=0)), 1, CHAR_FEATURE_DIM)
 
 
@@ -582,7 +585,7 @@ def test_char_cnn_matches_node_graph_bit_for_bit(ids):
     params = char_cnn_params(rng, char_vocab_size=10)
     weights = rng.normal(size=(1, CHAR_FEATURE_DIM))
     results = []
-    for forward in (lambda: char_cnn_forward(params, [ids], pad_id=3),
+    for forward in (lambda: char_cnn_node(params, [ids], pad_id=3),
                     lambda: _char_cnn_by_nodes(params, ids)):
         for p in params.values():
             p.zero_grad()
@@ -601,7 +604,7 @@ def _char_cnn_results(params, words, weights, batched):
     for p in params.values():
         p.zero_grad()
     if batched:
-        out = char_cnn_forward(params, words, pad_id=3)
+        out = char_cnn_node(params, words, pad_id=3)
     else:
         out = concat([ref_char_cnn_forward(params, ids, pad_id=3) for ids in words], axis=0)
     (out * weights).sum().backward()
@@ -651,11 +654,34 @@ def test_char_cnn_grad_check_on_a_ragged_batch(seed):
     weights = rng.normal(size=(len(RAGGED_WORDS), CHAR_FEATURE_DIM))
 
     def loss():
-        return (char_cnn_forward(params, RAGGED_WORDS, pad_id=3) * weights).sum()
+        return (char_cnn_node(params, RAGGED_WORDS, pad_id=3) * weights).sum()
 
     checked = {name: params[name] for name in ("char_emb", "K3", "Kb3", "Kb6")}
     assert grad_check(loss, checked, epsilon=1e-4,
                       kinks=lambda: char_cnn_pool_argmax(params, RAGGED_WORDS, pad_id=3)) < 1e-3
+
+
+def _pool_argmax_by_word(params, words_char_ids, pad_id):
+    """The per-word loop that `char_cnn_pool_argmax` batches."""
+    longest = max(length for length, _ in CNN_KERNELS)
+    firsts = []
+    for char_ids in words_char_ids:
+        ids = np.asarray(list(char_ids) + [pad_id] * (longest - len(char_ids)))
+        emb = params["char_emb"].data[ids]
+        for length, _ in CNN_KERNELS:
+            rows = _window_rows(len(ids), length)
+            scores = emb[rows].reshape(len(rows), -1) @ params[f"K{length}"].data
+            scores += params[f"Kb{length}"].data
+            firsts.append(ids[rows[scores.argmax(axis=0)]].reshape(-1))
+    return np.concatenate(firsts)
+
+
+@pytest.mark.parametrize("seed", [32, 33, 34])
+def test_pool_argmax_matches_the_per_word_loop(seed):
+    params = char_cnn_params(np.random.default_rng(seed), char_vocab_size=10)
+    for words in (RAGGED_WORDS, RAGGED_WORDS[::-1], [[5]], [[4, 5, 6, 7, 8, 9, 4]]):
+        np.testing.assert_array_equal(char_cnn_pool_argmax(params, words, pad_id=3),
+                                      _pool_argmax_by_word(params, words, pad_id=3))
 
 
 def test_char_cnn_batch_rejects_a_non_finite_word():
@@ -942,52 +968,56 @@ def test_adam_refuses_a_dense_gradient_that_is_missing_or_not_its_view():
 
 
 def test_one_batch_nll_backward_fills_every_dense_view():
-    """In every step, each parameter after the two row-form tables gets a
-    dense gradient, formed in its view; the tables never write theirs."""
+    """In every hooked step, at 1, 2 and 3 layers, each parameter after the
+    two row-form tables gets a dense gradient, formed in its view; the
+    tables hold a RowGrad and never write theirs."""
     vocab = Vocabulary({f"w{i}": 1 for i in range(40)})
-    model = init_model(DefModelConfig(vocab, build_char_vocab(["abcde"]), condition_dim=4,
-                                      hidden=5, layers=2, token_embedding_dim=6, seed=37))
-    state = init_adam(model.params)
     pairs = [SenseDefPair("abc", 0, np.ones(4), ("w7", "w19")),
              SenseDefPair("bad", 1, -np.ones(4), ("w3",))]
-    names = list(model.params)
-    assert names[:2] == ["token_emb", "char_emb"]
-    for _ in range(2):
-        for view in state.gradient.values():
-            view.fill(np.nan)
-        for p in model.params.values():
-            p.zero_grad()
-        loss, _ = batch_nll(model, pairs)
-        loss.backward()
-        for name in names[:2]:
-            assert isinstance(model.params[name].grad, RowGrad), name
-            assert np.isnan(state.gradient[name]).all(), name
-        for name in names[2:]:
-            assert model.params[name].grad is state.gradient[name], name
-            assert np.isfinite(state.gradient[name]).all(), name
-        adam_step(model.params, {name: p.grad for name, p in model.params.items()}, state)
-    assert state.step == 2
+    for layers in (1, 2, 3):
+        model = init_model(DefModelConfig(vocab, build_char_vocab(["abcde"]), condition_dim=4,
+                                          hidden=5, layers=layers, token_embedding_dim=6,
+                                          seed=37))
+        state = init_adam(model.params)
+        names = list(model.params)
+        assert names[:2] == ["token_emb", "char_emb"]
+        for _ in range(2):
+            for view in state.gradient.values():
+                view.fill(np.nan)
+            for p in model.params.values():
+                p.zero_grad()
+            loss, _ = batch_nll(model, pairs)
+            loss.backward()
+            for name in names[:2]:
+                assert isinstance(model.params[name].grad, RowGrad), name
+                assert np.isnan(state.gradient[name]).all(), name
+            for name in names[2:]:
+                p = model.params[name]
+                assert p.grad is p.grad_view is state.gradient[name], name
+                assert np.isfinite(state.gradient[name]).all(), name
+            adam_step(model.params, {name: p.grad for name, p in model.params.items()}, state)
+        assert state.step == 2
 
 
 def test_cross_entropy_forms_dlogits_in_its_one_buffer_and_backs_off_a_second_backward():
     n, hidden, width = 64, 16, 4096
-    h_data, w_data, b_data, targets, _ = _output_layer(29, n, hidden, width)
-    h, w, b = (Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data))
+    h, w_data, b_data, targets, _ = _output_layer(29, n, hidden, width)
+    w, b = (Tensor(a, requires_grad=True) for a in (w_data, b_data))
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        loss = softmax_cross_entropy(h, w, b, targets).sum()
-        loss.backward()
+        _, backward = softmax_cross_entropy(h, w, b, targets)
+        backward(np.ones(n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # One (N, V) array, W's gradient, the (N, H) and (V,) gradients and a
     # little bookkeeping.
-    bound = n * width * 8 + w.data.nbytes + h.data.nbytes + b.data.nbytes + (64 << 10)
+    bound = n * width * 8 + w.data.nbytes + h.nbytes + b.data.nbytes + (64 << 10)
     assert peak - base <= bound
     with pytest.raises(RuntimeError, match="backward has run"):
-        loss.backward()
+        backward(np.ones(n))
 
 
 def test_weight_gradient_products_are_formed_in_their_views():
@@ -995,25 +1025,25 @@ def test_weight_gradient_products_are_formed_in_their_views():
     its product into W's view: no W-sized array is allocated, and the bits
     are those of the product without `out=`."""
     n, hidden, width = 64, 16, 4096
-    h_data, w_data, b_data, targets, _ = _output_layer(38, n, hidden, width)
+    h, w_data, b_data, targets, _ = _output_layer(38, n, hidden, width)
     params = _flat_params({"W": w_data, "b": b_data})
     state = init_adam(params)
-    h = Tensor(h_data, requires_grad=True)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        softmax_cross_entropy(h, params["W"], params["b"], targets).sum().backward()
+        softmax_cross_entropy(h, params["W"], params["b"], targets)[1](np.ones(n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert params["W"].grad is state.gradient["W"] and params["b"].grad is state.gradient["b"]
     # One (N, V) array and its finiteness mask, the (N, H) and (V,)
     # gradients and a little bookkeeping; W's gradient would be 512 KiB more.
-    assert peak - base <= n * width * 9 + h.data.nbytes + b_data.nbytes + (64 << 10)
-    apart = [Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data)]
-    softmax_cross_entropy(*apart, targets).sum().backward()
-    assert params["W"].grad.tobytes() == apart[1].grad.tobytes()
+    assert peak - base <= n * width * 9 + h.nbytes + b_data.nbytes + (64 << 10)
+    apart = [Tensor(a, requires_grad=True) for a in (w_data, b_data)]
+    softmax_cross_entropy(h, *apart, targets)[1](np.ones(n))
+    assert params["W"].grad.tobytes() == apart[0].grad.tobytes()
+    assert params["b"].grad.tobytes() == apart[1].grad.tobytes()
 
 
 def test_adam_allocates_no_parameter_sized_temporaries():
@@ -1112,26 +1142,40 @@ def _output_layer(seed, n, hidden, width):
             rng.normal(size=width), rng.integers(0, width, size=n), rng.uniform(0.1, 2.0, size=n))
 
 
+def _fused_and_graph_cross_entropy(seed, n, hidden, width):
+    """Losses and (hidden, W, b) gradients of the weighted loss sum, from the
+    fused op and from a matmul, bias and cross-entropy graph."""
+    h_data, w_data, b_data, targets, weights = _output_layer(seed, n, hidden, width)
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data)]
+        losses = (cross_entropy_node(*leaves, targets) if fused else
+                  ref_softmax_cross_entropy(matmul(leaves[0], leaves[1]) + leaves[2], targets))
+        (losses * Tensor(weights)).sum().backward()
+        results.append([losses.data] + [t.grad for t in leaves])
+    return results
+
+
 def test_fused_cross_entropy_matches_reference_graph_bit_for_bit():
-    h_data, w_data, b_data, targets, weights = _output_layer(26, 7, 5, 11)
-    fused = [Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data)]
-    losses = softmax_cross_entropy(*fused, targets)
-    (losses * Tensor(weights)).sum().backward()
-
-    graph = [Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data)]
-    ref_losses = ref_softmax_cross_entropy(graph[0] @ graph[1] + graph[2], targets)
-    (ref_losses * Tensor(weights)).sum().backward()
-
-    assert losses.data.tobytes() == ref_losses.data.tobytes()
+    fused, graph = _fused_and_graph_cross_entropy(26, 7, 5, 11)
     for got, want in zip(fused, graph):
-        assert got.grad.shape == want.grad.shape
-        assert got.grad.tobytes() == want.grad.tobytes()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), hidden=st.integers(1, 4),
+       width=st.integers(2, 8))
+def test_fused_cross_entropy_matches_reference_graph_property(seed, n, hidden, width):
+    fused, graph = _fused_and_graph_cross_entropy(seed, n, hidden, width)
+    for got, want in zip(fused, graph):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_grad_check_fused_cross_entropy_parameters():
     h_data, w_data, b_data, targets, _ = _output_layer(27, 4, 3, 6)
     h, w, b = (Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data))
-    err = grad_check(lambda: softmax_cross_entropy(h, w, b, targets).sum(), [h, w, b])
+    err = grad_check(lambda: cross_entropy_node(h, w, b, targets).sum(), [h, w, b])
     assert err < 1e-5
 
 
@@ -1142,38 +1186,25 @@ def test_grad_check_fused_cross_entropy_parameters():
 ])
 def test_fused_cross_entropy_rejects_non_finite_logits(hidden, weights):
     with pytest.raises(ValueError, match="finite"):
-        softmax_cross_entropy(Tensor(hidden), Tensor(weights), Tensor(np.zeros(2)), [0])
-
-
-def test_owned_gradient_is_stored_without_a_copy():
-    t = Tensor(np.zeros((2, 3)), requires_grad=True)
-    g = np.ones((2, 3))
-    t._accumulate(g, owned=True)
-    assert t.grad is g
-    t._accumulate(np.full((2, 3), 2.0), owned=True)
-    assert t.grad is g
-    np.testing.assert_array_equal(g, np.full((2, 3), 3.0))
-    shared = Tensor(np.zeros((2, 3)), requires_grad=True)
-    shared._accumulate(g)
-    assert shared.grad is not g and not np.shares_memory(shared.grad, g)
+        softmax_cross_entropy(np.array(hidden), Tensor(weights), Tensor(np.zeros(2)), [0])
 
 
 def test_fused_cross_entropy_holds_two_logit_sized_arrays():
     n, hidden, width = 64, 16, 4096
-    h_data, w_data, b_data, targets, _ = _output_layer(28, n, hidden, width)
-    h, w, b = (Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data))
+    h, w_data, b_data, targets, _ = _output_layer(28, n, hidden, width)
+    w, b = (Tensor(a, requires_grad=True) for a in (w_data, b_data))
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        softmax_cross_entropy(h, w, b, targets).sum().backward()
+        softmax_cross_entropy(h, w, b, targets)[1](np.ones(n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     logits_bytes = n * width * 8
     # Two (N, V) arrays (the exponentials and dlogits) and W's gradient,
     # plus the (N, H) and (V,) gradients and a little bookkeeping.
-    bound = 2 * logits_bytes + w.data.nbytes + h.data.nbytes + b.data.nbytes + (64 << 10)
+    bound = 2 * logits_bytes + w.data.nbytes + h.nbytes + b.data.nbytes + (64 << 10)
     assert peak - base <= bound
 
 
@@ -1192,8 +1223,6 @@ def test_shared_upstream_gradient_is_never_aliased():
 
 
 def test_uniform_init_range():
-    from defmod.neural import uniform_init
-
     rng = np.random.default_rng(16)
     t = uniform_init(rng, (50, 50))
     assert t.requires_grad
